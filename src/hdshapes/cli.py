@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
 import os
 import secrets
@@ -172,22 +171,7 @@ def _collect_shape_params(args, kind: str) -> dict:
             f"flag(s) {flags} not valid for shape '{kind}'"
             + (f" (accepts: --n, {accepted})" if accepted else " (accepts: --n only)")
         )
-    for param in ("w", "l_vec", "range", "r_vec", "n_vec"):
-        if param in provided:
-            provided[param] = tuple(provided[param])
-    return provided
-
-
-def _resolved_params(kind: str, provided: dict) -> dict:
-    """Merge shape defaults with user params so manifests pin every value."""
-    sig = inspect.signature(shape_info(kind).func)
-    resolved = {
-        name: par.default
-        for name, par in sig.parameters.items()
-        if name not in ("n", "seed") and par.default is not inspect.Parameter.empty
-    }
-    resolved.update(provided)
-    return resolved
+    return _tupled(provided)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,10 +267,11 @@ def cmd_generate(args) -> int:
     params = _collect_shape_params(args, args.shape)
     seed = _resolve_seed(args)
     ds = generate(args.shape, n=args.n, seed=seed, **params)
+    # Defaults are recorded too, so the manifest pins every value.
     spec = {
         "kind": args.shape,
         "n": args.n,
-        "params": _resolved_params(args.shape, params),
+        "params": {**shape_info(args.shape).defaults, **params},
     }
     _emit(ds, _out_path(args, args.shape), args.format, "generate", seed, spec)
     return 0

@@ -11,6 +11,7 @@ concurrently without changing its output.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,39 +267,29 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
     for c in range(spec.k):
         sub = stream.derive(c)
         kind = spec.shape[c]
-        info = shape_info(kind)
         kwargs = dict(spec.extras[c])
-        if info.ambient_p and "p" not in kwargs:
-            kwargs["p"] = p
+        if shape_info(kind).dim is None:
+            kwargs.setdefault("p", p)
         ds = generate(kind, n=spec.n[c], seed=sub.derive(0), **kwargs)
         if ds.p > p:
             raise DimensionError(
                 f"cluster {c} shape '{kind}' produced {ds.p} dims but the scene has {p}"
             )
-        pts = ds.points * spec.scale[c]
-        ambient_rot = None
+        rot = None
         if spec.rotation is not None and spec.rotation[c] is not None:
             rot = _rotation_matrix(spec.rotation[c])
-            if rot.shape[0] == ds.p:
-                pts = pts @ rot.T
-            elif rot.shape[0] == p:
-                ambient_rot = rot
-            else:
+            if rot.shape[0] not in (ds.p, p):
                 raise ParameterError(
                     f"cluster {c} rotation is {rot.shape[0]}-dimensional; expected "
                     f"{ds.p} (shape) or {p} (scene)"
                 )
-        if pts.shape[1] < p:
-            mu = float(pts.mean())
-            extra = sub.derive(1).rng.normal(mu, PAD_SD, (pts.shape[0], p - pts.shape[1]))
-            pts = np.hstack([pts, extra])
-        if ambient_rot is not None:
-            pts = pts @ ambient_rot.T
-        target = spec.loc[c]
-        if not np.isnan(target).all():
-            pts = pts + (target - pts.mean(axis=0))
-        parts.append(pts)
-        labels.append(np.full(pts.shape[0], names[c]))
+        before_pad = rot is not None and rot.shape[0] == ds.p
+        target = None if np.isnan(spec.loc[c]).all() else spec.loc[c]
+        cluster = apply_transform(ds.points, spec.scale[c], rot if before_pad else None)
+        cluster = pad_to_dim(cluster, p, seed=sub.derive(1))
+        cluster = apply_transform(cluster, 1.0, None if before_pad else rot, target)
+        parts.append(cluster.points)
+        labels.append(np.full(cluster.n, names[c]))
     all_pts = np.vstack(parts)
     all_labels = np.concatenate(labels)
     if spec.is_bkg:
@@ -466,21 +457,26 @@ def _preset_shape_para(n=1200, k=3, p=4, seed=None):
     return gen_multicluster(spec, seed=seed)
 
 
+def _preset(builder, description: str) -> tuple:
+    params = tuple(name for name in inspect.signature(builder).parameters if name != "seed")
+    return builder, params, description
+
+
 PRESETS: dict[str, tuple] = {
     # name: (builder, accepted params, description)
-    "mobiusgau": (_preset_mobiusgau, ("n",), "Mobius band beside a Gaussian blob."),
-    "multigau": (_preset_multigau, ("n", "k", "p"), "Well-separated Gaussian clusters."),
-    "curvygau": (_preset_curvygau, ("n", "p"), "Curved band with a Gaussian cluster."),
-    "klink_circles": (_preset_klink_circles, ("n", "k"), "Interlocked rings in alternating planes."),
-    "chain_circles": (_preset_chain_circles, ("n", "k"), "Coplanar rings connected in a row."),
-    "klink_curvycycle": (_preset_klink_curvycycle, ("n", "k"), "Interlocked curvy cycles."),
-    "chain_curvycycle": (_preset_chain_curvycycle, ("n", "k"), "Curvy cycles connected in a row."),
-    "gaucircles": (_preset_gaucircles, ("n", "k", "p"), "Concentric rings with a central Gaussian."),
-    "gaucurvycycle": (_preset_gaucurvycycle, ("n", "k", "p"), "Concentric curvy cycles with a central Gaussian."),
-    "onegrid": (_preset_onegrid, ("n",), "Single 2-D lattice."),
-    "twogrid_overlap": (_preset_twogrid_overlap, ("n",), "Two partially overlapping lattices."),
-    "twogrid_shift": (_preset_twogrid_shift, ("n",), "Two lattices offset by half a cell."),
-    "shape_para": (_preset_shape_para, ("n", "k", "p"), "Parallel copies of one curved shape."),
+    "mobiusgau": _preset(_preset_mobiusgau, "Mobius band beside a Gaussian blob."),
+    "multigau": _preset(_preset_multigau, "Well-separated Gaussian clusters."),
+    "curvygau": _preset(_preset_curvygau, "Curved band with a Gaussian cluster."),
+    "klink_circles": _preset(_preset_klink_circles, "Interlocked rings in alternating planes."),
+    "chain_circles": _preset(_preset_chain_circles, "Coplanar rings connected in a row."),
+    "klink_curvycycle": _preset(_preset_klink_curvycycle, "Interlocked curvy cycles."),
+    "chain_curvycycle": _preset(_preset_chain_curvycycle, "Curvy cycles connected in a row."),
+    "gaucircles": _preset(_preset_gaucircles, "Concentric rings with a central Gaussian."),
+    "gaucurvycycle": _preset(_preset_gaucurvycycle, "Concentric curvy cycles with a central Gaussian."),
+    "onegrid": _preset(_preset_onegrid, "Single 2-D lattice."),
+    "twogrid_overlap": _preset(_preset_twogrid_overlap, "Two partially overlapping lattices."),
+    "twogrid_shift": _preset(_preset_twogrid_shift, "Two lattices offset by half a cell."),
+    "shape_para": _preset(_preset_shape_para, "Parallel copies of one curved shape."),
 }
 
 

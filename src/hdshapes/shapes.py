@@ -10,9 +10,10 @@ noise dims (see hdshapes.noise) or through the multicluster composer.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -947,67 +948,61 @@ def gen_nonlinear(n: int, hc: float = 1.0, non_fac: float = 1.0, p: int = 4, see
 
 @dataclass(frozen=True)
 class ShapeInfo:
-    """Dispatch record for one shape kind."""
+    """Dispatch record for one shape kind.
+
+    `params` (keyword params beyond n and seed, in signature order) and
+    their `defaults` are read from `func`'s signature.
+    """
 
     func: Callable[..., Dataset]
-    params: tuple[str, ...]  # accepted keyword params beyond (n, seed)
     dim: int | None  # intrinsic output dim; None means "equals p"
     description: str
-    ambient_p: bool = False  # composer may forward the scene dimension as p
-    labeled: bool = False
-    approx_n: bool = False  # lattice kinds return ~n points
+    params: tuple[str, ...] = field(init=False)
+    defaults: dict = field(init=False)
+
+    def __post_init__(self):
+        sig = inspect.signature(self.func).parameters
+        params = tuple(name for name in sig if name not in ("n", "seed"))
+        object.__setattr__(self, "params", params)
+        defaults = {name: sig[name].default for name in params if sig[name].default is not sig[name].empty}
+        object.__setattr__(self, "defaults", defaults)
 
 
 SHAPES: dict[str, ShapeInfo] = {
-    "expbranches": ShapeInfo(gen_expbranches, ("k",), 2, "Exponential branches in 2-D.", labeled=True),
-    "linearbranches": ShapeInfo(gen_linearbranches, ("k",), 2, "Linear branches in 2-D.", labeled=True),
-    "curvybranches": ShapeInfo(gen_curvybranches, ("k",), 2, "Quadratic branches in 2-D.", labeled=True),
-    "orglinearbranches": ShapeInfo(
-        gen_orglinearbranches, ("p", "k", "allow_share"), None,
-        "Linear branches leaving one origin point.", ambient_p=True, labeled=True,
-    ),
-    "orgcurvybranches": ShapeInfo(
-        gen_orgcurvybranches, ("p", "k", "allow_share"), None,
-        "Curvy branches leaving one origin point.", ambient_p=True, labeled=True,
-    ),
-    "cone": ShapeInfo(gen_cone, ("p", "h", "ratio"), None, "Cone-shaped structure.", ambient_p=True),
-    "gridcube": ShapeInfo(
-        gen_gridcube, ("p",), None, "Cube lattice with grid points along each axis.",
-        ambient_p=True, approx_n=True,
-    ),
-    "unifcube": ShapeInfo(gen_unifcube, ("p",), None, "Cube filled with uniform points.", ambient_p=True),
-    "gaussian": ShapeInfo(gen_gaussian, ("p", "s"), None, "Multivariate Gaussian cloud.", ambient_p=True),
-    "longlinear": ShapeInfo(gen_longlinear, ("p",), None, "Long linear structure.", ambient_p=True),
-    "mobius": ShapeInfo(gen_mobius, (), 3, "Mobius band in 3-D."),
-    "quadratic": ShapeInfo(gen_quadratic, ("range",), 2, "Quadratic curve in 2-D."),
-    "cubic": ShapeInfo(gen_cubic, ("range",), 2, "Cubic curve in 2-D."),
-    "pyrrect": ShapeInfo(gen_pyrrect, ("p", "h", "l_vec", "rt"), None, "Rectangular-base pyramid.", ambient_p=True),
-    "pyrtri": ShapeInfo(gen_pyrtri, ("p", "h", "l", "rt"), None, "Triangular-base pyramid.", ambient_p=True),
-    "pyrstar": ShapeInfo(gen_pyrstar, ("p", "h", "rb"), None, "Star-base pyramid.", ambient_p=True),
-    "pyrfrac": ShapeInfo(gen_pyrfrac, ("p",), None, "Pyramid with self-similar holes.", ambient_p=True),
-    "scurve": ShapeInfo(gen_scurve, (), 3, "S-curve in 3-D."),
-    "circle": ShapeInfo(gen_circle, ("p",), None, "Circle with sinusoid extensions.", ambient_p=True),
-    "curvycycle": ShapeInfo(gen_curvycycle, ("p",), None, "Curvy closed cycle.", ambient_p=True),
-    "unifsphere": ShapeInfo(gen_unifsphere, ("r",), 3, "Uniform sphere surface in 3-D."),
-    "hollowsphere": ShapeInfo(gen_hollowsphere, ("p",), None, "Hollow sphere surface.", ambient_p=True),
-    "gridedsphere": ShapeInfo(
-        gen_gridedsphere, ("p",), None, "Deterministic grid on a sphere surface.",
-        ambient_p=True, approx_n=True,
-    ),
-    "clusteredspheres": ShapeInfo(
-        gen_clusteredspheres, ("k_small", "r_vec", "spe", "n_vec"), 3,
-        "Small spheres inside a big sphere.", labeled=True,
-    ),
-    "hemisphere": ShapeInfo(gen_hemisphere, ("p",), 4, "Hemisphere of a 4-D sphere."),
-    "swissroll": ShapeInfo(gen_swissroll, ("w",), 3, "Swiss roll in 3-D."),
-    "trefoil4d": ShapeInfo(gen_trefoil4d, ("steps",), 4, "Trefoil knot band in 4-D."),
-    "trefoil3d": ShapeInfo(gen_trefoil3d, ("steps",), 3, "Stereographic trefoil in 3-D."),
-    "crescent": ShapeInfo(gen_crescent, ("p",), 2, "Crescent arc in 2-D."),
-    "curvycylinder": ShapeInfo(gen_curvycylinder, ("h", "p"), 4, "Cylinder with a curvy height dimension."),
-    "sphericalspiral": ShapeInfo(gen_sphericalspiral, ("spins", "p"), 4, "Spiral on a sphere surface."),
-    "helicalspiral": ShapeInfo(gen_helicalspiral, ("p",), 4, "Helical spiral."),
-    "conicspiral": ShapeInfo(gen_conicspiral, ("spins", "p"), 4, "Conic spiral."),
-    "nonlinear": ShapeInfo(gen_nonlinear, ("hc", "non_fac", "p"), 4, "Nonlinear hyperbola surface."),
+    "expbranches": ShapeInfo(gen_expbranches, 2, "Exponential branches in 2-D."),
+    "linearbranches": ShapeInfo(gen_linearbranches, 2, "Linear branches in 2-D."),
+    "curvybranches": ShapeInfo(gen_curvybranches, 2, "Quadratic branches in 2-D."),
+    "orglinearbranches": ShapeInfo(gen_orglinearbranches, None, "Linear branches leaving one origin point."),
+    "orgcurvybranches": ShapeInfo(gen_orgcurvybranches, None, "Curvy branches leaving one origin point."),
+    "cone": ShapeInfo(gen_cone, None, "Cone-shaped structure."),
+    "gridcube": ShapeInfo(gen_gridcube, None, "Cube lattice with grid points along each axis."),
+    "unifcube": ShapeInfo(gen_unifcube, None, "Cube filled with uniform points."),
+    "gaussian": ShapeInfo(gen_gaussian, None, "Multivariate Gaussian cloud."),
+    "longlinear": ShapeInfo(gen_longlinear, None, "Long linear structure."),
+    "mobius": ShapeInfo(gen_mobius, 3, "Mobius band in 3-D."),
+    "quadratic": ShapeInfo(gen_quadratic, 2, "Quadratic curve in 2-D."),
+    "cubic": ShapeInfo(gen_cubic, 2, "Cubic curve in 2-D."),
+    "pyrrect": ShapeInfo(gen_pyrrect, None, "Rectangular-base pyramid."),
+    "pyrtri": ShapeInfo(gen_pyrtri, None, "Triangular-base pyramid."),
+    "pyrstar": ShapeInfo(gen_pyrstar, None, "Star-base pyramid."),
+    "pyrfrac": ShapeInfo(gen_pyrfrac, None, "Pyramid with self-similar holes."),
+    "scurve": ShapeInfo(gen_scurve, 3, "S-curve in 3-D."),
+    "circle": ShapeInfo(gen_circle, None, "Circle with sinusoid extensions."),
+    "curvycycle": ShapeInfo(gen_curvycycle, None, "Curvy closed cycle."),
+    "unifsphere": ShapeInfo(gen_unifsphere, 3, "Uniform sphere surface in 3-D."),
+    "hollowsphere": ShapeInfo(gen_hollowsphere, None, "Hollow sphere surface."),
+    "gridedsphere": ShapeInfo(gen_gridedsphere, None, "Deterministic grid on a sphere surface."),
+    "clusteredspheres": ShapeInfo(gen_clusteredspheres, 3, "Small spheres inside a big sphere."),
+    "hemisphere": ShapeInfo(gen_hemisphere, 4, "Hemisphere of a 4-D sphere."),
+    "swissroll": ShapeInfo(gen_swissroll, 3, "Swiss roll in 3-D."),
+    "trefoil4d": ShapeInfo(gen_trefoil4d, 4, "Trefoil knot band in 4-D."),
+    "trefoil3d": ShapeInfo(gen_trefoil3d, 3, "Stereographic trefoil in 3-D."),
+    "crescent": ShapeInfo(gen_crescent, 2, "Crescent arc in 2-D."),
+    "curvycylinder": ShapeInfo(gen_curvycylinder, 4, "Cylinder with a curvy height dimension."),
+    "sphericalspiral": ShapeInfo(gen_sphericalspiral, 4, "Spiral on a sphere surface."),
+    "helicalspiral": ShapeInfo(gen_helicalspiral, 4, "Helical spiral."),
+    "conicspiral": ShapeInfo(gen_conicspiral, 4, "Conic spiral."),
+    "nonlinear": ShapeInfo(gen_nonlinear, 4, "Nonlinear hyperbola surface."),
 }
 
 
