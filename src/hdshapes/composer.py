@@ -138,8 +138,8 @@ class MultiClusterSpec:
                 raise ParameterError(f"{name} has {len(seq)} entries, expected k = {self.k}")
         if any(v < 1 for v in self.n):
             raise ParameterError("every cluster size must be at least 1")
-        if any(v <= 0 for v in self.scale):
-            raise ParameterError("every scale must be positive")
+        if not all(0 < v < np.inf for v in self.scale):
+            raise ParameterError("every scale must be positive and finite")
         for kind in self.shape:
             shape_info(kind)  # raises UnknownShapeError for unregistered kinds
         self.loc = np.asarray(self.loc, dtype=np.float64)

@@ -54,19 +54,20 @@ def _splitmix64(x: int) -> int:
 class RandomStream:
     """Seeded random source with deterministic substream derivation.
 
-    A stream is identified by a 64-bit root seed plus a path of derivation
-    indices; equal (seed, path) pairs always produce bit-identical draws,
-    and distinct paths give statistically independent sequences. Typical
-    paths encode a cluster index, then a stage or column index.
+    A stream is identified by a root seed in [0, 2**64) plus a path of
+    derivation indices; equal (seed, path) pairs always produce
+    bit-identical draws, and distinct paths give statistically independent
+    sequences. Typical paths encode a cluster index, then a stage or
+    column index.
     """
 
     __slots__ = ("seed", "path", "_rng")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         seed = int(seed)
-        if seed < 0:
-            raise ParameterError("seed must be a non-negative integer")
-        self.seed = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed}")
+        self.seed = seed
         self.path = tuple(int(ix) for ix in path)
         self._rng = None
 

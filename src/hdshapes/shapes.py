@@ -87,10 +87,29 @@ class RejectedParameterError(ParameterError):
 
 
 def _check_n(n) -> int:
-    n = int(n)
-    if n < 1:
-        raise ParameterError("n must be a positive integer")
-    return n
+    try:
+        count = int(n)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != n or count < 1:
+        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    return count
+
+
+def _check_fixed_p(p, dim: int, func: str) -> None:
+    """Fixed-dimension shapes take p only to reject a value they cannot honour."""
+    if p != dim:
+        raise DimensionError(f"{func} is defined for p = {dim}, got p = {p}")
+
+
+def _has_nonfinite(value) -> bool:
+    if value is None:
+        return False
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        return False
+    return not np.isfinite(arr).all()
 
 
 def _unit_directions(rng, n: int, d: int) -> np.ndarray:
@@ -741,8 +760,7 @@ def gen_hemisphere(n: int, p: int = 4, seed=None) -> Dataset:
     the same side.
     """
     n = _check_n(n)
-    if int(p) != 4:
-        raise DimensionError("gen_hemisphere is defined for p = 4")
+    _check_fixed_p(p, 4, "gen_hemisphere")
     rng = as_stream(seed).rng
     t1 = rng.uniform(0.0, np.pi, n)
     t2 = rng.uniform(0.0, np.pi, n)
@@ -837,6 +855,7 @@ def gen_crescent(n: int, p: int = 2, seed=None) -> Dataset:
     appending noise dims.
     """
     n = _check_n(n)
+    _check_fixed_p(p, 2, "gen_crescent")
     theta = np.linspace(np.pi / 6.0, 2.0 * np.pi, n)
     return Dataset(np.column_stack([np.cos(theta), np.sin(theta)]))
 
@@ -848,6 +867,7 @@ def gen_curvycylinder(n: int, h: float = 10.0, p: int = 4, seed=None) -> Dataset
     X3 = z, X4 = sin(z).
     """
     n = _check_n(n)
+    _check_fixed_p(p, 4, "gen_curvycylinder")
     if h <= 0:
         raise ParameterError("h must be positive")
     rng = as_stream(seed).rng
@@ -864,6 +884,7 @@ def gen_sphericalspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Datase
     with eps ~ U(-0.5, 0.5), X4 = theta / max(theta).
     """
     n, spins = _check_n(n), int(spins)
+    _check_fixed_p(p, 4, "gen_sphericalspiral")
     if spins < 1:
         raise ParameterError("spins must be a positive integer")
     top = 2.0 * np.pi * spins
@@ -889,6 +910,7 @@ def gen_helicalspiral(n: int, p: int = 4, seed=None) -> Dataset:
     X3 = 0.05 theta + eps with eps ~ U(-0.5, 0.5), X4 = 0.1 sin(theta).
     """
     n = _check_n(n)
+    _check_fixed_p(p, 4, "gen_helicalspiral")
     theta = np.linspace(0.0, 5.0 * np.pi / 4.0, n)
     eps = as_stream(seed).rng.uniform(-0.5, 0.5, n)
     return Dataset(
@@ -904,6 +926,7 @@ def gen_conicspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Dataset:
     X4 = theta sin(2 theta) + eps4 with eps3, eps4 ~ U(-0.1, 0.6).
     """
     n, spins = _check_n(n), int(spins)
+    _check_fixed_p(p, 4, "gen_conicspiral")
     if spins < 1:
         raise ParameterError("spins must be a positive integer")
     top = 2.0 * np.pi * spins
@@ -930,6 +953,7 @@ def gen_nonlinear(n: int, hc: float = 1.0, non_fac: float = 1.0, p: int = 4, see
     X4 = cos(pi X1) + eps with eps ~ U(-0.1, 0.1).
     """
     n = _check_n(n)
+    _check_fixed_p(p, 4, "gen_nonlinear")
     if hc <= 0:
         raise ParameterError("hc must be positive")
     if non_fac < 0:
@@ -1021,7 +1045,8 @@ def generate(kind: str, n: int, seed=None, **params) -> Dataset:
     """Generate `n` points of the named shape kind.
 
     Only parameters the kind accepts are allowed; anything else raises
-    RejectedParameterError rather than being silently ignored.
+    RejectedParameterError rather than being silently ignored. A NaN or
+    infinite numeric parameter raises ParameterError naming it.
     """
     info = shape_info(kind)
     bad = sorted(set(params) - set(info.params))
@@ -1030,4 +1055,7 @@ def generate(kind: str, n: int, seed=None, **params) -> Dataset:
             f"parameter(s) {', '.join(bad)} not accepted by shape '{kind}' "
             f"(accepts: {', '.join(info.params) or 'none beyond n'})"
         )
+    for name, value in params.items():
+        if _has_nonfinite(value):
+            raise ParameterError(f"parameter {name} of shape '{kind}' must be finite, got {value!r}")
     return info.func(n=n, seed=seed, **params)

@@ -1,6 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+from hdshapes.cli import _FLAG_OF_PARAM, main
+from hdshapes.composer import PRESETS
+from hdshapes.shapes import SHAPES
 
 USAGE_CONFIG = {
     "n": [200, 300, 500],
@@ -215,3 +222,27 @@ def test_list_commands():
     res = run_cli("list", "--presets")
     assert res.returncode == 0
     assert len(res.stdout.splitlines()) == 13
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["generate", "crescent", "--n", "5", "--p", "10"], "p = 2"),
+        (["generate", "swissroll", "--n", "5", "--w", "0", "inf"], "parameter w"),
+        (["generate", "cone", "--n", "5", "--h", "nan"], "parameter h"),
+        (["generate", "cone", "--n", "5", "--seed", str(2**64 + 5)], "seed"),
+    ],
+)
+def test_bad_values_exit_2_and_name_the_value(argv, named, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_registry_parameter_has_a_generate_flag():
+    golden = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
+    assert {kind: list(info.params) for kind, info in SHAPES.items()} == golden["shape_params"]
+    assert {name: list(entry[1]) for name, entry in PRESETS.items()} == golden["preset_params"]
+    flagless = {(kind, p) for kind, info in SHAPES.items() for p in info.params if p not in _FLAG_OF_PARAM}
+    assert flagless == {("gaussian", "s")}  # a p x p matrix has no flag

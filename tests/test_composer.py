@@ -105,6 +105,18 @@ def test_spec_length_mismatch_messages():
         usage_spec(shape=("gaussian", "blob", "unifcube"))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_spec_rejects_nonfinite_scale(bad):
+    with pytest.raises(ParameterError, match="every scale must be positive and finite"):
+        usage_spec(scale=(1.0, bad, 2.0))
+
+
+def test_nonfinite_extras_are_named():
+    spec = usage_spec(extras={"ratio": float("nan")})
+    with pytest.raises(ParameterError, match="parameter ratio of shape 'cone'"):
+        gen_multicluster(spec, seed=1)
+
+
 def test_spec_rejects_partial_nan_loc():
     loc = np.array([[0, 0, 0, 0], [np.nan, 9, 0, 0], [3, 4, 10, 7]], dtype=float)
     with pytest.raises(ParameterError):

@@ -63,6 +63,14 @@ def test_as_stream_validation():
         as_stream("not a seed")
 
 
+def test_seed_range_is_64_bit():
+    top = 2**64 - 1
+    assert RandomStream(top).seed == top
+    for bad in (2**64, 2**64 + 5):
+        with pytest.raises(ParameterError, match=r"\[0, 2\*\*64\)"):
+            as_stream(bad)
+
+
 # ---------------------------------------------------------------------------
 # Dataset
 

@@ -129,6 +129,40 @@ def test_rejected_parameter():
     assert "w" in str(exc.value) and "cone" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "kind", sorted(k for k, info in SHAPES.items() if info.dim is not None and "p" in info.params)
+)
+def test_fixed_dim_shape_rejects_other_p(kind):
+    dim = SHAPES[kind].dim
+    with pytest.raises(DimensionError, match=f"p = {dim}"):
+        generate(kind, 20, seed=1, p=dim + 1)
+    same = generate(kind, 20, seed=1, p=dim)
+    assert same.points.tobytes() == generate(kind, 20, seed=1).points.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, params, name",
+    [
+        ("cone", {"h": float("nan")}, "h"),
+        ("unifsphere", {"r": float("inf")}, "r"),
+        ("swissroll", {"w": (0.0, float("inf"))}, "w"),
+        ("gaussian", {"p": 2, "s": [[1.0, 0.0], [0.0, float("nan")]]}, "s"),
+    ],
+)
+def test_nonfinite_parameter_is_named(kind, params, name):
+    with pytest.raises(ParameterError, match=f"parameter {name} of shape '{kind}' must be finite"):
+        generate(kind, 10, seed=1, **params)
+
+
+def test_n_must_be_integral():
+    for bad in (2.7, float("inf"), float("nan"), 0, "abc"):
+        with pytest.raises(ParameterError, match="n must be a positive integer"):
+            gen_cone(bad, seed=1)
+    ref = gen_cone(3, seed=1).points.tobytes()
+    for n in (3.0, np.int64(3), np.uint8(3)):
+        assert gen_cone(n, seed=1).points.tobytes() == ref
+
+
 # ---------------------------------------------------------------------------
 # Branching
 
@@ -556,10 +590,6 @@ def test_crescent_arc():
     theta = np.linspace(np.pi / 6, 2 * np.pi, 100)
     assert np.abs(ds[:, 0] - np.cos(theta)).max() < 1e-12
     assert (np.diff(theta) > 0).all()
-
-
-def test_crescent_ignores_extra_dims():
-    assert gen_crescent(50, p=4).p == 2
 
 
 def test_curvycylinder_coupling():
