@@ -457,26 +457,26 @@ def _preset_shape_para(n=1200, k=3, p=4, seed=None):
     return gen_multicluster(spec, seed=seed)
 
 
-def _preset(builder, description: str) -> tuple:
+def _preset_entry(builder, description: str) -> tuple:
     params = tuple(name for name in inspect.signature(builder).parameters if name != "seed")
     return builder, params, description
 
 
 PRESETS: dict[str, tuple] = {
     # name: (builder, accepted params, description)
-    "mobiusgau": _preset(_preset_mobiusgau, "Mobius band beside a Gaussian blob."),
-    "multigau": _preset(_preset_multigau, "Well-separated Gaussian clusters."),
-    "curvygau": _preset(_preset_curvygau, "Curved band with a Gaussian cluster."),
-    "klink_circles": _preset(_preset_klink_circles, "Interlocked rings in alternating planes."),
-    "chain_circles": _preset(_preset_chain_circles, "Coplanar rings connected in a row."),
-    "klink_curvycycle": _preset(_preset_klink_curvycycle, "Interlocked curvy cycles."),
-    "chain_curvycycle": _preset(_preset_chain_curvycycle, "Curvy cycles connected in a row."),
-    "gaucircles": _preset(_preset_gaucircles, "Concentric rings with a central Gaussian."),
-    "gaucurvycycle": _preset(_preset_gaucurvycycle, "Concentric curvy cycles with a central Gaussian."),
-    "onegrid": _preset(_preset_onegrid, "Single 2-D lattice."),
-    "twogrid_overlap": _preset(_preset_twogrid_overlap, "Two partially overlapping lattices."),
-    "twogrid_shift": _preset(_preset_twogrid_shift, "Two lattices offset by half a cell."),
-    "shape_para": _preset(_preset_shape_para, "Parallel copies of one curved shape."),
+    "mobiusgau": _preset_entry(_preset_mobiusgau, "Mobius band beside a Gaussian blob."),
+    "multigau": _preset_entry(_preset_multigau, "Well-separated Gaussian clusters."),
+    "curvygau": _preset_entry(_preset_curvygau, "Curved band with a Gaussian cluster."),
+    "klink_circles": _preset_entry(_preset_klink_circles, "Interlocked rings in alternating planes."),
+    "chain_circles": _preset_entry(_preset_chain_circles, "Coplanar rings connected in a row."),
+    "klink_curvycycle": _preset_entry(_preset_klink_curvycycle, "Interlocked curvy cycles."),
+    "chain_curvycycle": _preset_entry(_preset_chain_curvycycle, "Curvy cycles connected in a row."),
+    "gaucircles": _preset_entry(_preset_gaucircles, "Concentric rings with a central Gaussian."),
+    "gaucurvycycle": _preset_entry(_preset_gaucurvycycle, "Concentric curvy cycles with a central Gaussian."),
+    "onegrid": _preset_entry(_preset_onegrid, "Single 2-D lattice."),
+    "twogrid_overlap": _preset_entry(_preset_twogrid_overlap, "Two partially overlapping lattices."),
+    "twogrid_shift": _preset_entry(_preset_twogrid_shift, "Two lattices offset by half a cell."),
+    "shape_para": _preset_entry(_preset_shape_para, "Parallel copies of one curved shape."),
 }
 
 

@@ -21,7 +21,6 @@ import hashlib
 import io
 import json
 import platform
-import sys
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -295,4 +294,4 @@ def write_goldens() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(write_goldens())
+    write_goldens()
