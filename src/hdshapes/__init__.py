@@ -9,6 +9,11 @@ manifests.
 
 __version__ = "0.1.0"
 
+# Version of the output bytes (arrays and data files) under a given seed and
+# numpy release. Raise it with any deliberate change to those bytes and
+# rewrite tests/golden/digests.json in the same change.
+OUTPUT_VERSION = 1
+
 from .core import (
     Dataset,
     DimensionError,

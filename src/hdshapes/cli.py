@@ -3,8 +3,9 @@
 Subcommands: generate (any single shape), multicluster (JSON config),
 hole (the two holed wrapper shapes), preset (named scenes), list.
 Every data-writing command emits `<out>.manifest.json` recording the tool
-version, seed, and fully resolved spec, so `generate --from-manifest`
-reproduces the data file byte for byte.
+and output versions, the numpy and python versions, the seed, and the
+fully resolved spec, so `generate --from-manifest` reproduces the data
+file byte for byte.
 
 Exit codes: 0 success, 2 usage or spec error, 3 I/O failure.
 """
@@ -13,16 +14,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
+import platform
 import secrets
 import sys
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import OUTPUT_VERSION, __version__
 from .composer import PRESETS, MultiClusterSpec, gen_multicluster, make_preset
 from .core import ParameterError
 from .shapes import SHAPES, generate, shape_info
@@ -37,28 +41,52 @@ _HOLE_KINDS = {"scurve": gen_scurvehole, "unifcube": gen_unifcubehole}
 # Output writers
 
 
+# Rows formatted per write: bounds the writers' memory whatever n is.
+_CHUNK_ROWS = 1024
+
+
+def _write_rows(fh, ds, template: str, tails: tuple[str, ...]) -> None:
+    """Write ``template % row + tails[code]`` for every row, in chunks.
+
+    `template` holds one ``%r`` per column; ``%r`` of a Python float is its
+    shortest round-trip form. `tails` ends the row and holds the formatted
+    label of each category, so a label is formatted once, not once per row.
+    An unlabeled dataset passes a single tail.
+    """
+    for start in range(0, ds.n, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        rows = ds.points[start:stop].tolist()
+        codes = repeat(0) if ds.codes is None else ds.codes[start:stop].tolist()
+        fh.write("".join([template % tuple(row) + tails[c] for row, c in zip(rows, codes)]))
+
+
+def _csv_tail(name: str) -> str:
+    """`,name` plus the line end, quoted as csv quotes a field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", name])
+    return buf.getvalue()
+
+
 def write_csv(ds, path) -> None:
-    header = list(ds.column_names)
-    if ds.labels is not None:
-        header.append("cluster")
+    header = ",".join(ds.column_names)
+    if ds.codes is None:
+        tails = ("\r\n",)
+    else:
+        header += ",cluster"
+        tails = tuple(_csv_tail(name) for name in ds.categories)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.points[i]]
-            if ds.labels is not None:
-                row.append(str(ds.labels[i]))
-            writer.writerow(row)
+        fh.write(header + "\r\n")
+        _write_rows(fh, ds, ",".join(["%r"] * ds.p), tails)
 
 
 def write_ndjson(ds, path) -> None:
-    names = ds.column_names
+    template = "{" + ",".join(f"{json.dumps(name)}:%r" for name in ds.column_names)
+    if ds.codes is None:
+        tails = ("}\n",)
+    else:
+        tails = tuple(f',"cluster":{json.dumps(name)}}}\n' for name in ds.categories)
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(ds.n):
-            rec = {name: float(v) for name, v in zip(names, ds.points[i])}
-            if ds.labels is not None:
-                rec["cluster"] = str(ds.labels[i])
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        _write_rows(fh, ds, template, tails)
 
 
 _WRITERS = {"csv": write_csv, "ndjson": write_ndjson}
@@ -81,6 +109,9 @@ def _jsonable(value):
 def write_manifest(out_path: Path, command: str, seed: int, spec: dict, fmt: str, ds) -> Path:
     manifest = {
         "tool_version": __version__,
+        "output_version": OUTPUT_VERSION,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
         "command": command,
         "seed": int(seed),
         "spec": _jsonable(spec),

@@ -82,7 +82,7 @@ def pad_to_dim(ds, p_target: int, seed=None) -> Dataset:
         return ds
     mu = float(ds.points.mean())
     extra = as_stream(seed).rng.normal(mu, PAD_SD, (ds.n, p_target - ds.p))
-    return Dataset(np.hstack([ds.points, extra]), ds.labels)
+    return ds.with_points(np.hstack([ds.points, extra]))
 
 
 def apply_transform(ds, scale: float, rotation=None, center=None) -> Dataset:
@@ -101,7 +101,7 @@ def apply_transform(ds, scale: float, rotation=None, center=None) -> Dataset:
         if center.shape[0] != ds.p:
             raise ParameterError(f"center has length {center.shape[0]}, dataset has {ds.p}")
         pts = pts + (center - pts.mean(axis=0))
-    return Dataset(pts, ds.labels)
+    return ds.with_points(pts)
 
 
 @dataclass
@@ -262,8 +262,12 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
         raise ParameterError("gen_multicluster expects a MultiClusterSpec")
     stream = as_stream(seed)
     p = spec.p
+    for c, kind in enumerate(spec.shape):
+        dim = shape_info(kind).dim
+        if dim is not None and dim > p:
+            raise DimensionError(f"cluster {c} shape '{kind}' has {dim} dims but the scene has {p}")
     names = _cluster_labels(spec.shape)
-    parts, labels = [], []
+    parts, codes = [], []
     for c in range(spec.k):
         sub = stream.derive(c)
         kind = spec.shape[c]
@@ -271,7 +275,7 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
         if shape_info(kind).dim is None:
             kwargs.setdefault("p", p)
         ds = generate(kind, n=spec.n[c], seed=sub.derive(0), **kwargs)
-        if ds.p > p:
+        if ds.p > p:  # an extras `p` above the scene's
             raise DimensionError(
                 f"cluster {c} shape '{kind}' produced {ds.p} dims but the scene has {p}"
             )
@@ -289,17 +293,17 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
         cluster = pad_to_dim(cluster, p, seed=sub.derive(1))
         cluster = apply_transform(cluster, 1.0, None if before_pad else rot, target)
         parts.append(cluster.points)
-        labels.append(np.full(cluster.n, names[c]))
+        codes.append(np.full(cluster.n, c))
     all_pts = np.vstack(parts)
-    all_labels = np.concatenate(labels)
     if spec.is_bkg:
         n_bkg = max(1, round(0.1 * sum(spec.n)))
         sd = all_pts.std(axis=0, ddof=1)
         sd[sd == 0] = 1e-9
         bkg = gen_bkgnoise(n_bkg, p, all_pts.mean(axis=0), sd, seed=stream.derive(spec.k))
         all_pts = np.vstack([all_pts, bkg.points])
-        all_labels = np.concatenate([all_labels, np.full(n_bkg, "background")])
-    out = Dataset(all_pts, all_labels)
+        codes.append(np.full(n_bkg, spec.k))
+        names.append("background")
+    out = Dataset(all_pts, np.concatenate(codes), names)
     if shuffle:
         perm = stream.derive(spec.k + 1).rng.permutation(out.n)
         out = out.take(perm)

@@ -118,16 +118,39 @@ def as_stream(seed=None) -> RandomStream:
     raise ParameterError(f"seed must be an int, RandomStream, or None, got {type(seed).__name__}")
 
 
+def _factorize(labels) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Integer codes and sorted category names whose ``names[codes]`` equals
+    ``[str(v) for v in labels]``; ``str`` runs once per distinct value."""
+    arr = np.asarray(labels).ravel()
+    if arr.dtype.kind == "O":
+        # Equal objects can print differently (1 and 1.0) and mixed types do
+        # not sort, so objects are named row by row.
+        arr = np.array([str(v) for v in arr], dtype=str)
+    # Floats are keyed by their bytes: 0.0 and -0.0 are equal but print differently.
+    key = arr.view(f"V{arr.itemsize}") if arr.dtype.kind in "fc" else arr
+    _, first, codes = np.unique(key, return_index=True, return_inverse=True)
+    # Distinct keys can share a name (NaN payloads); merge them.
+    names, merged = np.unique(np.array([str(v) for v in arr[first]], dtype=str), return_inverse=True)
+    return merged[codes], tuple(names.tolist())
+
+
 class Dataset:
     """Immutable n x p coordinate matrix with optional per-row labels.
 
     Columns are always named ``x1..xp``. Every entry must be finite; label
     count, when labels are present, must equal the row count.
+
+    Labels are stored as integer ``codes`` into a tuple of ``categories``
+    (names), like a pandas ``Categorical``; ``labels`` materialises the
+    per-row names on first use. ``Dataset(points, labels)`` takes one label
+    per row and names each ``str(label)``; ``Dataset(points, codes,
+    categories)`` takes codes directly. Categories may include names that
+    no row uses, for example after ``take``.
     """
 
-    __slots__ = ("points", "labels")
+    __slots__ = ("points", "codes", "categories", "_labels")
 
-    def __init__(self, points, labels=None):
+    def __init__(self, points, labels=None, categories=None):
         pts = np.array(points, dtype=np.float64)
         if pts.ndim != 2:
             raise ParameterError(f"points must be a 2-D matrix, got ndim={pts.ndim}")
@@ -135,16 +158,40 @@ class Dataset:
             raise ParameterError("points must be finite (no NaN or Inf entries)")
         pts.setflags(write=False)
         self.points = pts
+        self._labels = None
         if labels is None:
-            self.labels = None
+            if categories is not None:
+                raise ParameterError("categories given without label codes")
+            self.codes = self.categories = None
+            return
+        if categories is None:
+            codes, categories = _factorize(labels)
         else:
-            lab = np.array([str(v) for v in np.asarray(labels).ravel()])
-            if lab.shape[0] != pts.shape[0]:
-                raise ParameterError(
-                    f"label count {lab.shape[0]} does not match row count {pts.shape[0]}"
-                )
+            codes = np.asarray(labels).ravel()
+            categories = tuple(str(name) for name in categories)
+            if codes.dtype.kind not in "iu":
+                raise ParameterError(f"label codes must be integers, got dtype {codes.dtype}")
+            if codes.size and not (0 <= codes.min() and codes.max() < len(categories)):
+                raise ParameterError(f"label codes must lie in [0, {len(categories)})")
+            if len(set(categories)) != len(categories):
+                raise ParameterError("category names must be distinct")
+        if codes.shape[0] != pts.shape[0]:
+            raise ParameterError(
+                f"label count {codes.shape[0]} does not match row count {pts.shape[0]}"
+            )
+        codes = np.array(codes, dtype=np.intp)
+        codes.setflags(write=False)
+        self.codes = codes
+        self.categories = categories
+
+    @property
+    def labels(self) -> np.ndarray | None:
+        """Read-only unicode array of per-row label names, or None."""
+        if self._labels is None and self.codes is not None:
+            lab = np.array(self.categories, dtype=str)[self.codes]
             lab.setflags(write=False)
-            self.labels = lab
+            self._labels = lab
+        return self._labels
 
     @property
     def n(self) -> int:
@@ -158,13 +205,17 @@ class Dataset:
     def column_names(self) -> tuple[str, ...]:
         return tuple(f"x{j}" for j in range(1, self.p + 1))
 
+    def with_points(self, points) -> "Dataset":
+        """A Dataset of `points` (same row count) carrying this one's labels."""
+        return Dataset(points, self.codes, self.categories)
+
     def take(self, indices) -> "Dataset":
         """Row subset/permutation; labels travel with their rows."""
-        labels = None if self.labels is None else self.labels[indices]
-        return Dataset(self.points[indices], labels)
+        codes = None if self.codes is None else self.codes[indices]
+        return Dataset(self.points[indices], codes, self.categories)
 
     def __repr__(self) -> str:
-        tag = "labeled" if self.labels is not None else "unlabeled"
+        tag = "labeled" if self.codes is not None else "unlabeled"
         return f"Dataset(n={self.n}, p={self.p}, {tag})"
 
 
@@ -285,7 +336,7 @@ def normalize_data(ds) -> Dataset:
     out = np.zeros_like(pts)
     keep = span > 0
     out[:, keep] = (pts[:, keep] - lo[keep]) / span[keep]
-    return Dataset(out, ds.labels)
+    return ds.with_points(out)
 
 
 def randomize_rows(ds, seed=None) -> Dataset:
@@ -302,23 +353,24 @@ def relocate_clusters(ds, loc) -> Dataset:
     (lexicographic) order.
     """
     ds = as_dataset(ds)
-    if ds.labels is None:
+    if ds.codes is None:
         raise ParameterError("relocate_clusters requires a labeled dataset")
     loc = np.asarray(loc, dtype=np.float64)
     if loc.ndim != 2:
         raise ParameterError("loc must be a k x p matrix")
-    names = sorted(set(ds.labels.tolist()))
-    if loc.shape[0] != len(names):
+    used = np.flatnonzero(np.bincount(ds.codes, minlength=len(ds.categories)))
+    order = sorted(used.tolist(), key=ds.categories.__getitem__)
+    if loc.shape[0] != len(order):
         raise ParameterError(
-            f"loc has {loc.shape[0]} rows but dataset has {len(names)} distinct labels"
+            f"loc has {loc.shape[0]} rows but dataset has {len(order)} distinct labels"
         )
     if loc.shape[1] != ds.p:
         raise ParameterError(f"loc has {loc.shape[1]} columns but dataset has {ds.p}")
     pts = ds.points.copy()
-    for row, name in zip(loc, names):
-        mask = ds.labels == name
+    for row, code in zip(loc, order):
+        mask = ds.codes == code
         pts[mask] += row - pts[mask].mean(axis=0)
-    return Dataset(pts, ds.labels)
+    return ds.with_points(pts)
 
 
 def gen_bkgnoise(n: int, p: int, m=0.0, s=1.0, seed=None) -> Dataset:

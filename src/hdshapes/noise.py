@@ -146,4 +146,4 @@ def append_dims(ds, extra) -> Dataset:
     extra = as_dataset(extra)
     if ds.n != extra.n:
         raise ParameterError(f"row counts differ: {ds.n} vs {extra.n}")
-    return Dataset(np.hstack([ds.points, extra.points]), ds.labels)
+    return ds.with_points(np.hstack([ds.points, extra.points]))

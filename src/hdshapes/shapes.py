@@ -161,10 +161,8 @@ def _pick_start(rng, xs: list[np.ndarray], ys: list[np.ndarray]) -> tuple[float,
 
 def _branch_dataset(xs, ys) -> Dataset:
     pts = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
-    labels = np.concatenate(
-        [np.full(len(x), f"branch_{i + 1}") for i, x in enumerate(xs)]
-    )
-    return Dataset(pts, labels)
+    codes = np.concatenate([np.full(len(x), i) for i, x in enumerate(xs)])
+    return Dataset(pts, codes, [f"branch_{i + 1}" for i in range(len(xs))])
 
 
 def gen_linearbranches(n: int, k: int = 4, seed=None) -> Dataset:
@@ -287,7 +285,7 @@ def _org_branches(n, p, k, allow_share, seed, curvy: bool) -> Dataset:
             pair_seq.extend(all_pairs[ix] for ix in order)
         pair_seq = pair_seq[:k]
     scale_set = np.arange(1.0, 8.5, 0.5)
-    pts_parts, labels = [], []
+    pts_parts, codes = [], []
     for i, (m, (i1, i2)) in enumerate(zip(sizes, pair_seq), start=1):
         s = 1.0 if i <= len(all_pairs) else float(rng.choice(scale_set))
         x = rng.uniform(0.0, 1.0, m)
@@ -296,8 +294,9 @@ def _org_branches(n, p, k, allow_share, seed, curvy: bool) -> Dataset:
         block[:, i1] = x
         block[:, i2] = f + rng.normal(0.0, _BRANCH_JITTER, m)
         pts_parts.append(block)
-        labels.append(np.full(m, f"branch_{i}"))
-    return Dataset(np.vstack(pts_parts), np.concatenate(labels))
+        codes.append(np.full(m, i - 1))
+    names = [f"branch_{i}" for i in range(1, k + 1)]
+    return Dataset(np.vstack(pts_parts), np.concatenate(codes), names)
 
 
 def gen_orglinearbranches(n: int, p: int = 4, k: int = 4, allow_share: bool = False, seed=None) -> Dataset:
@@ -742,13 +741,13 @@ def gen_clusteredspheres(
         raise ParameterError("sphere sizes must be positive (n too small for k_small)")
     stream = as_stream(seed)
     parts = [_sphere_surface(stream.derive(0).rng, n1, r1)]
-    labels = [np.full(n1, "big")]
     for i in range(1, k_small + 1):
         sub = stream.derive(i).rng
         center = sub.normal(0.0, spe, 3)
         parts.append(_sphere_surface(sub, n2, r2) + center)
-        labels.append(np.full(n2, f"small_{i}"))
-    return Dataset(np.vstack(parts), np.concatenate(labels))
+    codes = np.repeat(np.arange(k_small + 1), [n1] + [n2] * k_small)
+    names = ["big"] + [f"small_{i}" for i in range(1, k_small + 1)]
+    return Dataset(np.vstack(parts), codes, names)
 
 
 def gen_hemisphere(n: int, p: int = 4, seed=None) -> Dataset:

@@ -41,6 +41,24 @@ def test_generate_scurve_csv(tmp_path):
     assert manifest["row_count"] == 500 and manifest["col_count"] == 3
 
 
+def test_manifest_records_output_environment(tmp_path):
+    import platform
+
+    import numpy as np
+
+    from hdshapes import OUTPUT_VERSION, __version__
+
+    out = tmp_path / "g.ndjson"
+    assert main(["generate", "gaussian", "--n", "5", "--seed", "1", "--format", "ndjson",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "g.ndjson.manifest.json").read_text())
+    assert manifest["tool_version"] == __version__
+    assert manifest["output_version"] == OUTPUT_VERSION
+    assert isinstance(OUTPUT_VERSION, int)
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["python_version"] == platform.python_version()
+
+
 def test_generate_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

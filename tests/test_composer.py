@@ -239,6 +239,19 @@ def test_wrong_rotation_dimension_errors():
         gen_multicluster(spec, seed=13)
 
 
+def test_too_small_scene_is_rejected_before_sampling(monkeypatch):
+    from hdshapes import composer
+
+    calls = []
+    monkeypatch.setattr(composer, "generate", lambda *a, **kw: calls.append(a))
+    spec = MultiClusterSpec(
+        n=(50, 50), k=2, loc=np.zeros((2, 2)), scale=(1.0, 1.0), shape=("gaussian", "scurve"),
+    )
+    with pytest.raises(DimensionError, match="scurve"):
+        gen_multicluster(spec, seed=1)
+    assert calls == []
+
+
 def test_nan_loc_row_skips_translation():
     spec = MultiClusterSpec(
         n=(500, 500), k=2,

@@ -92,6 +92,84 @@ def test_dataset_rejects_nonfinite():
 def test_dataset_label_count_must_match():
     with pytest.raises(ParameterError):
         Dataset([[1.0], [2.0]], labels=["only-one"])
+    with pytest.raises(ParameterError):
+        Dataset([[1.0], [2.0]], [0], ("a",))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [3, 10, 3, -1],
+        np.array([7, 8, 7, 7], dtype=np.uint8),
+        ["b", "a", "b", "ab"],
+        [1, "1", 2.0, "x"],
+        np.array([1, "1", 2.0, None], dtype=object),
+        [0.0, -0.0, np.nan, -np.nan],
+        np.array([0.1, 0.1, 2.5, 3.0], dtype=np.float32),
+        [True, False, True, True],
+    ],
+    ids=["int", "uint8", "str", "mixed-list", "object", "float-zero-nan", "float32", "bool"],
+)
+def test_labels_are_str_of_each_value(labels):
+    ds = Dataset(np.zeros((4, 1)), labels)
+    assert ds.labels.dtype.kind == "U"
+    assert not ds.labels.flags.writeable
+    assert not ds.codes.flags.writeable
+    assert ds.labels.tolist() == [str(v) for v in np.asarray(labels).ravel()]
+    assert [ds.categories[c] for c in ds.codes] == ds.labels.tolist()
+
+
+def test_mixed_object_labels_share_one_code_per_name():
+    ds = Dataset(np.zeros((3, 1)), np.array([1, "1", 2.0], dtype=object))
+    assert ds.labels.tolist() == ["1", "1", "2.0"]
+    assert ds.codes[0] == ds.codes[1] != ds.codes[2]
+    assert sorted(ds.categories) == ["1", "2.0"]
+
+
+def test_dataset_from_codes():
+    ds = Dataset(np.zeros((3, 2)), np.array([1, 0, 1], dtype=np.int8), ["a", "b"])
+    assert ds.labels.tolist() == ["b", "a", "b"]
+    assert ds.categories == ("a", "b")
+    unlabeled = Dataset(np.zeros((3, 2)))
+    assert unlabeled.codes is None and unlabeled.categories is None and unlabeled.labels is None
+
+
+@pytest.mark.parametrize(
+    "codes, categories",
+    [
+        ([0, 2], ("a", "b")),
+        ([-1, 0], ("a", "b")),
+        ([0.0, 1.0], ("a", "b")),
+        ([0, 1], ("a", "a")),
+        (None, ("a", "b")),
+    ],
+    ids=["too-large", "negative", "float", "duplicate-name", "no-codes"],
+)
+def test_dataset_rejects_bad_codes(codes, categories):
+    with pytest.raises(ParameterError):
+        Dataset(np.zeros((2, 1)), codes, categories)
+
+
+def test_take_with_mask_and_permutation():
+    pts = np.arange(12, dtype=float).reshape(6, 2)
+    names = ["a", "b", "c", "a", "b", "c"]
+    ds = Dataset(pts, names)
+    mask = np.array([True, False, True, False, False, True])
+    sub = ds.take(mask)
+    assert sub.labels.tolist() == ["a", "c", "c"]
+    assert np.array_equal(sub.points, pts[mask])
+    perm = np.array([5, 3, 1, 0, 2, 4])
+    shuffled = ds.take(perm)
+    assert shuffled.labels.tolist() == [names[i] for i in perm]
+    assert np.array_equal(shuffled.points, pts[perm])
+    assert shuffled.categories == ds.categories
+
+
+def test_with_points_keeps_labels():
+    ds = Dataset(np.zeros((3, 1)), ["x", "y", "x"])
+    moved = ds.with_points(np.ones((3, 4)))
+    assert moved.p == 4 and moved.labels.tolist() == ["x", "y", "x"]
+    assert Dataset(np.zeros((3, 1))).with_points(np.ones((3, 2))).labels is None
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +365,23 @@ def test_relocate_separates_clusters():
     b = out.points[np.asarray(out.labels) == "b"]
     dists = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     assert dists.min() > 50
+
+
+@pytest.mark.parametrize("build", ["labels", "codes"])
+def test_relocate_pairs_loc_rows_with_sorted_label_names(build):
+    # The names sort as "10" < "11" < "9", unlike the numbers and the codes.
+    pts = np.random.default_rng(7).normal(size=(30, 2))
+    if build == "labels":
+        ds = Dataset(pts, [9] * 10 + [10] * 10 + [11] * 10)
+    else:
+        ds = Dataset(pts, np.repeat([0, 1, 2], 10), ("9", "10", "11"))
+    loc = np.array([[100.0, 0.0], [0.0, 0.0], [-100.0, 0.0]])  # "10", "11", "9"
+    out = relocate_clusters(ds, loc)
+    for name, target in zip(("10", "11", "9"), loc):
+        assert np.abs(out.points[out.labels == name].mean(axis=0) - target).max() < 1e-9
+    # A category no row uses after take gets no loc row.
+    out = relocate_clusters(ds.take(np.arange(10, 30)), loc[:2])
+    assert np.abs(out.points[out.labels == "11"].mean(axis=0) - loc[1]).max() < 1e-9
 
 
 def test_relocate_shape_mismatch():
