@@ -97,6 +97,7 @@ from .composer import (
     list_presets,
     make_preset,
     pad_to_dim,
+    preset_info,
     simplex_vertices,
 )
 

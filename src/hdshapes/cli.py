@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
 import platform
 import secrets
 import sys
+import types
+import typing
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -27,14 +30,17 @@ from pathlib import Path
 import numpy as np
 
 from . import OUTPUT_VERSION, __version__
-from .composer import PRESETS, MultiClusterSpec, gen_multicluster, make_preset
+from .composer import PRESETS, MultiClusterSpec, gen_multicluster, make_preset, preset_info
 from .core import ParameterError
-from .shapes import SHAPES, generate, shape_info
+from .shapes import SHAPES, ShapeInfo, generate, shape_info
 from .topology import gen_scurvehole, gen_unifcubehole
 
 __all__ = ["main"]
 
-_HOLE_KINDS = {"scurve": gen_scurvehole, "unifcube": gen_unifcubehole}
+_HOLES = {
+    "scurve": ShapeInfo(gen_scurvehole, 3, "S-curve with a spherical hole."),
+    "unifcube": ShapeInfo(gen_unifcubehole, None, "Uniform cube with a central void."),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -92,20 +98,6 @@ def write_ndjson(ds, path) -> None:
 _WRITERS = {"csv": write_csv, "ndjson": write_ndjson}
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def write_manifest(out_path: Path, command: str, seed: int, spec: dict, fmt: str, ds) -> Path:
     manifest = {
         "tool_version": __version__,
@@ -114,7 +106,7 @@ def write_manifest(out_path: Path, command: str, seed: int, spec: dict, fmt: str
         "python_version": platform.python_version(),
         "command": command,
         "seed": int(seed),
-        "spec": _jsonable(spec),
+        "spec": spec,
         "output_path": str(out_path),
         "format": fmt,
         "row_count": ds.n,
@@ -126,12 +118,6 @@ def write_manifest(out_path: Path, command: str, seed: int, spec: dict, fmt: str
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return man_path
-
-
-def _emit(ds, out_path: Path, fmt: str, command: str, seed: int, spec: dict) -> None:
-    _WRITERS[fmt](ds, out_path)
-    write_manifest(out_path, command, seed, spec, fmt, ds)
-    print(f"wrote {out_path} ({ds.n} rows x {ds.p} cols, seed={seed})")
 
 
 # ---------------------------------------------------------------------------
@@ -159,86 +145,85 @@ def _out_path(args, default_stem: str) -> Path:
     return Path(f"{default_stem}.{ext}")
 
 
-# Shape parameter flags shared by `generate`. Values stay None unless the
-# user passes the flag, so validity is checked against the chosen shape.
-_SHAPE_FLAGS = (
-    ("--p", dict(type=int, help="dimension")),
-    ("--k", dict(type=int, help="branch/cluster count")),
-    ("--h", dict(type=float, help="height")),
-    ("--ratio", dict(type=float, help="tip/base radius ratio")),
-    ("--r", dict(type=float, help="radius")),
-    ("--w", dict(type=float, nargs=2, metavar=("W1", "W2"), help="vertical interval")),
-    ("--spins", dict(type=int, help="spiral loop count")),
-    ("--steps", dict(type=int, help="band resolution")),
-    ("--hc", dict(type=float, help="hyperbola coefficient")),
-    ("--non-fac", dict(type=float, dest="non_fac", help="sinusoid strength")),
-    ("--l", dict(type=float, help="base length")),
-    ("--l-vec", dict(type=float, nargs=2, dest="l_vec", metavar=("LX", "LY"), help="base half-widths")),
-    ("--rt", dict(type=float, help="tip radius")),
-    ("--rb", dict(type=float, help="base radius")),
-    ("--range", dict(type=float, nargs=2, metavar=("A", "B"), help="sampling interval")),
-    ("--k-small", dict(type=int, dest="k_small", help="small sphere count")),
-    ("--r-vec", dict(type=float, nargs=2, dest="r_vec", metavar=("R1", "R2"), help="big/small radii")),
-    ("--spe", dict(type=float, help="small-sphere spread")),
-    ("--n-vec", dict(type=int, nargs=2, dest="n_vec", metavar=("N1", "N2"), help="big/small sizes")),
-    ("--allow-share", dict(action="store_true", dest="allow_share", default=None, help="branches may share subspaces")),
-)
-
-_FLAG_OF_PARAM = {spec[1].get("dest", spec[0].lstrip("-").replace("-", "_")): spec[0] for spec in _SHAPE_FLAGS}
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _collect_shape_params(args, kind: str) -> dict:
-    provided = {
-        param: getattr(args, param)
-        for param in _FLAG_OF_PARAM
-        if getattr(args, param, None) is not None
-    }
-    info = shape_info(kind)
-    bad = sorted(set(provided) - set(info.params))
+def _value_type(func, param: inspect.Parameter) -> tuple:
+    """(type, nargs) of a parameter's values, read from its default (bool,
+    int, float or a pair) or, when that is missing or None, its annotation
+    (`X | None` as X). The type is None when neither tells: no flag."""
+    value = param.default
+    if value is param.empty or value is None:
+        hint = typing.get_type_hints(func).get(param.name)
+        hint = typing.get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
+        elems = typing.get_args(hint)
+        return (elems[0], len(elems)) if elems else (hint, None)
+    return (type(value[0]), len(value)) if isinstance(value, tuple) else (type(value), None)
+
+
+def _add_param_flags(parser, funcs, given: tuple[str, ...] = ()) -> None:
+    """Add a flag for each parameter of `funcs` but `seed` and `given`. Flags
+    default to None, so only values the user sets are passed on; a parameter
+    without a default is required. `args.param_flags` names them all."""
+    names = list(given)
+    for func in funcs:
+        for param in inspect.signature(func).parameters.values():
+            if param.name == "seed" or param.name in names:
+                continue
+            kind, nargs = _value_type(func, param)
+            if kind is None:  # nothing to parse a value with, e.g. gaussian's matrix `s`
+                continue
+            if kind is bool:
+                parser.add_argument(_flag(param.name), action="store_true", default=None)
+            else:
+                required = param.default is param.empty
+                parser.add_argument(_flag(param.name), type=kind, nargs=nargs, required=required)
+            names.append(param.name)
+    parser.set_defaults(param_flags=tuple(names))
+
+
+def _provided(args, accepted: tuple[str, ...], target: str) -> dict:
+    """The parameter flags the user set, by parameter name; a set flag that
+    `target` does not accept raises ParameterError."""
+    provided = {name: getattr(args, name) for name in args.param_flags if getattr(args, name) is not None}
+    bad = sorted(set(provided) - set(accepted))
     if bad:
-        flags = ", ".join(_FLAG_OF_PARAM[b] for b in bad)
-        accepted = ", ".join(_FLAG_OF_PARAM[a] for a in info.params if a in _FLAG_OF_PARAM)
-        raise ParameterError(
-            f"flag(s) {flags} not valid for shape '{kind}'"
-            + (f" (accepts: --n, {accepted})" if accepted else " (accepts: --n only)")
-        )
-    return _tupled(provided)
+        flags = ", ".join(_flag(name) for name in accepted if name in args.param_flags)
+        raise ParameterError(f"flag(s) {', '.join(map(_flag, bad))} not valid for {target} (accepts: {flags})")
+    return provided
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdshapes",
         description="Generate high-dimensional geometric benchmark datasets.",
+        epilog="Parameter flags follow the generator signatures that `hdshapes list` shows.",
     )
     parser.add_argument("--version", action="version", version=f"hdshapes {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, help="64-bit seed (default: $HDSHAPES_SEED or entropy)")
     common.add_argument("--out", help="output data file path")
-    common.add_argument("--format", choices=("csv", "ndjson"), default="csv")
+    common.add_argument("--format", choices=tuple(_WRITERS), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", parents=[common], help="generate a single shape")
     p_gen.add_argument("shape", nargs="?", help="shape kind (see `hdshapes list`)")
     p_gen.add_argument("--n", type=int, help="number of points")
     p_gen.add_argument("--from-manifest", dest="from_manifest", help="re-run a recorded manifest")
-    for flag, kwargs in _SHAPE_FLAGS:
-        p_gen.add_argument(flag, **kwargs)
+    _add_param_flags(p_gen, [info.func for info in SHAPES.values()], given=("n",))
 
     p_multi = sub.add_parser("multicluster", parents=[common], help="compose clusters from a JSON config")
     p_multi.add_argument("config", help="JSON file describing the scene")
     p_multi.add_argument("--no-shuffle", action="store_true", help="keep clusters in block order")
 
     p_hole = sub.add_parser("hole", parents=[common], help="generate a shape with a hyperspherical hole")
-    p_hole.add_argument("kind", choices=sorted(_HOLE_KINDS), help="holed wrapper shape")
-    p_hole.add_argument("--n", type=int, required=True, help="number of surviving points")
-    p_hole.add_argument("--p", type=int, help="dimension (unifcube only)")
-    p_hole.add_argument("--r-hole", dest="r_hole", type=float, required=True, help="hole radius")
+    p_hole.add_argument("kind", choices=tuple(_HOLES), help="holed wrapper shape")
+    _add_param_flags(p_hole, [info.func for info in _HOLES.values()])
 
     p_preset = sub.add_parser("preset", parents=[common], help="generate a named preset scene")
     p_preset.add_argument("name", help="preset name (see `hdshapes list --presets`)")
-    p_preset.add_argument("--n", type=int, help="total number of points")
-    p_preset.add_argument("--k", type=int, help="cluster count (where applicable)")
-    p_preset.add_argument("--p", type=int, help="scene dimension (where applicable)")
+    _add_param_flags(p_preset, [builder for builder, _, _ in PRESETS.values()])
 
     p_list = sub.add_parser("list", help="list available shapes or presets")
     p_list.add_argument("--presets", action="store_true", help="list preset scenes instead")
@@ -246,30 +231,55 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers
+# Building and writing
 
 
-def _regenerate_from_spec(command: str, spec: dict, seed: int):
-    if command == "generate":
-        return generate(spec["kind"], n=spec["n"], seed=seed, **_tupled(spec["params"]))
+def _field(obj: dict, key: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise ParameterError(f"manifest is missing field '{key}'") from None
+
+
+def _build(command: str, spec, seed):
+    """Turn (command, spec, seed) into a Dataset: the only such path, for
+    fresh runs and `--from-manifest` replays alike, so a replay cannot
+    drift from the run that wrote its manifest."""
+    if not isinstance(spec, dict):
+        raise ParameterError("manifest field 'spec' must be a JSON object")
     if command == "multicluster":
-        return gen_multicluster(
-            MultiClusterSpec.from_dict(spec["config"]),
-            seed=seed,
-            shuffle=spec.get("shuffle", True),
-        )
-    if command == "hole":
-        return _HOLE_KINDS[spec["kind"]](seed=seed, **spec["params"])
+        config = MultiClusterSpec.from_dict(_field(spec, "config"))
+        return gen_multicluster(config, seed=seed, shuffle=spec.get("shuffle", True))
+    if command not in ("generate", "hole", "preset"):
+        raise ParameterError(f"manifest has unknown command '{command}'")
+    params = _field(spec, "params")
+    if not isinstance(params, dict):
+        raise ParameterError("manifest field 'spec.params' must be a JSON object")
+    params = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
+    if command == "generate":
+        return generate(_field(spec, "kind"), n=_field(spec, "n"), seed=seed, **params)
     if command == "preset":
-        return make_preset(spec["name"], seed=seed, **spec["params"])
-    raise ParameterError(f"manifest has unknown command '{command}'")
+        return make_preset(_field(spec, "name"), seed=seed, **params)
+    kind = _field(spec, "kind")
+    if not isinstance(kind, str) or kind not in _HOLES:
+        raise ParameterError(f"unknown hole kind '{kind}'; available kinds: {', '.join(_HOLES)}")
+    return _HOLES[kind].func(seed=seed, **params)
 
 
-def _tupled(params: dict) -> dict:
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
+def _emit(out_path: Path, fmt: str, command: str, seed: int, spec: dict) -> int:
+    ds = _build(command, spec, seed)
+    _WRITERS[fmt](ds, out_path)
+    write_manifest(out_path, command, seed, spec, fmt, ds)
+    print(f"wrote {out_path} ({ds.n} rows x {ds.p} cols, seed={seed})")
+    return 0
 
 
-def _load_json(path: str, what: str) -> dict:
+def _run(args, command: str, spec: dict, default_stem: str) -> int:
+    seed = _resolve_seed(args)
+    return _emit(_out_path(args, default_stem), args.format, command, seed, spec)
+
+
+def _load_json(path: str, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -281,63 +291,48 @@ def _load_json(path: str, what: str) -> dict:
         ) from None
 
 
+# ---------------------------------------------------------------------------
+# Command handlers: each builds its spec
+
+
 def cmd_generate(args) -> int:
     if args.from_manifest:
         man = _load_json(args.from_manifest, "manifest")
-        try:
-            ds = _regenerate_from_spec(man["command"], man["spec"], man["seed"])
-        except KeyError as exc:
-            raise ParameterError(f"manifest is missing field {exc}") from None
-        out = Path(args.out) if args.out else Path(man["output_path"])
-        _emit(ds, out, man.get("format", "csv"), man["command"], man["seed"], man["spec"])
-        return 0
+        if not isinstance(man, dict):
+            raise ParameterError(f"manifest {args.from_manifest} must be a JSON object")
+        fmt = man.get("format", "csv")
+        if not isinstance(fmt, str) or fmt not in _WRITERS:
+            raise ParameterError(f"manifest field 'format' must be one of {', '.join(_WRITERS)}, got {fmt!r}")
+        out = Path(args.out) if args.out else Path(_field(man, "output_path"))
+        return _emit(out, fmt, _field(man, "command"), _field(man, "seed"), _field(man, "spec"))
     if not args.shape:
         raise ParameterError("generate needs a shape kind (or --from-manifest)")
-    if args.n is None:
+    info = shape_info(args.shape)
+    params = _provided(args, ("n",) + info.params, f"shape '{args.shape}'")
+    if "n" not in params:
         raise ParameterError("generate needs --n")
-    params = _collect_shape_params(args, args.shape)
-    seed = _resolve_seed(args)
-    ds = generate(args.shape, n=args.n, seed=seed, **params)
+    n = params.pop("n")
     # Defaults are recorded too, so the manifest pins every value.
-    spec = {
-        "kind": args.shape,
-        "n": args.n,
-        "params": {**shape_info(args.shape).defaults, **params},
-    }
-    _emit(ds, _out_path(args, args.shape), args.format, "generate", seed, spec)
-    return 0
+    spec = {"kind": args.shape, "n": n, "params": {**info.defaults, **params}}
+    return _run(args, "generate", spec, args.shape)
 
 
 def cmd_multicluster(args) -> int:
-    cfg = _load_json(args.config, "config")
-    spec = MultiClusterSpec.from_dict(cfg)
-    seed = _resolve_seed(args)
-    ds = gen_multicluster(spec, seed=seed, shuffle=not args.no_shuffle)
-    payload = {"config": cfg, "shuffle": not args.no_shuffle}
-    _emit(ds, _out_path(args, "multicluster"), args.format, "multicluster", seed, payload)
-    return 0
+    spec = {"config": _load_json(args.config, "config"), "shuffle": not args.no_shuffle}
+    return _run(args, "multicluster", spec, "multicluster")
 
 
 def cmd_hole(args) -> int:
-    params = {"n": args.n, "r_hole": args.r_hole}
-    if args.kind == "unifcube":
-        params["p"] = args.p if args.p is not None else 3
-    elif args.p is not None:
-        raise ParameterError("flag --p is not valid for hole kind 'scurve'")
-    seed = _resolve_seed(args)
-    ds = _HOLE_KINDS[args.kind](seed=seed, **params)
-    spec = {"kind": args.kind, "params": params}
-    _emit(ds, _out_path(args, f"{args.kind}hole"), args.format, "hole", seed, spec)
-    return 0
+    info = _HOLES[args.kind]
+    params = _provided(args, ("n",) + info.params, f"hole kind '{args.kind}'")
+    spec = {"kind": args.kind, "params": {**info.defaults, **params}}
+    return _run(args, "hole", spec, f"{args.kind}hole")
 
 
 def cmd_preset(args) -> int:
-    seed = _resolve_seed(args)
-    params = {k: getattr(args, k) for k in ("n", "k", "p") if getattr(args, k) is not None}
-    ds = make_preset(args.name, seed=seed, **params)
-    spec = {"name": args.name, "params": params}
-    _emit(ds, _out_path(args, args.name), args.format, "preset", seed, spec)
-    return 0
+    _, accepted, _ = preset_info(args.name)
+    params = _provided(args, accepted, f"preset '{args.name}'")
+    return _run(args, "preset", {"name": args.name, "params": params}, args.name)
 
 
 def cmd_list(args) -> int:

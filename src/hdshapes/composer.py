@@ -21,6 +21,7 @@ from .core import (
     DimensionError,
     ParameterError,
     RotationPlan,
+    _check_n,
     as_dataset,
     as_stream,
     gen_bkgnoise,
@@ -37,6 +38,7 @@ __all__ = [
     "apply_transform",
     "simplex_vertices",
     "make_preset",
+    "preset_info",
     "list_presets",
     "PRESETS",
 ]
@@ -127,17 +129,13 @@ class MultiClusterSpec:
     extras: dict | tuple[dict, ...] | None = None
 
     def __post_init__(self):
-        self.k = int(self.k)
-        if self.k < 1:
-            raise ParameterError("k must be a positive integer")
-        self.n = tuple(int(v) for v in np.atleast_1d(self.n))
+        self.k = _check_n(self.k, "k")
+        self.n = tuple(_check_n(v) for v in np.atleast_1d(self.n).tolist())
         self.scale = tuple(float(v) for v in np.atleast_1d(self.scale))
         self.shape = tuple(str(v) for v in np.atleast_1d(self.shape))
         for name, seq in (("n", self.n), ("scale", self.scale), ("shape", self.shape)):
             if len(seq) != self.k:
                 raise ParameterError(f"{name} has {len(seq)} entries, expected k = {self.k}")
-        if any(v < 1 for v in self.n):
-            raise ParameterError("every cluster size must be at least 1")
         if not all(0 < v < np.inf for v in self.scale):
             raise ParameterError("every scale must be positive and finite")
         for kind in self.shape:
@@ -264,8 +262,9 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
     p = spec.p
     for c, kind in enumerate(spec.shape):
         dim = shape_info(kind).dim
-        if dim is not None and dim > p:
-            raise DimensionError(f"cluster {c} shape '{kind}' has {dim} dims but the scene has {p}")
+        width = dim if dim is not None else _check_n(spec.extras[c].get("p", p), "p")
+        if width > p:
+            raise DimensionError(f"cluster {c} shape '{kind}' has {width} dims but the scene has {p}")
     names = _cluster_labels(spec.shape)
     parts, codes = [], []
     for c in range(spec.k):
@@ -275,10 +274,6 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
         if shape_info(kind).dim is None:
             kwargs.setdefault("p", p)
         ds = generate(kind, n=spec.n[c], seed=sub.derive(0), **kwargs)
-        if ds.p > p:  # an extras `p` above the scene's
-            raise DimensionError(
-                f"cluster {c} shape '{kind}' produced {ds.p} dims but the scene has {p}"
-            )
         rot = None
         if spec.rotation is not None and spec.rotation[c] is not None:
             rot = _rotation_matrix(spec.rotation[c])
@@ -488,14 +483,19 @@ def list_presets() -> tuple[str, ...]:
     return tuple(PRESETS)
 
 
-def make_preset(name: str, seed=None, **params) -> Dataset:
-    """Build a named preset scene; accepts only that preset's parameters."""
+def preset_info(name: str) -> tuple:
+    """The (builder, accepted params, description) entry of a named preset."""
     try:
-        builder, accepted, _ = PRESETS[name]
-    except KeyError:
+        return PRESETS[name]
+    except (KeyError, TypeError):
         raise ParameterError(
             f"unknown preset '{name}'; available presets: {', '.join(PRESETS)}"
         ) from None
+
+
+def make_preset(name: str, seed=None, **params) -> Dataset:
+    """Build a named preset scene; accepts only that preset's parameters."""
+    builder, accepted, _ = preset_info(name)
     provided = {k: v for k, v in params.items() if v is not None}
     bad = sorted(set(provided) - set(accepted))
     if bad:

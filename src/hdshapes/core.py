@@ -44,6 +44,19 @@ class DimensionError(ParameterError):
     """A dimension argument is incompatible with a shape or dataset."""
 
 
+def _check_n(value, name: str = "n") -> int:
+    """`value` as an int; rejects a fractional, non-finite, non-numeric or
+    non-positive value instead of truncating it. Integral floats such as
+    3.0 and numpy integers pass."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return count
+
+
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -375,9 +388,7 @@ def relocate_clusters(ds, loc) -> Dataset:
 
 def gen_bkgnoise(n: int, p: int, m=0.0, s=1.0, seed=None) -> Dataset:
     """n x p background noise, column j drawn from Normal(m_j, s_j^2)."""
-    n, p = int(n), int(p)
-    if n < 1 or p < 1:
-        raise ParameterError("n and p must be positive integers")
+    n, p = _check_n(n), _check_n(p, "p")
     mean = np.broadcast_to(np.asarray(m, dtype=np.float64), (p,))
     sd = np.broadcast_to(np.asarray(s, dtype=np.float64), (p,))
     if not (sd > 0).all():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, ParameterError, as_dataset, as_stream
+from .core import Dataset, ParameterError, _check_n, as_dataset, as_stream
 
 __all__ = [
     "gen_noisedims",
@@ -24,13 +24,6 @@ WAVY3_FORMS = (
 )
 
 
-def _check_np(n, p) -> tuple[int, int]:
-    n, p = int(n), int(p)
-    if n < 1 or p < 1:
-        raise ParameterError("n and p must be positive integers")
-    return n, p
-
-
 def gen_noisedims(n: int, p: int, m=0.0, s=0.2, seed=None) -> Dataset:
     """p independent Gaussian noise columns, X_j ~ N(m_j, s_j^2).
 
@@ -38,7 +31,7 @@ def gen_noisedims(n: int, p: int, m=0.0, s=0.2, seed=None) -> Dataset:
     keeps the columns independent but avoids a consistent directional
     drift when the noise is attached to a structure.
     """
-    n, p = _check_np(n, p)
+    n, p = _check_n(n), _check_n(p, "p")
     mean = np.asarray(m, dtype=np.float64)
     sd = np.asarray(s, dtype=np.float64)
     if mean.ndim > 1 or sd.ndim > 1:
@@ -61,7 +54,7 @@ def gen_wavydims1(n: int, p: int, theta, sigma: float = 0.05, seed=None) -> Data
 
     alpha_j = 0.1 j gives each column a distinct slope; eps ~ N(0, sigma^2).
     """
-    n, p = _check_np(n, p)
+    n, p = _check_n(n), _check_n(p, "p")
     theta = np.asarray(theta, dtype=np.float64).ravel()
     if theta.shape[0] != n:
         raise ParameterError(f"theta has length {theta.shape[0]}, expected {n}")
@@ -80,7 +73,7 @@ def gen_wavydims2(n: int, p: int, x1, powers=None, scales=None, noise: float = 0
     {2, 3, 4}, beta_j ~ U(0.5, 1.5), eps ~ U(-noise, noise). Pass
     `powers`/`scales` to fix k_j/beta_j, and noise=0 for the exact map.
     """
-    n, p = _check_np(n, p)
+    n, p = _check_n(n), _check_n(p, "p")
     x1 = np.asarray(x1, dtype=np.float64).ravel()
     if x1.shape[0] != n:
         raise ParameterError(f"x1 has length {x1.shape[0]}, expected {n}")
@@ -113,7 +106,7 @@ def gen_wavydims3(n: int, p: int, base, perturb: float = 0.05, noise: float = 0.
     (X1, X2, X3) plus U(-noise, noise) jitter, preserving some geometric
     correlation with the base structure.
     """
-    n, p = _check_np(n, p)
+    n, p = _check_n(n), _check_n(p, "p")
     base = as_dataset(base)
     if base.p < 3:
         raise ParameterError("base dataset must have at least 3 columns")

@@ -22,6 +22,7 @@ from .core import (
     Dataset,
     DimensionError,
     ParameterError,
+    _check_n,
     as_stream,
     gen_nproduct,
     gen_nsum,
@@ -84,16 +85,6 @@ class UnknownShapeError(ParameterError):
 
 class RejectedParameterError(ParameterError):
     """A parameter was supplied that the target shape does not accept."""
-
-
-def _check_n(n) -> int:
-    try:
-        count = int(n)
-    except (TypeError, ValueError, OverflowError):
-        count = None
-    if count is None or count != n or count < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-    return count
 
 
 def _check_fixed_p(p, dim: int, func: str) -> None:
@@ -174,9 +165,7 @@ def gen_linearbranches(n: int, k: int = 4, seed=None) -> Dataset:
     are re-placed (up to 100 tries) until their bounding box overlaps the
     existing structure by less than half.
     """
-    n, k = _check_n(n), int(k)
-    if k < 1:
-        raise ParameterError("k must be a positive integer")
+    n, k = _check_n(n), _check_n(k, "k")
     sizes = gen_nsum(n, k)
     rng = as_stream(seed).rng
     delta = _BRANCH_JITTER
@@ -215,9 +204,7 @@ def gen_curvybranches(n: int, k: int = 4, seed=None) -> Dataset:
     unit via X2 = 0.1 X1 - s (X1^2 - x_start) + y_start with curvature
     drawn from a fixed set.
     """
-    n, k = _check_n(n), int(k)
-    if k < 1:
-        raise ParameterError("k must be a positive integer")
+    n, k = _check_n(n), _check_n(k, "k")
     sizes = gen_nsum(n, k)
     rng = as_stream(seed).rng
     delta = _BRANCH_JITTER
@@ -251,9 +238,7 @@ def gen_expbranches(n: int, k: int = 4, seed=None) -> Dataset:
     sigma_i = (-1)^(i+1) alternating the exponent sign, s_i ~ U(0.5, 2),
     eps ~ U(0, delta).
     """
-    n, k = _check_n(n), int(k)
-    if k < 1:
-        raise ParameterError("k must be a positive integer")
+    n, k = _check_n(n), _check_n(k, "k")
     sizes = gen_nsum(n, k)
     rng = as_stream(seed).rng
     xs, ys = [], []
@@ -268,11 +253,9 @@ def gen_expbranches(n: int, k: int = 4, seed=None) -> Dataset:
 
 
 def _org_branches(n, p, k, allow_share, seed, curvy: bool) -> Dataset:
-    n, p, k = _check_n(n), int(p), int(k)
+    n, p, k = _check_n(n), _check_n(p, "p"), _check_n(k, "k")
     if p < 2:
         raise DimensionError("origin branches need p >= 2")
-    if k < 1:
-        raise ParameterError("k must be a positive integer")
     sizes = gen_nsum(n, k)
     rng = as_stream(seed).rng
     all_pairs = list(itertools.combinations(range(p), 2))
@@ -328,7 +311,7 @@ def gen_cone(n: int, p: int = 4, h: float = 1.0, ratio: float = 0.5, seed=None) 
     cross-section is a sphere of that radius. ratio in [0, 1] blunts the
     narrow end (1 gives a cylinder).
     """
-    n, p = _check_n(n), int(p)
+    n, p = _check_n(n), _check_n(p, "p")
     if p < 3:
         raise DimensionError("gen_cone needs p >= 3")
     if h <= 0:
@@ -348,26 +331,30 @@ def gen_cone(n: int, p: int = 4, h: float = 1.0, ratio: float = 0.5, seed=None) 
 # Cube
 
 
+def _lattice(axes) -> np.ndarray:
+    """Every combination of the axis values, one column per axis, the last
+    axis varying fastest (the rows of ``meshgrid(*axes, indexing="ij")``
+    without its 64-axis limit)."""
+    sizes = [len(a) for a in axes]
+    return np.column_stack(
+        [np.tile(np.repeat(a, math.prod(sizes[j + 1 :])), math.prod(sizes[:j])) for j, a in enumerate(axes)]
+    )
+
+
 def gen_gridcube(n: int, p: int = 4, seed=None) -> Dataset:
     """Regular lattice filling [0, 1]^p with approximately n points.
 
     Per-axis resolutions come from gen_nproduct(n, p); the realized point
     count is their product.
     """
-    n, p = _check_n(n), int(p)
-    if p < 1:
-        raise DimensionError("p must be a positive integer")
+    n, p = _check_n(n), _check_n(p, "p")
     factors = gen_nproduct(n, p)
-    axes = [np.linspace(0.0, 1.0, m) for m in factors]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return Dataset(np.column_stack([g.ravel() for g in mesh]))
+    return Dataset(_lattice([np.linspace(0.0, 1.0, m) for m in factors]))
 
 
 def gen_unifcube(n: int, p: int = 4, seed=None) -> Dataset:
     """n points uniform in [0, 1]^p, with exact 0/1 vertices filtered out."""
-    n, p = _check_n(n), int(p)
-    if p < 1:
-        raise DimensionError("p must be a positive integer")
+    n, p = _check_n(n), _check_n(p, "p")
     pts = as_stream(seed).rng.random((n, p))
     at_vertex = ((pts == 0.0) | (pts == 1.0)).all(axis=1)
     return Dataset(pts[~at_vertex])
@@ -379,9 +366,7 @@ def gen_unifcube(n: int, p: int = 4, seed=None) -> Dataset:
 
 def gen_gaussian(n: int, p: int = 4, s=None, seed=None) -> Dataset:
     """n iid draws from N_p(0, s); s defaults to the identity."""
-    n, p = _check_n(n), int(p)
-    if p < 1:
-        raise DimensionError("p must be a positive integer")
+    n, p = _check_n(n), _check_n(p, "p")
     if s is None:
         cov = np.eye(p)
     else:
@@ -409,9 +394,7 @@ def gen_longlinear(n: int, p: int = 4, seed=None) -> Dataset:
     b_j ~ U(-300, 300), eps ~ N(0, (0.03 n)^2), giving every dimension its
     own orientation, scale, and offset.
     """
-    n, p = _check_n(n), int(p)
-    if p < 1:
-        raise DimensionError("p must be a positive integer")
+    n, p = _check_n(n), _check_n(p, "p")
     rng = as_stream(seed).rng
     t = np.arange(n, dtype=np.float64)
     a = rng.uniform(-10.0, 10.0, p)
@@ -491,7 +474,7 @@ def gen_pyrrect(n: int, p: int = 4, h: float = 1.0, l_vec=(1.0, 1.0), rt: float 
     uniform within +/- r_x(z), X2 within +/- r_y(z). Dims 4..p-1 are
     N(0, 0.2^2) noise, dim p is the height.
     """
-    n, p = _check_n(n), int(p)
+    n, p = _check_n(n), _check_n(p, "p")
     if p < 4:
         raise DimensionError("gen_pyrrect needs p >= 4 (three base coords plus height)")
     lx, ly = float(l_vec[0]), float(l_vec[1])
@@ -521,7 +504,7 @@ def gen_pyrtri(n: int, p: int = 4, h: float = 1.0, l: float = 1.0, rt: float = 0
     u + v = 1 give X1 = r (1 - u - v), X2 = r u, X3 = r v. Dims 4..p-1
     are noise, dim p is the height.
     """
-    n, p = _check_n(n), int(p)
+    n, p = _check_n(n), _check_n(p, "p")
     if p < 4:
         raise DimensionError("gen_pyrtri needs p >= 4 (three base coords plus height)")
     if h <= 0 or l <= 0:
@@ -553,7 +536,7 @@ def gen_pyrstar(n: int, p: int = 4, h: float = 1.0, rb: float = 1.0, seed=None) 
     {0, pi/3, ..., 5 pi/3} and a radial factor sqrt(U(0, 1)). Dims
     3..p-1 are noise, dim p is the height.
     """
-    n, p = _check_n(n), int(p)
+    n, p = _check_n(n), _check_n(p, "p")
     if p < 3:
         raise DimensionError("gen_pyrstar needs p >= 3 (two base coords plus height)")
     if h <= 0 or rb <= 0:
@@ -579,7 +562,7 @@ def gen_pyrfrac(n: int, p: int = 3, seed=None) -> Dataset:
     random vertex of the simplex {0, e_1, ..., e_p}; the n iterates
     T_1..T_n are returned (early ones may sit slightly off the attractor).
     """
-    n, p = _check_n(n), int(p)
+    n, p = _check_n(n), _check_n(p, "p")
     if p < 2:
         raise DimensionError("gen_pyrfrac needs p >= 2")
     rng = as_stream(seed).rng
@@ -627,7 +610,7 @@ def gen_circle(n: int, p: int = 4, seed=None) -> Dataset:
     X1 = cos(theta), X2 = sin(theta); dimension j >= 3 adds
     sqrt(0.5^(j-2)) sin(theta + (j - 2) pi / (2 p)).
     """
-    n, p = _check_n(n), int(p)
+    n, p = _check_n(n), _check_n(p, "p")
     if p < 2:
         raise DimensionError("gen_circle needs p >= 2")
     theta = as_stream(seed).rng.uniform(0.0, 2.0 * np.pi, n)
@@ -643,7 +626,7 @@ def gen_curvycycle(n: int, p: int = 4, seed=None) -> Dataset:
     X1 = cos(theta), X2 = sqrt(3)/3 + sin(theta), X3 = cos(3 theta) / 3;
     dimension j >= 4 adds sqrt(0.5^(j-3)) sin(theta + (j - 2) pi / (2 p)).
     """
-    n, p = _check_n(n), int(p)
+    n, p = _check_n(n), _check_n(p, "p")
     if p < 3:
         raise DimensionError("gen_curvycycle needs p >= 3")
     theta = as_stream(seed).rng.uniform(0.0, 2.0 * np.pi, n)
@@ -674,7 +657,7 @@ def gen_unifsphere(n: int, r: float = 1.0, seed=None) -> Dataset:
 
 def gen_hollowsphere(n: int, p: int = 4, seed=None) -> Dataset:
     """n points uniform on the unit (p-1)-sphere surface in R^p."""
-    n, p = _check_n(n), int(p)
+    n, p = _check_n(n), _check_n(p, "p")
     if p < 2:
         raise DimensionError("gen_hollowsphere needs p >= 2")
     return Dataset(_unit_directions(as_stream(seed).rng, n, p))
@@ -687,14 +670,13 @@ def gen_gridedsphere(n: int, p: int = 3, seed=None) -> Dataset:
     [0, 2 pi], with per-axis resolutions from gen_nproduct(n, p - 1); the
     realized point count is their product.
     """
-    n, p = _check_n(n), int(p)
+    n, p = _check_n(n), _check_n(p, "p")
     if p < 2:
         raise DimensionError("gen_gridedsphere needs p >= 2")
     factors = gen_nproduct(n, p - 1)
     axes = [np.linspace(0.0, np.pi, m) for m in factors[:-1]]
     axes.append(np.linspace(0.0, 2.0 * np.pi, factors[-1]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    angles = np.column_stack([g.ravel() for g in mesh])
+    angles = _lattice(axes)
     count = angles.shape[0]
     pts = np.empty((count, p))
     sin_prod = np.ones(count)
@@ -710,7 +692,7 @@ def gen_clusteredspheres(
     k_small: int = 3,
     r_vec=(10.0, 1.0),
     spe: float = 3.0,
-    n_vec=None,
+    n_vec: tuple[int, int] | None = None,
     seed=None,
 ) -> Dataset:
     """One big sphere surface plus k_small small ones at random centers.
@@ -721,16 +703,14 @@ def gen_clusteredspheres(
     given, each small sphere gets n // (2 k_small) points and the big one
     the remainder. Rows are labeled "big" and "small_1".."small_k".
     """
-    k_small = int(k_small)
-    if k_small < 1:
-        raise ParameterError("k_small must be a positive integer")
+    k_small = _check_n(k_small, "k_small")
     r1, r2 = float(r_vec[0]), float(r_vec[1])
     if r1 <= 0 or r2 <= 0:
         raise ParameterError("radii must be positive")
     if spe <= 0:
         raise ParameterError("spe must be positive")
     if n_vec is not None:
-        n1, n2 = int(n_vec[0]), int(n_vec[1])
+        n1, n2 = _check_n(n_vec[0], "n_vec"), _check_n(n_vec[1], "n_vec")
     elif n is not None:
         n = _check_n(n)
         n2 = max(1, n // (2 * k_small))
@@ -807,9 +787,7 @@ def gen_trefoil4d(n: int, steps: int = 8, seed=None) -> Dataset:
     the 1.5-frequency pair closes only after phi advances 4 pi. The grid
     tail is trimmed so exactly n rows come back.
     """
-    n, steps = _check_n(n), int(steps)
-    if steps < 1:
-        raise ParameterError("steps must be a positive integer")
+    n, steps = _check_n(n), _check_n(steps, "steps")
     if steps == 1:
         thetas = np.array([np.pi / 4.0])
     else:
@@ -882,10 +860,8 @@ def gen_sphericalspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Datase
     sin(phi) cos(theta), X2 = sin(phi) sin(theta), X3 = cos(phi) + eps
     with eps ~ U(-0.5, 0.5), X4 = theta / max(theta).
     """
-    n, spins = _check_n(n), int(spins)
+    n, spins = _check_n(n), _check_n(spins, "spins")
     _check_fixed_p(p, 4, "gen_sphericalspiral")
-    if spins < 1:
-        raise ParameterError("spins must be a positive integer")
     top = 2.0 * np.pi * spins
     theta = np.linspace(0.0, top, n)
     phi = np.linspace(0.0, np.pi, n)
@@ -924,10 +900,8 @@ def gen_conicspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Dataset:
     X2 = theta sin(theta), X3 = 2 theta / max(theta) + eps3,
     X4 = theta sin(2 theta) + eps4 with eps3, eps4 ~ U(-0.1, 0.6).
     """
-    n, spins = _check_n(n), int(spins)
+    n, spins = _check_n(n), _check_n(spins, "spins")
     _check_fixed_p(p, 4, "gen_conicspiral")
-    if spins < 1:
-        raise ParameterError("spins must be a positive integer")
     top = 2.0 * np.pi * spins
     theta = np.linspace(0.0, top, n)
     rng = as_stream(seed).rng
@@ -1036,7 +1010,7 @@ def list_shapes() -> tuple[str, ...]:
 def shape_info(kind: str) -> ShapeInfo:
     try:
         return SHAPES[kind]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownShapeError(kind) from None
 
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .core import Dataset, ParameterError, as_dataset, as_stream
+from .core import Dataset, ParameterError, _check_n, as_dataset, as_stream
 from .shapes import gen_scurve, gen_unifcube
 
 __all__ = [
@@ -88,12 +88,12 @@ def _holed_sample(make, n: int, r_hole: float, stream) -> Dataset:
 def gen_scurvehole(n: int, r_hole: float = 0.3, seed=None) -> Dataset:
     """S-curve with a spherical hole at its mean; exactly n points."""
     return _holed_sample(
-        lambda m, s: gen_scurve(m, seed=s), int(n), float(r_hole), as_stream(seed)
+        lambda m, s: gen_scurve(m, seed=s), _check_n(n), float(r_hole), as_stream(seed)
     )
 
 
 def gen_unifcubehole(n: int, p: int = 3, r_hole: float = 0.3, seed=None) -> Dataset:
     """Uniform cube with a central hyperspherical void; exactly n points."""
     return _holed_sample(
-        lambda m, s: gen_unifcube(m, p=p, seed=s), int(n), float(r_hole), as_stream(seed)
+        lambda m, s: gen_unifcube(m, p=p, seed=s), _check_n(n), float(r_hole), as_stream(seed)
     )

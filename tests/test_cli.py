@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from hdshapes.cli import _FLAG_OF_PARAM, main
+from hdshapes.cli import build_parser, main, write_csv
 from hdshapes.composer import PRESETS
 from hdshapes.shapes import SHAPES
+from hdshapes.topology import gen_unifcubehole
 
 USAGE_CONFIG = {
     "n": [200, 300, 500],
@@ -249,6 +251,10 @@ def test_list_commands():
         (["generate", "swissroll", "--n", "5", "--w", "0", "inf"], "parameter w"),
         (["generate", "cone", "--n", "5", "--h", "nan"], "parameter h"),
         (["generate", "cone", "--n", "5", "--seed", str(2**64 + 5)], "seed"),
+        (["generate", "cone", "--n", "5", "--w", "1", "2"], "flag(s) --w not valid for shape 'cone' (accepts: --n, --p, --h, --ratio)"),
+        (["generate", "mobius", "--n", "5", "--p", "3"], "(accepts: --n)"),
+        (["preset", "onegrid", "--k", "3"], "flag(s) --k not valid for preset 'onegrid' (accepts: --n)"),
+        (["preset", "blob"], "unknown preset 'blob'"),
     ],
 )
 def test_bad_values_exit_2_and_name_the_value(argv, named, tmp_path, capsys):
@@ -258,9 +264,120 @@ def test_bad_values_exit_2_and_name_the_value(argv, named, tmp_path, capsys):
     assert not out.exists()
 
 
+def _options(command):
+    """Option string -> argparse action, for the options of one subcommand."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[0]: a for a in sub.choices[command]._actions if a.option_strings}
+
+
+_COMMON_OPTIONS = {"-h", "--seed", "--out", "--format"}
+
+# The generate parameter flags as the hand-written table before flags were
+# derived from the generator signatures: flag -> (dest, nargs, type).
+_GENERATE_FLAGS = {
+    "--p": ("p", None, int), "--k": ("k", None, int), "--h": ("h", None, float),
+    "--ratio": ("ratio", None, float), "--r": ("r", None, float), "--w": ("w", 2, float),
+    "--spins": ("spins", None, int), "--steps": ("steps", None, int), "--hc": ("hc", None, float),
+    "--non-fac": ("non_fac", None, float), "--l": ("l", None, float), "--l-vec": ("l_vec", 2, float),
+    "--rt": ("rt", None, float), "--rb": ("rb", None, float), "--range": ("range", 2, float),
+    "--k-small": ("k_small", None, int), "--r-vec": ("r_vec", 2, float), "--spe": ("spe", None, float),
+    "--n-vec": ("n_vec", 2, int), "--allow-share": ("allow_share", 0, None),
+}
+
+
+def test_flag_surface_is_unchanged():
+    gen = _options("generate")
+    got = {
+        flag: (a.dest, a.nargs, a.type)
+        for flag, a in gen.items()
+        if flag not in _COMMON_OPTIONS | {"--n", "--from-manifest"}
+    }
+    assert got == _GENERATE_FLAGS
+    assert isinstance(gen["--allow-share"], argparse._StoreTrueAction) and gen["--allow-share"].default is None
+    assert all(a.default is None and not a.required for flag, a in gen.items() if flag in _GENERATE_FLAGS)
+    preset = _options("preset")
+    assert set(preset) - _COMMON_OPTIONS == {"--n", "--k", "--p"}
+    assert all(preset[f].type is int and not preset[f].required for f in ("--n", "--k", "--p"))
+    hole = _options("hole")
+    assert set(hole) - _COMMON_OPTIONS == {"--n", "--p", "--r-hole"}
+    assert hole["--n"].required and hole["--n"].type is int
+    assert not hole["--p"].required and hole["--p"].type is int
+    assert not hole["--r-hole"].required and hole["--r-hole"].type is float
+
+
 def test_every_registry_parameter_has_a_generate_flag():
     golden = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
     assert {kind: list(info.params) for kind, info in SHAPES.items()} == golden["shape_params"]
     assert {name: list(entry[1]) for name, entry in PRESETS.items()} == golden["preset_params"]
-    flagless = {(kind, p) for kind, info in SHAPES.items() for p in info.params if p not in _FLAG_OF_PARAM}
+    flags = {a.dest: a for a in _options("generate").values()}
+    flagless = set()
+    for kind, info in SHAPES.items():
+        for param in info.params:
+            if param not in flags:
+                flagless.add((kind, param))
+                continue
+            default, action = info.defaults[param], flags[param]
+            if isinstance(default, bool):
+                assert isinstance(action, argparse._StoreTrueAction), (kind, param)
+            elif isinstance(default, tuple):
+                assert (action.nargs, action.type) == (len(default), type(default[0])), (kind, param)
+            elif default is not None:
+                assert (action.nargs, action.type) == (None, type(default)), (kind, param)
     assert flagless == {("gaussian", "s")}  # a p x p matrix has no flag
+
+
+def test_hole_r_hole_defaults_and_p_is_checked(tmp_path, capsys):
+    out = tmp_path / "h.csv"
+    assert main(["hole", "unifcube", "--n", "50", "--seed", "3", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "h.csv.manifest.json").read_text())
+    assert manifest["spec"] == {"kind": "unifcube", "params": {"p": 3, "r_hole": 0.3, "n": 50}}
+    direct = tmp_path / "direct.csv"
+    write_csv(gen_unifcubehole(50, seed=3), direct)
+    assert out.read_bytes() == direct.read_bytes()
+    assert main(["hole", "scurve", "--n", "50", "--p", "3", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "flag(s) --p not valid for hole kind 'scurve' (accepts: --n, --r-hole)" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_hole_manifest_in_the_old_layout_replays(tmp_path):
+    man = tmp_path / "old.csv.manifest.json"
+    man.write_text(json.dumps({
+        "command": "hole",
+        "seed": 3,
+        "spec": {"kind": "unifcube", "params": {"n": 80, "r_hole": 0.2, "p": 2}},
+        "output_path": str(tmp_path / "old.csv"),
+        "format": "csv",
+    }))
+    replay = tmp_path / "replay.csv"
+    assert main(["generate", "--from-manifest", str(man), "--out", str(replay)]) == 0
+    direct = tmp_path / "direct.csv"
+    write_csv(gen_unifcubehole(80, p=2, r_hole=0.2, seed=3), direct)
+    assert replay.read_bytes() == direct.read_bytes()
+
+
+def _manifest(tmp_path):
+    out = tmp_path / "g.csv"
+    assert main(["generate", "cone", "--n", "10", "--seed", "1", "--out", str(out)]) == 0
+    return json.loads((tmp_path / "g.csv.manifest.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (lambda m: {**m, "format": "xml"}, "field 'format'"),
+        (lambda m: {**m, "spec": {**m["spec"], "params": [1, 2]}}, "field 'spec.params'"),
+        (lambda m: [m], "must be a JSON object"),
+        (lambda m: {**m, "spec": "cone"}, "field 'spec'"),
+        (lambda m: {**m, "command": "hole", "spec": {"kind": "blob", "params": {"n": 5}}}, "hole kind 'blob'"),
+        (lambda m: {**m, "command": "generate", "spec": {"kind": ["cone"], "n": 5, "params": {}}}, "shape kind"),
+        (lambda m: {k: v for k, v in m.items() if k != "seed"}, "missing field 'seed'"),
+    ],
+)
+def test_malformed_manifest_exits_2(corrupt, named, tmp_path, capsys):
+    man = tmp_path / "bad.manifest.json"
+    man.write_text(json.dumps(corrupt(_manifest(tmp_path))))
+    capsys.readouterr()
+    out = tmp_path / "replay.csv"
+    assert main(["generate", "--from-manifest", str(man), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()

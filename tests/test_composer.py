@@ -105,6 +105,14 @@ def test_spec_length_mismatch_messages():
         usage_spec(shape=("gaussian", "blob", "unifcube"))
 
 
+def test_spec_counts_must_be_integral():
+    with pytest.raises(ParameterError, match="n must be a positive integer, got 10.7"):
+        usage_spec(n=(10.7, 5, 5))
+    with pytest.raises(ParameterError, match="k must be a positive integer, got 2.9"):
+        MultiClusterSpec(n=(5, 5), k=2.9, loc=np.zeros((2, 3)), scale=(1, 1), shape=("gaussian",) * 2)
+    assert usage_spec(n=(10.0, np.int64(5), 5)).n == (10, 5, 5)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_spec_rejects_nonfinite_scale(bad):
     with pytest.raises(ParameterError, match="every scale must be positive and finite"):
@@ -249,6 +257,12 @@ def test_too_small_scene_is_rejected_before_sampling(monkeypatch):
     )
     with pytest.raises(DimensionError, match="scurve"):
         gen_multicluster(spec, seed=1)
+    wide = MultiClusterSpec(
+        n=(50, 50), k=2, loc=np.zeros((2, 3)), scale=(1.0, 1.0), shape=("gaussian", "cone"),
+        extras=({"p": 5}, {}),
+    )
+    with pytest.raises(DimensionError, match="cluster 0 shape 'gaussian' has 5 dims"):
+        gen_multicluster(wide, seed=1)
     assert calls == []
 
 

@@ -411,3 +411,12 @@ def test_bkgnoise_validation():
         gen_bkgnoise(10, 2, 0.0, (1.0, 0.0), seed=1)
     with pytest.raises(ParameterError):
         gen_bkgnoise(0, 2, seed=1)
+
+
+@pytest.mark.parametrize("name", ["n", "p"])
+def test_bkgnoise_counts_must_be_integral(name):
+    args = {"n": 10, "p": 3}
+    with pytest.raises(ParameterError, match=f"{name} must be a positive integer, got 2.5"):
+        gen_bkgnoise(**{**args, name: 2.5}, seed=1)
+    ref = gen_bkgnoise(**{**args, name: 3}, seed=1).points.tobytes()
+    assert gen_bkgnoise(**{**args, name: 3.0}, seed=1).points.tobytes() == ref

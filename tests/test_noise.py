@@ -38,6 +38,15 @@ def test_noisedims_validation():
         gen_noisedims(10, 2, s=(1.0, 0.0), seed=1)
 
 
+@pytest.mark.parametrize("name", ["n", "p"])
+def test_noisedims_counts_must_be_integral(name):
+    args = {"n": 10, "p": 3}
+    with pytest.raises(ParameterError, match=f"{name} must be a positive integer, got 2.5"):
+        gen_noisedims(**{**args, name: 2.5}, seed=1)
+    ref = gen_noisedims(**{**args, name: 3}, seed=1).points.tobytes()
+    assert gen_noisedims(**{**args, name: 3.0}, seed=1).points.tobytes() == ref
+
+
 def test_wavydims1_noiseless_limit():
     theta = np.random.default_rng(4).normal(size=2000)
     ds = gen_wavydims1(2000, 3, theta, sigma=1e-9, seed=5)

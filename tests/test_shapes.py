@@ -163,6 +163,27 @@ def test_n_must_be_integral():
         assert gen_cone(n, seed=1).points.tobytes() == ref
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda v: generate("cone", 10, seed=1, p=v), "p"),
+        (lambda v: generate("gridcube", 10, p=v), "p"),
+        (lambda v: generate("linearbranches", 10, seed=1, k=v), "k"),
+        (lambda v: generate("orgcurvybranches", 10, seed=1, k=v), "k"),
+        (lambda v: generate("clusteredspheres", 60, seed=1, k_small=v), "k_small"),
+        (lambda v: gen_clusteredspheres(n_vec=(10, v), seed=1), "n_vec"),
+        (lambda v: generate("conicspiral", 10, seed=1, spins=v), "spins"),
+        (lambda v: generate("trefoil4d", 10, steps=v), "steps"),
+    ],
+)
+def test_counts_and_dimensions_must_be_integral(make, name):
+    with pytest.raises(ParameterError, match=f"{name} must be a positive integer, got 2.5"):
+        make(2.5)
+    ref = make(3).points.tobytes()
+    for value in (3.0, np.int64(3)):
+        assert make(value).points.tobytes() == ref
+
+
 # ---------------------------------------------------------------------------
 # Branching
 
@@ -285,6 +306,15 @@ def test_gridcube_lattice():
     levels = np.linspace(0.0, 1.0, 10)
     for j in range(3):
         assert np.allclose(np.unique(ds.points[:, j]), levels)
+
+
+def test_lattices_beyond_64_dims():
+    cube = gen_gridcube(10, p=70).points
+    assert cube.shape == (16, 70)
+    assert np.array_equal(np.unique(cube, axis=0), cube)  # 16 distinct rows, lexicographic
+    sphere = gen_gridedsphere(10, p=70).points
+    assert sphere.shape == (16, 70)
+    assert np.abs(np.linalg.norm(sphere, axis=1) - 1.0).max() < 1e-12
 
 
 def test_unifcube_interior():

@@ -95,6 +95,13 @@ def test_scurvehole_exact_n_and_manifold():
     assert dist.min() > 0.5 - 0.1
 
 
+@pytest.mark.parametrize("holed", [gen_scurvehole, gen_unifcubehole])
+def test_holed_n_must_be_integral(holed):
+    with pytest.raises(ParameterError, match="n must be a positive integer, got 10.7"):
+        holed(10.7, seed=1)
+    assert holed(10.0, seed=1).points.tobytes() == holed(10, seed=1).points.tobytes()
+
+
 def test_scurvehole_tiny_radius():
     assert gen_scurvehole(400, 1e-12, seed=11).n == 400
 
