@@ -24,6 +24,7 @@ import sys
 import types
 import typing
 from datetime import datetime, timezone
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -257,13 +258,24 @@ def _build(command: str, spec, seed):
         raise ParameterError("manifest field 'spec.params' must be a JSON object")
     params = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
     if command == "generate":
-        return generate(_field(spec, "kind"), n=_field(spec, "n"), seed=seed, **params)
-    if command == "preset":
-        return make_preset(_field(spec, "name"), seed=seed, **params)
-    kind = _field(spec, "kind")
-    if not isinstance(kind, str) or kind not in _HOLES:
-        raise ParameterError(f"unknown hole kind '{kind}'; available kinds: {', '.join(_HOLES)}")
-    return _HOLES[kind].func(seed=seed, **params)
+        kind = _field(spec, "kind")
+        func, accepted = partial(generate, kind, _field(spec, "n")), shape_info(kind).params
+    elif command == "preset":
+        name = _field(spec, "name")
+        func, accepted = partial(make_preset, name), preset_info(name)[1]
+    else:
+        kind = _field(spec, "kind")
+        if not isinstance(kind, str) or kind not in _HOLES:
+            raise ParameterError(f"unknown hole kind '{kind}'; available kinds: {', '.join(_HOLES)}")
+        _field(params, "n")  # the one parameter without a default
+        func, accepted = _HOLES[kind].func, ("n",) + _HOLES[kind].params
+    bad = sorted(set(params) - set(accepted))
+    if bad:
+        raise ParameterError(
+            f"manifest spec.params has {', '.join(bad)}, not accepted by {command} "
+            f"(accepts: {', '.join(accepted)})"
+        )
+    return func(seed=seed, **params)
 
 
 def _emit(out_path: Path, fmt: str, command: str, seed: int, spec: dict) -> int:
@@ -297,6 +309,13 @@ def _load_json(path: str, what: str):
 
 def cmd_generate(args) -> int:
     if args.from_manifest:
+        given = [_flag(name) for name in args.param_flags if getattr(args, name) is not None]
+        if args.seed is not None:
+            given.append("--seed")
+        if args.shape:
+            given.append(f"shape '{args.shape}'")
+        if given:
+            raise ParameterError(f"--from-manifest replays the recorded spec; drop {', '.join(given)}")
         man = _load_json(args.from_manifest, "manifest")
         if not isinstance(man, dict):
             raise ParameterError(f"manifest {args.from_manifest} must be a JSON object")

@@ -21,6 +21,7 @@ from .core import (
     DimensionError,
     ParameterError,
     RotationPlan,
+    _adopt,
     _check_n,
     as_dataset,
     as_stream,
@@ -48,9 +49,7 @@ PAD_SD = 0.2  # noise-column standard deviation used when padding dimensions
 
 def simplex_vertices(p: int, scale: float = 1.0) -> np.ndarray:
     """Vertices of a regular p-simplex in R^p, centered, unit edge length."""
-    p = int(p)
-    if p < 1:
-        raise ParameterError("p must be a positive integer")
+    p = _check_n(p, "p")
     alpha = (1.0 + np.sqrt(p + 1.0)) / p
     verts = np.vstack([np.eye(p), np.full(p, alpha)])
     verts -= verts.mean(axis=0)
@@ -77,14 +76,14 @@ def pad_to_dim(ds, p_target: int, seed=None) -> Dataset:
     coordinate entries of the dataset.
     """
     ds = as_dataset(ds)
-    p_target = int(p_target)
+    p_target = _check_n(p_target, "p_target")
     if p_target < ds.p:
         raise DimensionError(f"cannot pad {ds.p} columns down to {p_target}")
     if p_target == ds.p:
         return ds
     mu = float(ds.points.mean())
     extra = as_stream(seed).rng.normal(mu, PAD_SD, (ds.n, p_target - ds.p))
-    return ds.with_points(np.hstack([ds.points, extra]))
+    return _adopt(np.hstack([ds.points, extra]), ds.codes, ds.categories)
 
 
 def apply_transform(ds, scale: float, rotation=None, center=None) -> Dataset:
@@ -92,7 +91,8 @@ def apply_transform(ds, scale: float, rotation=None, center=None) -> Dataset:
     ds = as_dataset(ds)
     if scale <= 0:
         raise ParameterError("scale must be positive")
-    pts = ds.points * float(scale)
+    # x * 1.0 is x exactly for finite x, so a unit scale skips the multiply.
+    pts = ds.points if scale == 1 else ds.points * float(scale)
     if rotation is not None:
         rot = _rotation_matrix(rotation)
         if rot.shape[0] != ds.p:
@@ -103,7 +103,7 @@ def apply_transform(ds, scale: float, rotation=None, center=None) -> Dataset:
         if center.shape[0] != ds.p:
             raise ParameterError(f"center has length {center.shape[0]}, dataset has {ds.p}")
         pts = pts + (center - pts.mean(axis=0))
-    return ds.with_points(pts)
+    return _adopt(pts, ds.codes, ds.categories)
 
 
 @dataclass
@@ -265,15 +265,14 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
         width = dim if dim is not None else _check_n(spec.extras[c].get("p", p), "p")
         if width > p:
             raise DimensionError(f"cluster {c} shape '{kind}' has {width} dims but the scene has {p}")
-    names = _cluster_labels(spec.shape)
-    parts, codes = [], []
-    for c in range(spec.k):
-        sub = stream.derive(c)
-        kind = spec.shape[c]
+    # Sample every cluster first: the row counts place each cluster's block
+    # in the one scene array.
+    samples, rotations = [], []
+    for c, kind in enumerate(spec.shape):
         kwargs = dict(spec.extras[c])
         if shape_info(kind).dim is None:
             kwargs.setdefault("p", p)
-        ds = generate(kind, n=spec.n[c], seed=sub.derive(0), **kwargs)
+        ds = generate(kind, n=spec.n[c], seed=stream.derive(c).derive(0), **kwargs)
         rot = None
         if spec.rotation is not None and spec.rotation[c] is not None:
             rot = _rotation_matrix(spec.rotation[c])
@@ -282,23 +281,32 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
                     f"cluster {c} rotation is {rot.shape[0]}-dimensional; expected "
                     f"{ds.p} (shape) or {p} (scene)"
                 )
+        samples.append(ds)
+        rotations.append(rot)
+    counts = [ds.n for ds in samples]
+    n_rows = sum(counts)
+    n_bkg = max(1, round(0.1 * sum(spec.n))) if spec.is_bkg else 0
+    scene = np.empty((n_rows + n_bkg, p))
+    start = 0
+    for c, rot in enumerate(rotations):
+        ds, samples[c] = samples[c], None  # freed once its block is written
         before_pad = rot is not None and rot.shape[0] == ds.p
         target = None if np.isnan(spec.loc[c]).all() else spec.loc[c]
-        cluster = apply_transform(ds.points, spec.scale[c], rot if before_pad else None)
-        cluster = pad_to_dim(cluster, p, seed=sub.derive(1))
+        cluster = apply_transform(ds, spec.scale[c], rot if before_pad else None)
+        cluster = pad_to_dim(cluster, p, seed=stream.derive(c).derive(1))
         cluster = apply_transform(cluster, 1.0, None if before_pad else rot, target)
-        parts.append(cluster.points)
-        codes.append(np.full(cluster.n, c))
-    all_pts = np.vstack(parts)
+        scene[start : start + ds.n] = cluster.points
+        start += ds.n
+    names = _cluster_labels(spec.shape)
     if spec.is_bkg:
-        n_bkg = max(1, round(0.1 * sum(spec.n)))
-        sd = all_pts.std(axis=0, ddof=1)
+        clusters = scene[:n_rows]
+        sd = clusters.std(axis=0, ddof=1)
         sd[sd == 0] = 1e-9
-        bkg = gen_bkgnoise(n_bkg, p, all_pts.mean(axis=0), sd, seed=stream.derive(spec.k))
-        all_pts = np.vstack([all_pts, bkg.points])
-        codes.append(np.full(n_bkg, spec.k))
+        bkg = gen_bkgnoise(n_bkg, p, clusters.mean(axis=0), sd, seed=stream.derive(spec.k))
+        scene[n_rows:] = bkg.points
+        counts.append(n_bkg)
         names.append("background")
-    out = Dataset(all_pts, np.concatenate(codes), names)
+    out = _adopt(scene, np.repeat(np.arange(len(counts)), counts), names)
     if shuffle:
         perm = stream.derive(spec.k + 1).rng.permutation(out.n)
         out = out.take(perm)

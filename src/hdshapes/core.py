@@ -159,23 +159,25 @@ class Dataset:
     per row and names each ``str(label)``; ``Dataset(points, codes,
     categories)`` takes codes directly. Categories may include names that
     no row uses, for example after ``take``.
+
+    The constructor copies the arrays it is given, so the caller's arrays
+    stay writeable and unshared. Datasets built inside hdshapes own their
+    arrays instead (see ``_adopt``).
     """
 
     __slots__ = ("points", "codes", "categories", "_labels")
 
-    def __init__(self, points, labels=None, categories=None):
-        pts = np.array(points, dtype=np.float64)
+    def __init__(self, points, labels=None, categories=None, *, _own=False):
+        own = np.asarray if _own else np.array
+        pts = own(points, dtype=np.float64)
         if pts.ndim != 2:
             raise ParameterError(f"points must be a 2-D matrix, got ndim={pts.ndim}")
         if not np.isfinite(pts).all():
             raise ParameterError("points must be finite (no NaN or Inf entries)")
-        pts.setflags(write=False)
-        self.points = pts
-        self._labels = None
         if labels is None:
             if categories is not None:
                 raise ParameterError("categories given without label codes")
-            self.codes = self.categories = None
+            self._freeze(pts, None, None)
             return
         if categories is None:
             codes, categories = _factorize(labels)
@@ -192,10 +194,14 @@ class Dataset:
             raise ParameterError(
                 f"label count {codes.shape[0]} does not match row count {pts.shape[0]}"
             )
-        codes = np.array(codes, dtype=np.intp)
-        codes.setflags(write=False)
-        self.codes = codes
-        self.categories = categories
+        self._freeze(pts, own(codes, dtype=np.intp), categories)
+
+    def _freeze(self, points, codes, categories) -> None:
+        points.setflags(write=False)
+        if codes is not None:
+            codes.setflags(write=False)
+        self.points, self.codes, self.categories = points, codes, categories
+        self._labels = None
 
     @property
     def labels(self) -> np.ndarray | None:
@@ -219,17 +225,43 @@ class Dataset:
         return tuple(f"x{j}" for j in range(1, self.p + 1))
 
     def with_points(self, points) -> "Dataset":
-        """A Dataset of `points` (same row count) carrying this one's labels."""
+        """A Dataset of a copy of `points` (same row count) carrying this
+        one's labels."""
         return Dataset(points, self.codes, self.categories)
 
     def take(self, indices) -> "Dataset":
-        """Row subset/permutation; labels travel with their rows."""
-        codes = None if self.codes is None else self.codes[indices]
-        return Dataset(self.points[indices], codes, self.categories)
+        """Row subset/permutation by integer indices (negative ones count
+        from the end) or a boolean row mask; labels travel with their rows.
+
+        Each array is gathered once. Rows and codes drawn from this
+        Dataset were checked when it was built, so they are not re-checked.
+        """
+        idx = np.asarray(indices)
+        if idx.ndim != 1:
+            raise ParameterError(f"row indices must be 1-D, got ndim={idx.ndim}")
+        if idx.dtype == bool:
+            if idx.shape[0] != self.n:
+                raise IndexError(f"boolean mask has {idx.shape[0]} entries for {self.n} rows")
+            idx = np.flatnonzero(idx)
+        elif idx.size == 0:
+            idx = idx.astype(np.intp)
+        elif idx.dtype.kind not in "iu":
+            raise IndexError(f"row indices must be integers or a boolean mask, got dtype {idx.dtype}")
+        out = Dataset.__new__(Dataset)
+        codes = None if self.codes is None else np.take(self.codes, idx)
+        out._freeze(np.take(self.points, idx, axis=0), codes, self.categories)
+        return out
 
     def __repr__(self) -> str:
         tag = "labeled" if self.codes is not None else "unlabeled"
         return f"Dataset(n={self.n}, p={self.p}, {tag})"
+
+
+def _adopt(points, codes=None, categories=None) -> Dataset:
+    """A Dataset that takes over `points` (and `codes`), arrays hdshapes has
+    just built and holds no other writeable reference to: no copy, the same
+    checks as the constructor, and the arrays become read-only."""
+    return Dataset(points, codes, categories, _own=True)
 
 
 def as_dataset(data, labels=None) -> Dataset:
@@ -305,11 +337,7 @@ def gen_nproduct(target: int, k: int) -> tuple[int, ...]:
     factors while the product stays at or above the target, so factors
     differ pairwise by at most 1 and no factor can shrink further.
     """
-    target, k = int(target), int(k)
-    if target < 1:
-        raise ParameterError("target must be a positive integer")
-    if k < 1:
-        raise ParameterError("k must be a positive integer")
+    target, k = _check_n(target, "target"), _check_n(k, "k")
     c = _iroot_ceil(target, k)
     factors = [c] * k
     product = c**k
@@ -325,9 +353,7 @@ def gen_nproduct(target: int, k: int) -> tuple[int, ...]:
 
 def gen_nsum(target: int, k: int) -> tuple[int, ...]:
     """k positive integers summing exactly to `target`, pairwise within 1."""
-    target, k = int(target), int(k)
-    if k < 1:
-        raise ParameterError("k must be a positive integer")
+    target, k = _check_n(target, "target"), _check_n(k, "k")
     if target < k:
         raise ParameterError(f"cannot split {target} into {k} positive parts")
     q, r = divmod(target, k)
@@ -349,7 +375,7 @@ def normalize_data(ds) -> Dataset:
     out = np.zeros_like(pts)
     keep = span > 0
     out[:, keep] = (pts[:, keep] - lo[keep]) / span[keep]
-    return ds.with_points(out)
+    return _adopt(out, ds.codes, ds.categories)
 
 
 def randomize_rows(ds, seed=None) -> Dataset:
@@ -383,7 +409,7 @@ def relocate_clusters(ds, loc) -> Dataset:
     for row, code in zip(loc, order):
         mask = ds.codes == code
         pts[mask] += row - pts[mask].mean(axis=0)
-    return ds.with_points(pts)
+    return _adopt(pts, ds.codes, ds.categories)
 
 
 def gen_bkgnoise(n: int, p: int, m=0.0, s=1.0, seed=None) -> Dataset:
@@ -394,4 +420,4 @@ def gen_bkgnoise(n: int, p: int, m=0.0, s=1.0, seed=None) -> Dataset:
     if not (sd > 0).all():
         raise ParameterError("standard deviations must be strictly positive")
     rng = as_stream(seed).rng
-    return Dataset(rng.normal(mean, sd, size=(n, p)))
+    return _adopt(rng.normal(mean, sd, size=(n, p)))

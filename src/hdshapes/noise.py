@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, ParameterError, _check_n, as_dataset, as_stream
+from .core import Dataset, ParameterError, _adopt, _check_n, as_dataset, as_stream
 
 __all__ = [
     "gen_noisedims",
@@ -46,7 +46,7 @@ def gen_noisedims(n: int, p: int, m=0.0, s=0.2, seed=None) -> Dataset:
         raise ParameterError("standard deviations must be strictly positive")
     pts = as_stream(seed).rng.normal(mean, sd, size=(n, p))
     pts[:, ::2] *= -1.0
-    return Dataset(pts)
+    return _adopt(pts)
 
 
 def gen_wavydims1(n: int, p: int, theta, sigma: float = 0.05, seed=None) -> Dataset:
@@ -63,7 +63,7 @@ def gen_wavydims1(n: int, p: int, theta, sigma: float = 0.05, seed=None) -> Data
     rng = as_stream(seed).rng
     alphas = 0.1 * np.arange(1, p + 1)
     pts = theta[:, None] * alphas + rng.normal(0.0, sigma, (n, p))
-    return Dataset(pts)
+    return _adopt(pts)
 
 
 def gen_wavydims2(n: int, p: int, x1, powers=None, scales=None, noise: float = 0.05, seed=None) -> Dataset:
@@ -94,7 +94,7 @@ def gen_wavydims2(n: int, p: int, x1, powers=None, scales=None, noise: float = 0
         pts[:, j] = scales[j] * signs[j] * x1 ** powers[j]
     if noise > 0:
         pts += rng.uniform(-noise, noise, (n, p))
-    return Dataset(pts)
+    return _adopt(pts)
 
 
 def gen_wavydims3(n: int, p: int, base, perturb: float = 0.05, noise: float = 0.05, seed=None) -> Dataset:
@@ -127,7 +127,7 @@ def gen_wavydims3(n: int, p: int, base, perturb: float = 0.05, noise: float = 0.
         pts[:, j] = form(x1, x2, x3)
         if noise > 0:
             pts[:, j] += rng.uniform(-noise, noise, n)
-    return Dataset(pts)
+    return _adopt(pts)
 
 
 def append_dims(ds, extra) -> Dataset:
@@ -139,4 +139,4 @@ def append_dims(ds, extra) -> Dataset:
     extra = as_dataset(extra)
     if ds.n != extra.n:
         raise ParameterError(f"row counts differ: {ds.n} vs {extra.n}")
-    return ds.with_points(np.hstack([ds.points, extra.points]))
+    return _adopt(np.hstack([ds.points, extra.points]), ds.codes, ds.categories)

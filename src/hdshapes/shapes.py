@@ -22,6 +22,7 @@ from .core import (
     Dataset,
     DimensionError,
     ParameterError,
+    _adopt,
     _check_n,
     as_stream,
     gen_nproduct,
@@ -153,7 +154,7 @@ def _pick_start(rng, xs: list[np.ndarray], ys: list[np.ndarray]) -> tuple[float,
 def _branch_dataset(xs, ys) -> Dataset:
     pts = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
     codes = np.concatenate([np.full(len(x), i) for i, x in enumerate(xs)])
-    return Dataset(pts, codes, [f"branch_{i + 1}" for i in range(len(xs))])
+    return _adopt(pts, codes, [f"branch_{i + 1}" for i in range(len(xs))])
 
 
 def gen_linearbranches(n: int, k: int = 4, seed=None) -> Dataset:
@@ -279,7 +280,7 @@ def _org_branches(n, p, k, allow_share, seed, curvy: bool) -> Dataset:
         pts_parts.append(block)
         codes.append(np.full(m, i - 1))
     names = [f"branch_{i}" for i in range(1, k + 1)]
-    return Dataset(np.vstack(pts_parts), np.concatenate(codes), names)
+    return _adopt(np.vstack(pts_parts), np.concatenate(codes), names)
 
 
 def gen_orglinearbranches(n: int, p: int = 4, k: int = 4, allow_share: bool = False, seed=None) -> Dataset:
@@ -324,7 +325,7 @@ def gen_cone(n: int, p: int = 4, h: float = 1.0, ratio: float = 0.5, seed=None) 
     pts = np.empty((n, p))
     pts[:, : p - 1] = _unit_directions(rng, n, p - 1) * r[:, None]
     pts[:, p - 1] = z
-    return Dataset(pts)
+    return _adopt(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ def gen_gridcube(n: int, p: int = 4, seed=None) -> Dataset:
     """
     n, p = _check_n(n), _check_n(p, "p")
     factors = gen_nproduct(n, p)
-    return Dataset(_lattice([np.linspace(0.0, 1.0, m) for m in factors]))
+    return _adopt(_lattice([np.linspace(0.0, 1.0, m) for m in factors]))
 
 
 def gen_unifcube(n: int, p: int = 4, seed=None) -> Dataset:
@@ -357,7 +358,7 @@ def gen_unifcube(n: int, p: int = 4, seed=None) -> Dataset:
     n, p = _check_n(n), _check_n(p, "p")
     pts = as_stream(seed).rng.random((n, p))
     at_vertex = ((pts == 0.0) | (pts == 1.0)).all(axis=1)
-    return Dataset(pts[~at_vertex])
+    return _adopt(pts[~at_vertex])
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +381,7 @@ def gen_gaussian(n: int, p: int = 4, s=None, seed=None) -> Dataset:
     except np.linalg.LinAlgError:
         raise ParameterError("covariance must be positive-definite") from None
     z = as_stream(seed).rng.standard_normal((n, p))
-    return Dataset(z @ chol.T)
+    return _adopt(z @ chol.T)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +401,7 @@ def gen_longlinear(n: int, p: int = 4, seed=None) -> Dataset:
     a = rng.uniform(-10.0, 10.0, p)
     b = rng.uniform(-300.0, 300.0, p)
     eps = rng.normal(0.0, 0.03 * n, (n, p))
-    return Dataset(a * (t[:, None] + b + eps))
+    return _adopt(a * (t[:, None] + b + eps))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +419,7 @@ def gen_mobius(n: int, seed=None) -> Dataset:
     t = rng.uniform(0.0, 2.0 * np.pi, n)
     w = rng.uniform(-1.0, 1.0, n)
     radial = 1.0 + (w / 2.0) * np.cos(t / 2.0)
-    return Dataset(
+    return _adopt(
         np.column_stack(
             [radial * np.cos(t), radial * np.sin(t), (w / 2.0) * np.sin(t / 2.0)]
         )
@@ -438,7 +439,7 @@ def gen_quadratic(n: int, range=(0.0, 1.0), seed=None) -> Dataset:
     rng = as_stream(seed).rng
     x1 = rng.uniform(a, b, n)
     x2 = x1 - x1 * x1 + rng.uniform(0.0, 0.5, n)
-    return Dataset(np.column_stack([x1, x2]))
+    return _adopt(np.column_stack([x1, x2]))
 
 
 def gen_cubic(n: int, range=(-1.0, 1.0), seed=None) -> Dataset:
@@ -450,7 +451,7 @@ def gen_cubic(n: int, range=(-1.0, 1.0), seed=None) -> Dataset:
     rng = as_stream(seed).rng
     x1 = rng.uniform(a, b, n)
     x2 = x1 + x1 * x1 - x1**3 + rng.uniform(0.0, 0.5, n)
-    return Dataset(np.column_stack([x1, x2]))
+    return _adopt(np.column_stack([x1, x2]))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +494,7 @@ def gen_pyrrect(n: int, p: int = 4, h: float = 1.0, l_vec=(1.0, 1.0), rt: float 
         _noise_cols(rng, n, p - 4),
         z[:, None],
     ]
-    return Dataset(np.column_stack(cols))
+    return _adopt(np.column_stack(cols))
 
 
 def gen_pyrtri(n: int, p: int = 4, h: float = 1.0, l: float = 1.0, rt: float = 0.0, seed=None) -> Dataset:
@@ -525,7 +526,7 @@ def gen_pyrtri(n: int, p: int = 4, h: float = 1.0, l: float = 1.0, rt: float = 0
         _noise_cols(rng, n, p - 4),
         z[:, None],
     ]
-    return Dataset(np.column_stack(cols))
+    return _adopt(np.column_stack(cols))
 
 
 def gen_pyrstar(n: int, p: int = 4, h: float = 1.0, rb: float = 1.0, seed=None) -> Dataset:
@@ -552,7 +553,7 @@ def gen_pyrstar(n: int, p: int = 4, h: float = 1.0, rb: float = 1.0, seed=None) 
         _noise_cols(rng, n, p - 3),
         z[:, None],
     ]
-    return Dataset(np.column_stack(cols))
+    return _adopt(np.column_stack(cols))
 
 
 def gen_pyrfrac(n: int, p: int = 3, seed=None) -> Dataset:
@@ -573,7 +574,7 @@ def gen_pyrfrac(n: int, p: int = 3, seed=None) -> Dataset:
     for i in range(n):
         t = 0.5 * (t + vertices[picks[i]])
         out[i] = t
-    return Dataset(out)
+    return _adopt(out)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +590,7 @@ def gen_scurve(n: int, seed=None) -> Dataset:
     n = _check_n(n)
     rng = as_stream(seed).rng
     theta = rng.uniform(-1.5 * np.pi, 1.5 * np.pi, n)
-    return Dataset(
+    return _adopt(
         np.column_stack(
             [
                 np.sin(theta),
@@ -617,7 +618,7 @@ def gen_circle(n: int, p: int = 4, seed=None) -> Dataset:
     cols = [np.cos(theta), np.sin(theta)]
     for j in range(3, p + 1):
         cols.append(math.sqrt(0.5 ** (j - 2)) * np.sin(theta + (j - 2) * np.pi / (2 * p)))
-    return Dataset(np.column_stack(cols))
+    return _adopt(np.column_stack(cols))
 
 
 def gen_curvycycle(n: int, p: int = 4, seed=None) -> Dataset:
@@ -637,7 +638,7 @@ def gen_curvycycle(n: int, p: int = 4, seed=None) -> Dataset:
     ]
     for j in range(4, p + 1):
         cols.append(math.sqrt(0.5 ** (j - 3)) * np.sin(theta + (j - 2) * np.pi / (2 * p)))
-    return Dataset(np.column_stack(cols))
+    return _adopt(np.column_stack(cols))
 
 
 def _sphere_surface(rng, n: int, r: float) -> np.ndarray:
@@ -652,7 +653,7 @@ def gen_unifsphere(n: int, r: float = 1.0, seed=None) -> Dataset:
     n = _check_n(n)
     if r <= 0:
         raise ParameterError("r must be positive")
-    return Dataset(_sphere_surface(as_stream(seed).rng, n, float(r)))
+    return _adopt(_sphere_surface(as_stream(seed).rng, n, float(r)))
 
 
 def gen_hollowsphere(n: int, p: int = 4, seed=None) -> Dataset:
@@ -660,7 +661,7 @@ def gen_hollowsphere(n: int, p: int = 4, seed=None) -> Dataset:
     n, p = _check_n(n), _check_n(p, "p")
     if p < 2:
         raise DimensionError("gen_hollowsphere needs p >= 2")
-    return Dataset(_unit_directions(as_stream(seed).rng, n, p))
+    return _adopt(_unit_directions(as_stream(seed).rng, n, p))
 
 
 def gen_gridedsphere(n: int, p: int = 3, seed=None) -> Dataset:
@@ -684,7 +685,7 @@ def gen_gridedsphere(n: int, p: int = 3, seed=None) -> Dataset:
         pts[:, j] = sin_prod * np.cos(angles[:, j])
         sin_prod = sin_prod * np.sin(angles[:, j])
     pts[:, p - 1] = sin_prod
-    return Dataset(pts)
+    return _adopt(pts)
 
 
 def gen_clusteredspheres(
@@ -727,7 +728,7 @@ def gen_clusteredspheres(
         parts.append(_sphere_surface(sub, n2, r2) + center)
     codes = np.repeat(np.arange(k_small + 1), [n1] + [n2] * k_small)
     names = ["big"] + [f"small_{i}" for i in range(1, k_small + 1)]
-    return Dataset(np.vstack(parts), codes, names)
+    return _adopt(np.vstack(parts), codes, names)
 
 
 def gen_hemisphere(n: int, p: int = 4, seed=None) -> Dataset:
@@ -744,7 +745,7 @@ def gen_hemisphere(n: int, p: int = 4, seed=None) -> Dataset:
     t1 = rng.uniform(0.0, np.pi, n)
     t2 = rng.uniform(0.0, np.pi, n)
     t3 = rng.uniform(0.0, np.pi / 2.0, n)
-    return Dataset(
+    return _adopt(
         np.column_stack(
             [
                 np.sin(t1) * np.cos(t2),
@@ -768,7 +769,7 @@ def gen_swissroll(n: int, w=(0.0, 10.0), seed=None) -> Dataset:
         raise ParameterError("w must satisfy w1 < w2")
     rng = as_stream(seed).rng
     t = rng.uniform(0.0, 3.0 * np.pi, n)
-    return Dataset(np.column_stack([t * np.cos(t), t * np.sin(t), rng.uniform(w1, w2, n)]))
+    return _adopt(np.column_stack([t * np.cos(t), t * np.sin(t), rng.uniform(w1, w2, n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +797,7 @@ def gen_trefoil4d(n: int, steps: int = 8, seed=None) -> Dataset:
     phis = np.linspace(0.0, 4.0 * np.pi, m, endpoint=False)
     tt = np.repeat(thetas, m)[:n]
     pp = np.tile(phis, steps)[:n]
-    return Dataset(
+    return _adopt(
         np.column_stack(
             [
                 np.cos(tt) * np.cos(pp),
@@ -817,7 +818,7 @@ def gen_trefoil3d(n: int, steps: int = 8, seed=None) -> Dataset:
     d4 = gen_trefoil4d(n, steps=steps, seed=seed).points
     keep = d4[:, 3] != 1.0
     d4 = d4[keep]
-    return Dataset(d4[:, :3] / (1.0 - d4[:, 3])[:, None])
+    return _adopt(d4[:, :3] / (1.0 - d4[:, 3])[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +835,7 @@ def gen_crescent(n: int, p: int = 2, seed=None) -> Dataset:
     n = _check_n(n)
     _check_fixed_p(p, 2, "gen_crescent")
     theta = np.linspace(np.pi / 6.0, 2.0 * np.pi, n)
-    return Dataset(np.column_stack([np.cos(theta), np.sin(theta)]))
+    return _adopt(np.column_stack([np.cos(theta), np.sin(theta)]))
 
 
 def gen_curvycylinder(n: int, h: float = 10.0, p: int = 4, seed=None) -> Dataset:
@@ -850,7 +851,7 @@ def gen_curvycylinder(n: int, h: float = 10.0, p: int = 4, seed=None) -> Dataset
     rng = as_stream(seed).rng
     theta = rng.uniform(0.0, 3.0 * np.pi, n)
     z = rng.uniform(0.0, h, n)
-    return Dataset(np.column_stack([np.cos(theta), np.sin(theta), z, np.sin(z)]))
+    return _adopt(np.column_stack([np.cos(theta), np.sin(theta), z, np.sin(z)]))
 
 
 def gen_sphericalspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Dataset:
@@ -866,7 +867,7 @@ def gen_sphericalspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Datase
     theta = np.linspace(0.0, top, n)
     phi = np.linspace(0.0, np.pi, n)
     eps = as_stream(seed).rng.uniform(-0.5, 0.5, n)
-    return Dataset(
+    return _adopt(
         np.column_stack(
             [
                 np.sin(phi) * np.cos(theta),
@@ -888,7 +889,7 @@ def gen_helicalspiral(n: int, p: int = 4, seed=None) -> Dataset:
     _check_fixed_p(p, 4, "gen_helicalspiral")
     theta = np.linspace(0.0, 5.0 * np.pi / 4.0, n)
     eps = as_stream(seed).rng.uniform(-0.5, 0.5, n)
-    return Dataset(
+    return _adopt(
         np.column_stack([np.cos(theta), np.sin(theta), 0.05 * theta + eps, 0.1 * np.sin(theta)])
     )
 
@@ -907,7 +908,7 @@ def gen_conicspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Dataset:
     rng = as_stream(seed).rng
     eps3 = rng.uniform(-0.1, 0.6, n)
     eps4 = rng.uniform(-0.1, 0.6, n)
-    return Dataset(
+    return _adopt(
         np.column_stack(
             [
                 theta * np.cos(theta),
@@ -936,7 +937,7 @@ def gen_nonlinear(n: int, hc: float = 1.0, non_fac: float = 1.0, p: int = 4, see
     x3 = rng.uniform(0.1, 0.8, n)
     x2 = hc / x1 + non_fac * np.sin(x1)
     x4 = np.cos(np.pi * x1) + rng.uniform(-0.1, 0.1, n)
-    return Dataset(np.column_stack([x1, x2, x3, x4]))
+    return _adopt(np.column_stack([x1, x2, x3, x4]))
 
 
 # ---------------------------------------------------------------------------

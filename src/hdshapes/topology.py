@@ -58,13 +58,17 @@ def gen_hole(ds, r: float, anchor=None) -> Dataset:
     return ds.take(keep)
 
 
-def _holed_sample(make, n: int, r_hole: float, stream) -> Dataset:
+def _holed_sample(make, n: int, r_hole, stream) -> Dataset:
     """Oversample `make`, hole at the pre-filter means, trim to exactly n.
 
     The removed fraction is estimated from a pilot of size n, then the
     sample is oversampled by 1 / (1 - fraction) plus 10%, doubling up to
     four more times if too few points survive.
     """
+    try:
+        r_hole = float(r_hole)
+    except (TypeError, ValueError):
+        raise ParameterError(f"r_hole must be a number, got {r_hole!r}") from None
     pilot = make(n, stream.derive(0))
     removed = n - gen_hole(pilot, r_hole).n
     frac = min(removed / n, 0.95)
@@ -88,12 +92,12 @@ def _holed_sample(make, n: int, r_hole: float, stream) -> Dataset:
 def gen_scurvehole(n: int, r_hole: float = 0.3, seed=None) -> Dataset:
     """S-curve with a spherical hole at its mean; exactly n points."""
     return _holed_sample(
-        lambda m, s: gen_scurve(m, seed=s), _check_n(n), float(r_hole), as_stream(seed)
+        lambda m, s: gen_scurve(m, seed=s), _check_n(n), r_hole, as_stream(seed)
     )
 
 
 def gen_unifcubehole(n: int, p: int = 3, r_hole: float = 0.3, seed=None) -> Dataset:
     """Uniform cube with a central hyperspherical void; exactly n points."""
     return _holed_sample(
-        lambda m, s: gen_unifcube(m, p=p, seed=s), _check_n(n), float(r_hole), as_stream(seed)
+        lambda m, s: gen_unifcube(m, p=p, seed=s), _check_n(n), r_hole, as_stream(seed)
     )

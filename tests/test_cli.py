@@ -381,3 +381,44 @@ def test_malformed_manifest_exits_2(corrupt, named, tmp_path, capsys):
     assert main(["generate", "--from-manifest", str(man), "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (lambda m: {**m, "command": "hole", "spec": {"kind": "unifcube", "params": {"n": 5, "bogus": 1}}}, "has bogus"),
+        (lambda m: {**m, "spec": {**m["spec"], "params": {**m["spec"]["params"], "seed": 3}}}, "has seed"),
+        (lambda m: {**m, "command": "preset", "spec": {"name": "multigau", "params": {"seed": 3}}}, "has seed"),
+        (lambda m: {**m, "command": "hole", "spec": {"kind": "scurve", "params": {"n": 5, "r_hole": "x"}}}, "r_hole must be a number, got 'x'"),
+        (lambda m: {**m, "command": "hole", "spec": {"kind": "scurve", "params": {"r_hole": 0.2}}}, "missing field 'n'"),
+    ],
+    ids=["unknown-hole-param", "generate-seed", "preset-seed", "string-r-hole", "hole-without-n"],
+)
+def test_hand_edited_params_exit_2(corrupt, named, tmp_path, capsys):
+    man = tmp_path / "bad.manifest.json"
+    man.write_text(json.dumps(corrupt(_manifest(tmp_path))))
+    capsys.readouterr()
+    out = tmp_path / "replay.csv"
+    assert main(["generate", "--from-manifest", str(man), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--p", "9"], "--p"),
+        (["--n", "3"], "--n"),
+        (["--seed", "4"], "--seed"),
+        (["--allow-share"], "--allow-share"),
+        (["cone"], "shape 'cone'"),
+    ],
+)
+def test_from_manifest_rejects_flags_it_would_ignore(extra, named, tmp_path, capsys):
+    _manifest(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "replay.csv"
+    argv = ["generate", *extra, "--from-manifest", str(tmp_path / "g.csv.manifest.json"), "--out", str(out)]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,13 @@ def test_pad_mean_and_sd():
 def test_pad_downward_errors():
     with pytest.raises(DimensionError):
         pad_to_dim(gen_scurve(10, seed=1), 2)
+
+
+def test_pad_target_must_be_integral():
+    ds = gen_scurve(10, seed=1)
+    with pytest.raises(ParameterError, match="p_target must be a positive integer, got 4.9"):
+        pad_to_dim(ds, 4.9)
+    assert pad_to_dim(ds, 4.0, seed=2).p == 4
 
 
 def test_apply_transform_identity():
@@ -332,6 +340,12 @@ def test_simplex_vertices_regular():
         assert np.abs(off - 1.0).max() < 1e-12
 
 
+def test_simplex_dimension_must_be_integral():
+    with pytest.raises(ParameterError, match="p must be a positive integer, got 3.5"):
+        simplex_vertices(3.5)
+    assert simplex_vertices(3.0).shape == (4, 3)
+
+
 def test_all_presets_build_and_are_deterministic():
     for name in list_presets():
         a = make_preset(name, seed=20)
@@ -370,3 +384,33 @@ def test_preset_param_filtering():
         make_preset("onegrid", k=3, seed=24)
     with pytest.raises(ParameterError, match="unknown preset"):
         make_preset("nosuchpreset", seed=25)
+
+
+# ---------------------------------------------------------------------------
+# Memory
+
+
+def test_multicluster_peak_memory_is_bounded():
+    """The scene is filled in place: clusters are written into one array, and
+    arrays the pipeline builds are adopted, not copied. Traced peak memory
+    stays within 4x the output (about 2.6x; copying every stage took 5.5x)."""
+    p = 20
+    loc = np.zeros((5, p))
+    loc[:, 0] = 10.0 * np.arange(5)
+    spec = MultiClusterSpec(
+        n=(40_000,) * 5,
+        k=5,
+        loc=loc,
+        scale=(1.0, 2.0, 1.0, 0.5, 1.0),
+        shape=("gaussian", "cone", "unifcube", "gaussian", "hollowsphere"),
+        rotation=(RotationPlan(p, ((1, 2, 0.3), (3, 7, 1.1))), None, None, None, None),
+        is_bkg=True,
+    )
+    tracemalloc.start()
+    try:
+        out = gen_multicluster(spec, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.n == 220_000
+    assert peak <= 4 * out.points.nbytes, f"peak {peak / out.points.nbytes:.2f}x the output"

@@ -5,6 +5,7 @@ from hdshapes.core import (
     Dataset,
     ParameterError,
     RandomStream,
+    _adopt,
     RotationPlan,
     as_stream,
     derive,
@@ -163,6 +164,50 @@ def test_take_with_mask_and_permutation():
     assert shuffled.labels.tolist() == [names[i] for i in perm]
     assert np.array_equal(shuffled.points, pts[perm])
     assert shuffled.categories == ds.categories
+    back = ds.take([-1, 0])
+    assert back.labels.tolist() == ["c", "a"]
+    assert np.array_equal(back.points, pts[[5, 0]])
+    none = ds.take(np.zeros(6, dtype=bool))
+    assert (none.n, none.p, none.labels.tolist()) == (0, 2, [])
+    assert ds.take([]).n == 0
+    with pytest.raises(IndexError):
+        ds.take([6])
+    with pytest.raises(IndexError):
+        ds.take(mask[:4])
+
+
+def test_take_returns_its_own_read_only_arrays():
+    ds = Dataset(np.arange(12, dtype=float).reshape(6, 2), [0, 1, 2, 0, 1, 2])
+    for rows in (np.arange(6), np.ones(6, dtype=bool), [4, -1]):
+        sub = ds.take(rows)
+        for got, src in ((sub.points, ds.points), (sub.codes, ds.codes)):
+            assert not got.flags.writeable
+            assert not np.shares_memory(got, src)
+
+
+def test_constructor_and_with_points_copy_caller_arrays():
+    arr = np.ones((4, 2))
+    codes = np.array([0, 1, 0, 1])
+    ds = Dataset(arr, codes, ["a", "b"])
+    moved = ds.with_points(arr)
+    for got in (ds, moved):
+        assert not np.shares_memory(arr, got.points)
+        assert not np.shares_memory(codes, got.codes)
+    assert arr.flags.writeable and codes.flags.writeable
+    arr[0, 0] = 7.0
+    assert ds.points[0, 0] == moved.points[0, 0] == 1.0
+
+
+def test_adopt_keeps_the_checks_and_freezes_without_copying():
+    arr = np.ones((3, 2))
+    ds = _adopt(arr)
+    assert np.shares_memory(arr, ds.points) and not arr.flags.writeable
+    with pytest.raises(ParameterError, match="finite"):
+        _adopt(np.array([[0.0, np.nan]]))
+    with pytest.raises(ParameterError, match="2-D"):
+        _adopt(np.zeros(3))
+    with pytest.raises(ParameterError, match="codes must lie"):
+        _adopt(np.zeros((2, 1)), np.array([0, 2]), ["a", "b"])
 
 
 def test_with_points_keeps_labels():
@@ -269,6 +314,19 @@ def test_nproduct_validation():
         gen_nproduct(10, 0)
 
 
+@pytest.mark.parametrize("target, k", [(10.7, 2), (10, 2.5), (10.7, 2.5), (float("nan"), 2), ("10", 2)])
+def test_nsum_and_nproduct_reject_fractional_counts(target, k):
+    with pytest.raises(ParameterError, match="must be a positive integer"):
+        gen_nsum(target, k)
+    with pytest.raises(ParameterError, match="must be a positive integer"):
+        gen_nproduct(target, k)
+
+
+def test_nsum_and_nproduct_accept_integral_floats():
+    assert gen_nsum(10.0, np.int64(2)) == (5, 5)
+    assert gen_nproduct(np.int32(10), 2.0) == (4, 3)
+
+
 def test_nsum_examples():
     assert gen_nsum(9, 3) == (3, 3, 3)
     assert gen_nsum(10, 3) == (4, 3, 3)
@@ -286,7 +344,7 @@ def test_nsum_properties():
 
 
 def test_nsum_infeasible():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="cannot split 2 into 3 positive parts"):
         gen_nsum(2, 3)
 
 

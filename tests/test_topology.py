@@ -131,3 +131,10 @@ def test_unifcubehole_degenerate():
     # a radius beyond the half-diagonal swallows the whole cube
     with pytest.raises(DegenerateHoleError):
         gen_unifcubehole(200, p=2, r_hole=1.5, seed=15)
+
+
+@pytest.mark.parametrize("make", [gen_scurvehole, gen_unifcubehole])
+@pytest.mark.parametrize("r_hole", ["x", None, [0.1, 0.2]])
+def test_non_numeric_hole_radius_is_named(make, r_hole):
+    with pytest.raises(ParameterError, match="r_hole must be a number"):
+        make(50, r_hole=r_hole, seed=1)
