@@ -34,6 +34,7 @@ from .core import (
 )
 from .shapes import (
     SHAPES,
+    LatticeSizeWarning,
     RejectedParameterError,
     ShapeInfo,
     UnknownShapeError,

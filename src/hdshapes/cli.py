@@ -20,7 +20,9 @@ import json
 import os
 import platform
 import secrets
+import shutil
 import sys
+import tempfile
 import types
 import typing
 from datetime import datetime, timezone
@@ -48,23 +50,97 @@ _HOLES = {
 # Output writers
 
 
-# Rows formatted per write: bounds the writers' memory whatever n is.
+# Rows formatted per write: bounds each process's memory whatever n is.
+# Rows are shared out among processes in whole chunks.
 _CHUNK_ROWS = 1024
 
 
-def _write_rows(fh, ds, template: str, tails: tuple[str, ...]) -> None:
-    """Write ``template % row + tails[code]`` for every row, in chunks.
+def _shares(n: int) -> list[range]:
+    """Rows 0..n cut into contiguous, chunk-aligned ranges, one per process
+    that formats them: one per CPU this process may run on, but no more
+    than there are chunks, and one where `os.fork` or
+    `os.sched_getaffinity` is missing."""
+    chunks = -(-n // _CHUNK_ROWS)
+    parallel = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    workers = max(1, min(chunks, len(os.sched_getaffinity(0)) if parallel else 1))
+    cuts = [chunks * i // workers * _CHUNK_ROWS for i in range(workers)] + [n]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _format_rows(fh, ds, template: str, tails: tuple[str, ...], rows: range) -> None:
+    """Write ``template % row + tails[code]`` for each row in `rows`, in chunks.
 
     `template` holds one ``%r`` per column; ``%r`` of a Python float is its
     shortest round-trip form. `tails` ends the row and holds the formatted
     label of each category, so a label is formatted once, not once per row.
     An unlabeled dataset passes a single tail.
     """
-    for start in range(0, ds.n, _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        rows = ds.points[start:stop].tolist()
+    for start in range(rows.start, rows.stop, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, rows.stop)
+        points = ds.points[start:stop].tolist()
         codes = repeat(0) if ds.codes is None else ds.codes[start:stop].tolist()
-        fh.write("".join([template % tuple(row) + tails[c] for row, c in zip(rows, codes)]))
+        fh.write("".join([template % tuple(row) + tails[c] for row, c in zip(points, codes)]))
+
+
+def _format_in_child(open_text, tmp, ds, template, tails, rows: range) -> typing.NoReturn:
+    """Format `rows` into the temporary file `tmp`, then end the forked
+    child: it never returns into the code that forked it."""
+    code = 1
+    try:
+        with open_text(tmp.fileno(), closefd=False) as out:
+            _format_rows(out, ds, template, tails, rows)
+        code = 0
+    except BaseException as exc:
+        os.write(2, f"error formatting rows {rows.start} to {rows.stop - 1}: {exc!r}\n".encode())
+    finally:
+        os._exit(code)
+
+
+def _write_rows(path, head: str, ds, template: str, tails: tuple[str, ...], newline: str | None) -> None:
+    """Write `head`, then every row of `ds`, to `path`, on every CPU available.
+
+    The parent formats the first share of rows (see `_shares`) straight into
+    the file. It forks one child per later share, which formats its rows
+    into an anonymous temporary file beside `path`; the parent appends those
+    files in row order as their children exit. Every row is formatted the
+    same way whichever process formats it, so the bytes do not depend on
+    the number of processes. A child that fails makes the write raise
+    OSError; if the parent fails, it kills and reaps its children first.
+    Forking is safe because the CLI runs a single thread.
+    """
+    open_text = partial(open, mode="w", encoding="utf-8", newline=newline)
+    first, *rest = _shares(ds.n)
+    children = []  # (pid, temporary file, rows) not yet reaped, in row order
+    with open_text(path) as fh:
+        fh.write(head)
+        try:
+            for rows in rest:
+                tmp = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
+                fh.flush()  # nothing buffered for the child to inherit
+                pid = os.fork()
+                if pid == 0:
+                    _format_in_child(open_text, tmp, ds, template, tails, rows)
+                children.append((pid, tmp, rows))
+            _format_rows(fh, ds, template, tails, first)
+            fh.flush()  # the children's bytes go to fh.buffer after it
+            while children:
+                pid, tmp, rows = children[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                with tmp:
+                    if code:
+                        what = f"the process formatting rows {rows.start} to {rows.stop - 1}"
+                        raise OSError(f"{what} exited with code {code}")
+                    tmp.seek(0)
+                    shutil.copyfileobj(tmp, fh.buffer)
+        except BaseException:
+            import signal  # only a failed write needs it; start-up does not pay for it
+
+            for pid, tmp, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                tmp.close()
+            raise
 
 
 def _csv_tail(name: str) -> str:
@@ -81,9 +157,7 @@ def write_csv(ds, path) -> None:
     else:
         header += ",cluster"
         tails = tuple(_csv_tail(name) for name in ds.categories)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(header + "\r\n")
-        _write_rows(fh, ds, ",".join(["%r"] * ds.p), tails)
+    _write_rows(path, header + "\r\n", ds, ",".join(["%r"] * ds.p), tails, newline="")
 
 
 def write_ndjson(ds, path) -> None:
@@ -92,8 +166,7 @@ def write_ndjson(ds, path) -> None:
         tails = ("}\n",)
     else:
         tails = tuple(f',"cluster":{json.dumps(name)}}}\n' for name in ds.categories)
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_rows(fh, ds, template, tails)
+    _write_rows(path, "", ds, template, tails, newline=None)
 
 
 _WRITERS = {"csv": write_csv, "ndjson": write_ndjson}
@@ -137,13 +210,6 @@ def _resolve_seed(args) -> int:
     seed = secrets.randbits(63)
     print(f"seed: {seed} (generated; recorded in the manifest)")
     return seed
-
-
-def _out_path(args, default_stem: str) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    ext = "csv" if args.format == "csv" else "ndjson"
-    return Path(f"{default_stem}.{ext}")
 
 
 def _flag(name: str) -> str:
@@ -205,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, help="64-bit seed (default: $HDSHAPES_SEED or entropy)")
     common.add_argument("--out", help="output data file path")
-    common.add_argument("--format", choices=tuple(_WRITERS), default="csv")
+    # None, not "csv", so a replay can tell a --format the user set.
+    common.add_argument("--format", choices=tuple(_WRITERS), help="output format (default: csv)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", parents=[common], help="generate a single shape")
@@ -242,6 +309,37 @@ def _field(obj: dict, key: str):
         raise ParameterError(f"manifest is missing field '{key}'") from None
 
 
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+
+
+def _is_kind(value, kind) -> bool:
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if not isinstance(value, (int, float)):
+        return False
+    return kind is float or isinstance(value, int) or value.is_integer()
+
+
+def _check_types(func, params: dict) -> None:
+    """Reject a value that cannot have its parameter's (type, nargs), as
+    `_value_type` reads them for the flags: a string, list or bool for a
+    number, a fraction for an integer or a pair of the wrong length. A
+    number of the right kind goes on to the generator's own checks."""
+    sig = inspect.signature(func).parameters
+    for name, value in params.items():
+        kind, nargs = _value_type(func, sig[name])
+        if kind is None or (value is None and sig[name].default is None):
+            continue
+        if nargs is None:
+            ok, what = _is_kind(value, kind), _KIND_NAMES[kind]
+        else:
+            ok = isinstance(value, (list, tuple)) and len(value) == nargs
+            ok = ok and all(_is_kind(v, kind) for v in value)
+            what = f"a list of {nargs} {'integers' if kind is int else 'numbers'}"
+        if not ok:
+            raise ParameterError(f"{name} must be {what}, got {value!r}")
+
+
 def _build(command: str, spec, seed):
     """Turn (command, spec, seed) into a Dataset: the only such path, for
     fresh runs and `--from-manifest` replays alike, so a replay cannot
@@ -249,33 +347,39 @@ def _build(command: str, spec, seed):
     if not isinstance(spec, dict):
         raise ParameterError("manifest field 'spec' must be a JSON object")
     if command == "multicluster":
-        config = MultiClusterSpec.from_dict(_field(spec, "config"))
-        return gen_multicluster(config, seed=seed, shuffle=spec.get("shuffle", True))
+        config, shuffle = MultiClusterSpec.from_dict(_field(spec, "config")), spec.get("shuffle", True)
+        if not isinstance(shuffle, bool):
+            raise ParameterError(f"shuffle must be true or false, got {shuffle!r}")
+        return gen_multicluster(config, seed=seed, shuffle=shuffle)
     if command not in ("generate", "hole", "preset"):
         raise ParameterError(f"manifest has unknown command '{command}'")
     params = _field(spec, "params")
     if not isinstance(params, dict):
         raise ParameterError("manifest field 'spec.params' must be a JSON object")
-    params = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
     if command == "generate":
-        kind = _field(spec, "kind")
-        func, accepted = partial(generate, kind, _field(spec, "n")), shape_info(kind).params
+        kind, n = _field(spec, "kind"), _field(spec, "n")
+        info = shape_info(kind)
+        _check_types(info.func, {"n": n})
+        func, accepted, call = info.func, info.params, partial(generate, kind, n)
     elif command == "preset":
         name = _field(spec, "name")
-        func, accepted = partial(make_preset, name), preset_info(name)[1]
+        func, accepted, _ = preset_info(name)
+        call = partial(make_preset, name)
     else:
         kind = _field(spec, "kind")
         if not isinstance(kind, str) or kind not in _HOLES:
             raise ParameterError(f"unknown hole kind '{kind}'; available kinds: {', '.join(_HOLES)}")
         _field(params, "n")  # the one parameter without a default
         func, accepted = _HOLES[kind].func, ("n",) + _HOLES[kind].params
+        call = func
     bad = sorted(set(params) - set(accepted))
     if bad:
         raise ParameterError(
             f"manifest spec.params has {', '.join(bad)}, not accepted by {command} "
             f"(accepts: {', '.join(accepted)})"
         )
-    return func(seed=seed, **params)
+    _check_types(func, params)
+    return call(seed=seed, **{k: tuple(v) if isinstance(v, list) else v for k, v in params.items()})
 
 
 def _emit(out_path: Path, fmt: str, command: str, seed: int, spec: dict) -> int:
@@ -288,7 +392,9 @@ def _emit(out_path: Path, fmt: str, command: str, seed: int, spec: dict) -> int:
 
 def _run(args, command: str, spec: dict, default_stem: str) -> int:
     seed = _resolve_seed(args)
-    return _emit(_out_path(args, default_stem), args.format, command, seed, spec)
+    fmt = args.format or "csv"
+    out = Path(args.out) if args.out is not None else Path(f"{default_stem}.{fmt}")
+    return _emit(out, fmt, command, seed, spec)
 
 
 def _load_json(path: str, what: str):
@@ -309,9 +415,8 @@ def _load_json(path: str, what: str):
 
 def cmd_generate(args) -> int:
     if args.from_manifest:
-        given = [_flag(name) for name in args.param_flags if getattr(args, name) is not None]
-        if args.seed is not None:
-            given.append("--seed")
+        flags = (*args.param_flags, "seed", "format")
+        given = [_flag(name) for name in flags if getattr(args, name) is not None]
         if args.shape:
             given.append(f"shape '{args.shape}'")
         if given:

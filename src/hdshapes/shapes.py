@@ -13,6 +13,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,6 +33,7 @@ from .core import (
 __all__ = [
     "UnknownShapeError",
     "RejectedParameterError",
+    "LatticeSizeWarning",
     "ShapeInfo",
     "SHAPES",
     "list_shapes",
@@ -86,6 +88,16 @@ class UnknownShapeError(ParameterError):
 
 class RejectedParameterError(ParameterError):
     """A parameter was supplied that the target shape does not accept."""
+
+
+class LatticeSizeWarning(UserWarning):
+    """A lattice shape returned more rows than the n asked for."""
+
+
+def _warn_lattice_size(kind: str, count: int, n: int) -> None:
+    if count > n:
+        message = f"{kind} lattice has {count} points, more than n = {n}"
+        warnings.warn(message, LatticeSizeWarning, stacklevel=3)
 
 
 def _check_fixed_p(p, dim: int, func: str) -> None:
@@ -346,10 +358,11 @@ def gen_gridcube(n: int, p: int = 4, seed=None) -> Dataset:
     """Regular lattice filling [0, 1]^p with approximately n points.
 
     Per-axis resolutions come from gen_nproduct(n, p); the realized point
-    count is their product.
+    count is their product, and a LatticeSizeWarning says when it exceeds n.
     """
     n, p = _check_n(n), _check_n(p, "p")
     factors = gen_nproduct(n, p)
+    _warn_lattice_size("gridcube", math.prod(factors), n)
     return _adopt(_lattice([np.linspace(0.0, 1.0, m) for m in factors]))
 
 
@@ -669,12 +682,14 @@ def gen_gridedsphere(n: int, p: int = 3, seed=None) -> Dataset:
 
     Uses p-1 angular axes, the first p-2 over [0, pi] and the last over
     [0, 2 pi], with per-axis resolutions from gen_nproduct(n, p - 1); the
-    realized point count is their product.
+    realized point count is their product, and a LatticeSizeWarning says
+    when it exceeds n.
     """
     n, p = _check_n(n), _check_n(p, "p")
     if p < 2:
         raise DimensionError("gen_gridedsphere needs p >= 2")
     factors = gen_nproduct(n, p - 1)
+    _warn_lattice_size("gridedsphere", math.prod(factors), n)
     axes = [np.linspace(0.0, np.pi, m) for m in factors[:-1]]
     axes.append(np.linspace(0.0, 2.0 * np.pi, factors[-1]))
     angles = _lattice(axes)

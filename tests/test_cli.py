@@ -8,7 +8,7 @@ import pytest
 
 from hdshapes.cli import build_parser, main, write_csv
 from hdshapes.composer import PRESETS
-from hdshapes.shapes import SHAPES
+from hdshapes.shapes import SHAPES, gen_clusteredspheres
 from hdshapes.topology import gen_unifcubehole
 
 USAGE_CONFIG = {
@@ -391,8 +391,20 @@ def test_malformed_manifest_exits_2(corrupt, named, tmp_path, capsys):
         (lambda m: {**m, "command": "preset", "spec": {"name": "multigau", "params": {"seed": 3}}}, "has seed"),
         (lambda m: {**m, "command": "hole", "spec": {"kind": "scurve", "params": {"n": 5, "r_hole": "x"}}}, "r_hole must be a number, got 'x'"),
         (lambda m: {**m, "command": "hole", "spec": {"kind": "scurve", "params": {"r_hole": 0.2}}}, "missing field 'n'"),
+        (lambda m: {**m, "spec": {**m["spec"], "params": {**m["spec"]["params"], "h": "x"}}}, "h must be a number, got 'x'"),
+        (lambda m: {**m, "spec": {**m["spec"], "params": {**m["spec"]["params"], "p": [4]}}}, "p must be an integer, got [4]"),
+        (lambda m: {**m, "spec": {**m["spec"], "params": {**m["spec"]["params"], "p": True}}}, "p must be an integer, got True"),
+        (lambda m: {**m, "spec": {**m["spec"], "n": "10"}}, "n must be an integer, got '10'"),
+        (lambda m: {**m, "command": "preset", "spec": {"name": "multigau", "params": {"n": "x"}}}, "n must be an integer, got 'x'"),
+        (lambda m: {**m, "command": "preset", "spec": {"name": "multigau", "params": {"n": 2.5}}}, "n must be an integer, got 2.5"),
+        (lambda m: {**m, "spec": {"kind": "quadratic", "n": 5, "params": {"range": [0, 1, 2]}}}, "range must be a list of 2 numbers"),
+        (lambda m: {**m, "spec": {"kind": "clusteredspheres", "n": None, "params": {"n_vec": [9, "3"]}}}, "n_vec must be a list of 2 integers"),
+        (lambda m: {**m, "spec": {"kind": "orglinearbranches", "n": 9, "params": {"allow_share": 1}}}, "allow_share must be true or false"),
+        (lambda m: {**m, "command": "multicluster", "spec": {"config": USAGE_CONFIG, "shuffle": "no"}}, "shuffle must be true or false"),
     ],
-    ids=["unknown-hole-param", "generate-seed", "preset-seed", "string-r-hole", "hole-without-n"],
+    ids=["unknown-hole-param", "generate-seed", "preset-seed", "string-r-hole", "hole-without-n", "string-h",
+         "list-p", "bool-p", "string-n", "string-preset-n", "fractional-preset-n", "long-pair", "string-in-pair",
+         "number-for-flag", "string-shuffle"],
 )
 def test_hand_edited_params_exit_2(corrupt, named, tmp_path, capsys):
     man = tmp_path / "bad.manifest.json"
@@ -412,6 +424,7 @@ def test_hand_edited_params_exit_2(corrupt, named, tmp_path, capsys):
         (["--seed", "4"], "--seed"),
         (["--allow-share"], "--allow-share"),
         (["cone"], "shape 'cone'"),
+        (["--format", "ndjson"], "--format"),
     ],
 )
 def test_from_manifest_rejects_flags_it_would_ignore(extra, named, tmp_path, capsys):
@@ -422,3 +435,23 @@ def test_from_manifest_rejects_flags_it_would_ignore(extra, named, tmp_path, cap
     assert main(argv) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_replay_accepts_values_of_the_right_kind(tmp_path):
+    """Integral floats for counts, pairs and a None default still replay."""
+    man = tmp_path / "ok.manifest.json"
+    spec = {"kind": "clusteredspheres", "n": None, "params": {"n_vec": [9.0, 3], "r_vec": [4, 1.5]}}
+    man.write_text(json.dumps({"command": "generate", "seed": 5, "spec": spec, "output_path": "x.csv"}))
+    replay = tmp_path / "replay.csv"
+    assert main(["generate", "--from-manifest", str(man), "--out", str(replay)]) == 0
+    direct = tmp_path / "direct.csv"
+    write_csv(gen_clusteredspheres(n_vec=(9, 3), r_vec=(4.0, 1.5), seed=5), direct)
+    assert replay.read_bytes() == direct.read_bytes()
+
+
+def test_lattice_overshoot_is_reported_on_stderr(tmp_path):
+    out = tmp_path / "grid.csv"
+    res = run_cli("generate", "gridcube", "--n", "10", "--p", "2", "--seed", "1", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert "LatticeSizeWarning: gridcube lattice has 12 points, more than n = 10" in res.stderr
+    assert len(out.read_text().splitlines()) == 13

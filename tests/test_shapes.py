@@ -1,4 +1,5 @@
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from helpers import ks_stat, trunc_exp_cdf
 from hdshapes.core import DimensionError, ParameterError, gen_nproduct
 from hdshapes.shapes import (
     SHAPES,
+    LatticeSizeWarning,
     RejectedParameterError,
     UnknownShapeError,
     gen_circle,
@@ -306,6 +308,23 @@ def test_gridcube_lattice():
     levels = np.linspace(0.0, 1.0, 10)
     for j in range(3):
         assert np.allclose(np.unique(ds.points[:, j]), levels)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: gen_gridcube(10, p=2), lambda: gen_gridedsphere(10, p=3), lambda: generate("gridcube", 10, p=2)],
+    ids=["gridcube", "gridedsphere", "generate"],
+)
+def test_lattice_above_n_warns(make):
+    with pytest.warns(LatticeSizeWarning, match="lattice has 12 points, more than n = 10"):
+        assert make().n == 12
+
+
+def test_exact_lattice_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LatticeSizeWarning)
+        assert gen_gridcube(9, p=2).n == 9
+        assert gen_gridedsphere(16, p=3).n == 16
 
 
 def test_lattices_beyond_64_dims():

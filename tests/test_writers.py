@@ -2,19 +2,21 @@
 
 The reference writers below format one row at a time with `csv.writer` and
 `json.dumps`, the way hdshapes wrote files before the chunked writers; the
-chunked writers must produce the same bytes.
+chunked writers must produce the same bytes, however many processes share
+the formatting.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
-from hdshapes import Dataset
-from hdshapes.cli import _CHUNK_ROWS, write_csv, write_ndjson
+from hdshapes import Dataset, cli
+from hdshapes.cli import _CHUNK_ROWS, _shares, main, write_csv, write_ndjson
 
 
 def reference_csv(ds, path) -> None:
@@ -101,3 +103,115 @@ def test_ndjson_escapes_non_ascii(tmp_path):
     write_ndjson(Dataset([[1.0]], ["café ☃"]), tmp_path / "out")
     assert (tmp_path / "out").read_bytes() == b'{"x1":1.0,"cluster":"caf\\u00e9 \\u2603"}\n'
 
+
+
+# ---------------------------------------------------------------------------
+# Formatting shared among processes
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Make the writers see `count` CPUs in this process's affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _count_forks(monkeypatch) -> list:
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+SHARED_SIZES = (1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3, 7 * _CHUNK_ROWS + 5)
+
+
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+@pytest.mark.parametrize("n", SHARED_SIZES)
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch, cpus, n, labeled):
+    ds = _dataset(n, 3, labeled)
+    _cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    for fmt, (write, reference) in WRITERS.items():
+        write(ds, tmp_path / f"new.{fmt}")
+        reference(ds, tmp_path / f"ref.{fmt}")
+        assert (tmp_path / f"new.{fmt}").read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes(), fmt
+    chunks = -(-n // _CHUNK_ROWS)
+    assert len(forks) == 2 * (min(cpus, chunks) - 1)
+    assert sorted(os.listdir(tmp_path)) == ["new.csv", "new.ndjson", "ref.csv", "ref.ndjson"]
+
+
+@pytest.mark.parametrize("n", (0, 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 5 * _CHUNK_ROWS, 7 * _CHUNK_ROWS + 5))
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_shares_are_contiguous_chunk_aligned_and_bounded(monkeypatch, cpus, n):
+    _cpus(monkeypatch, cpus)
+    shares = _shares(n)
+    assert len(shares) == max(1, min(cpus, -(-n // _CHUNK_ROWS)))
+    assert shares[0].start == 0 and shares[-1].stop == n
+    for before, after in zip(shares, shares[1:]):
+        assert before.stop == after.start and before.stop % _CHUNK_ROWS == 0 and len(before) > 0
+
+
+def test_without_fork_the_writers_run_in_one_process(tmp_path, monkeypatch):
+    _cpus(monkeypatch, 8)
+    monkeypatch.delattr(os, "fork")
+    ds = _dataset(7 * _CHUNK_ROWS + 5, 3, labeled=True)
+    assert len(_shares(ds.n)) == 1
+    for fmt, (write, reference) in WRITERS.items():
+        write(ds, tmp_path / "new")
+        reference(ds, tmp_path / "ref")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes(), fmt
+
+
+def _fail_in_rows(monkeypatch, fails) -> None:
+    """Make formatting raise for the shares of rows `fails` picks."""
+    real = cli._format_rows
+
+    def format_rows(fh, ds, template, tails, rows):
+        if fails(rows):
+            raise OSError(f"no space left for rows {rows.start}-{rows.stop}")
+        real(fh, ds, template, tails, rows)
+
+    monkeypatch.setattr(cli, "_format_rows", format_rows)
+
+
+def _no_children_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_a_failing_child_makes_the_cli_exit_3(tmp_path, monkeypatch, capfd):
+    _cpus(monkeypatch, 2)
+    _fail_in_rows(monkeypatch, lambda rows: rows.start > 0)
+    out = tmp_path / "scene.csv"
+    argv = ["preset", "gaucircles", "--n", str(3 * _CHUNK_ROWS), "--seed", "1", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capfd.readouterr()
+    assert "wrote" not in captured.out
+    assert "I/O error: the process formatting rows" in captured.err and "no space left" in captured.err
+    # No manifest and no temporary file: the child exits without returning.
+    assert os.listdir(tmp_path) == ["scene.csv"]
+    assert _no_children_left()
+
+
+def test_a_failing_parent_kills_and_reaps_its_children(tmp_path, monkeypatch, capfd):
+    _cpus(monkeypatch, 4)
+    _fail_in_rows(monkeypatch, lambda rows: rows.start == 0)
+    out = tmp_path / "scene.ndjson"
+    argv = ["preset", "gaucircles", "--n", str(8 * _CHUNK_ROWS), "--seed", "1", "--format", "ndjson",
+            "--out", str(out)]
+    assert main(argv) == 3
+    captured = capfd.readouterr()
+    assert "wrote" not in captured.out
+    assert "I/O error: no space left for rows 0-" in captured.err
+    assert os.listdir(tmp_path) == ["scene.ndjson"]
+    assert _no_children_left()
