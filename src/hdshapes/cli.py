@@ -25,6 +25,7 @@ import sys
 import tempfile
 import types
 import typing
+import warnings
 from datetime import datetime, timezone
 from functools import partial
 from itertools import repeat
@@ -172,7 +173,8 @@ def write_ndjson(ds, path) -> None:
 _WRITERS = {"csv": write_csv, "ndjson": write_ndjson}
 
 
-def write_manifest(out_path: Path, command: str, seed: int, spec: dict, fmt: str, ds) -> Path:
+def write_manifest(out_path: Path, command: str, seed: int, spec: dict, fmt: str, ds,
+                   warned: list) -> Path:
     manifest = {
         "tool_version": __version__,
         "output_version": OUTPUT_VERSION,
@@ -185,6 +187,7 @@ def write_manifest(out_path: Path, command: str, seed: int, spec: dict, fmt: str
         "format": fmt,
         "row_count": ds.n,
         "col_count": ds.p,
+        "warnings": warned,
         "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     man_path = Path(str(out_path) + ".manifest.json")
@@ -340,19 +343,33 @@ def _check_types(func, params: dict) -> None:
             raise ParameterError(f"{name} must be {what}, got {value!r}")
 
 
+_SPEC_KEYS = {
+    "generate": ("kind", "n", "params"),
+    "hole": ("kind", "params"),
+    "preset": ("name", "params"),
+    "multicluster": ("config", "shuffle"),
+}
+
+
 def _build(command: str, spec, seed):
     """Turn (command, spec, seed) into a Dataset: the only such path, for
     fresh runs and `--from-manifest` replays alike, so a replay cannot
     drift from the run that wrote its manifest."""
     if not isinstance(spec, dict):
         raise ParameterError("manifest field 'spec' must be a JSON object")
+    if not isinstance(command, str) or command not in _SPEC_KEYS:
+        raise ParameterError(f"manifest has unknown command {command!r}")
+    bad = sorted(set(spec) - set(_SPEC_KEYS[command]))
+    if bad:
+        raise ParameterError(
+            f"manifest spec has {', '.join(bad)}, not accepted by {command} "
+            f"(accepts: {', '.join(_SPEC_KEYS[command])})"
+        )
     if command == "multicluster":
         config, shuffle = MultiClusterSpec.from_dict(_field(spec, "config")), spec.get("shuffle", True)
         if not isinstance(shuffle, bool):
             raise ParameterError(f"shuffle must be true or false, got {shuffle!r}")
         return gen_multicluster(config, seed=seed, shuffle=shuffle)
-    if command not in ("generate", "hole", "preset"):
-        raise ParameterError(f"manifest has unknown command '{command}'")
     params = _field(spec, "params")
     if not isinstance(params, dict):
         raise ParameterError("manifest field 'spec.params' must be a JSON object")
@@ -383,9 +400,14 @@ def _build(command: str, spec, seed):
 
 
 def _emit(out_path: Path, fmt: str, command: str, seed: int, spec: dict) -> int:
-    ds = _build(command, spec, seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = _build(command, spec, seed)
+    warned = [str(w.message) for w in caught]
+    for message in warned:
+        print(f"warning: {message}", file=sys.stderr)
     _WRITERS[fmt](ds, out_path)
-    write_manifest(out_path, command, seed, spec, fmt, ds)
+    write_manifest(out_path, command, seed, spec, fmt, ds, warned)
     print(f"wrote {out_path} ({ds.n} rows x {ds.p} cols, seed={seed})")
     return 0
 

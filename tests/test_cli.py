@@ -371,6 +371,7 @@ def _manifest(tmp_path):
         (lambda m: {**m, "command": "hole", "spec": {"kind": "blob", "params": {"n": 5}}}, "hole kind 'blob'"),
         (lambda m: {**m, "command": "generate", "spec": {"kind": ["cone"], "n": 5, "params": {}}}, "shape kind"),
         (lambda m: {k: v for k, v in m.items() if k != "seed"}, "missing field 'seed'"),
+        (lambda m: {**m, "command": ["generate"]}, "unknown command ['generate']"),
     ],
 )
 def test_malformed_manifest_exits_2(corrupt, named, tmp_path, capsys):
@@ -453,5 +454,43 @@ def test_lattice_overshoot_is_reported_on_stderr(tmp_path):
     out = tmp_path / "grid.csv"
     res = run_cli("generate", "gridcube", "--n", "10", "--p", "2", "--seed", "1", "--out", str(out))
     assert res.returncode == 0, res.stderr
-    assert "LatticeSizeWarning: gridcube lattice has 12 points, more than n = 10" in res.stderr
+    assert res.stderr == "warning: gridcube lattice has 12 points, more than n = 10\n"
     assert len(out.read_text().splitlines()) == 13
+    manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
+    assert manifest["warnings"] == ["gridcube lattice has 12 points, more than n = 10"]
+
+
+def test_manifest_records_no_warnings_as_an_empty_list(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main(["generate", "gridcube", "--n", "9", "--p", "2", "--seed", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
+    assert manifest["warnings"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["generate", "cone", "--n", "10"], {"paramz": {"p": 9}}),
+        (["hole", "unifcube", "--n", "50"], {"n": 50}),
+        (["preset", "mobiusgau"], {"kind": "cone"}),
+        (["multicluster", "CONFIG"], {"no_shuffle": True}),
+    ],
+    ids=["generate", "hole", "preset", "multicluster"],
+)
+def test_replay_rejects_unknown_spec_keys(argv, extra, tmp_path, capsys):
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(USAGE_CONFIG))
+    out = tmp_path / "a.csv"
+    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == 0
+    man = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+    man["spec"].update(extra)
+    bad = tmp_path / "bad.manifest.json"
+    bad.write_text(json.dumps(man))
+    capsys.readouterr()
+    replay = tmp_path / "replay.csv"
+    assert main(["generate", "--from-manifest", str(bad), "--out", str(replay)]) == 2
+    err = capsys.readouterr().err
+    assert f"manifest spec has {next(iter(extra))}, not accepted by {argv[0]}" in err
+    assert not replay.exists()

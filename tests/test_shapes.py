@@ -6,12 +6,13 @@ import pytest
 
 from helpers import ks_stat, trunc_exp_cdf
 
-from hdshapes.core import DimensionError, ParameterError, gen_nproduct
+from hdshapes.core import DimensionError, ParameterError, as_stream, gen_nproduct
 from hdshapes.shapes import (
     SHAPES,
     LatticeSizeWarning,
     RejectedParameterError,
     UnknownShapeError,
+    _chaos_game,
     gen_circle,
     gen_clusteredspheres,
     gen_cone,
@@ -513,6 +514,62 @@ def test_pyrfrac_sierpinski_void():
     x, y = deep[:, 0], deep[:, 1]
     inside = (x + y > 0.5 + 1e-9) & (x < 0.5 - 1e-9) & (y < 0.5 - 1e-9)
     assert not inside.any()
+
+
+def reference_chaos_game(picks, t0) -> np.ndarray:
+    """The row loop gen_pyrfrac ran before its hit-driven recurrence."""
+    p = len(t0)
+    vertices = np.vstack([np.zeros(p), np.eye(p)])
+    out = np.empty((len(picks), p))
+    t = np.array(t0, dtype=np.float64)
+    for i in range(len(picks)):
+        t = 0.5 * (t + vertices[picks[i]])
+        out[i] = t
+    return out
+
+
+def reference_pyrfrac(n, p, seed) -> np.ndarray:
+    rng = as_stream(seed).rng
+    picks = rng.integers(0, p + 1, n)
+    return reference_chaos_game(picks, rng.random(p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 10, 40])
+@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 20000])
+def test_pyrfrac_matches_row_loop(n, p):
+    for seed in (0, 7, 2**63 + 11):
+        got = gen_pyrfrac(n, p=p, seed=seed).points
+        assert got.tobytes() == reference_pyrfrac(n, p, seed).tobytes(), seed
+
+
+def test_pyrfrac_matches_row_loop_where_subnormals_are_common():
+    want = reference_pyrfrac(3000, 1500, 5)
+    assert (want[want > 0] < np.finfo(np.float64).tiny).sum() > 10_000
+    assert gen_pyrfrac(3000, p=1500, seed=5).points.tobytes() == want.tobytes()
+
+
+_SUBNORMAL = 2.0**-1060 * 1.7
+
+
+def _picks(*runs):
+    return np.array([c for count, c in runs for _ in range(count)], dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "picks, t0",
+    [
+        (_picks((1, 1), (1, 2), (1, 3), (1200, 0), (1, 1), (1100, 0), (1, 2), (1, 3)), [0.3, 0.6, 0.9]),
+        (_picks((3, 4), (1100, 0), (1, 1), (1, 2), (1, 3), (40, 0), (1, 1)), [0.0, 1.0, _SUBNORMAL, 0.3, 0.7]),
+        (_picks((1, 3), (1, 1), (1, 2), (1500, 0)), [_SUBNORMAL, 5e-324, 0.0]),
+        (_picks((1300, 0)), [0.4, 1.0]),
+        (np.random.default_rng(3).choice(4, 20000, p=[0.998, 0.001, 0.001, 0.0]), [0.0, 1.0, _SUBNORMAL]),
+        (np.random.default_rng(4).choice(3, 5000, p=[0.0005, 0.0005, 0.999]), [1e-300, 2.0**-1022]),
+    ],
+    ids=["long-gaps", "special-t0", "subnormal-t0-hit-first", "never-hit", "sparse-hits", "one-column-hit"],
+)
+def test_chaos_game_matches_row_loop_on_hand_built_picks(picks, t0):
+    got = _chaos_game(picks, np.array(t0))
+    assert got.tobytes() == reference_chaos_game(picks, t0).tobytes()
 
 
 # ---------------------------------------------------------------------------
