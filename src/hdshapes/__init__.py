@@ -38,6 +38,7 @@ from .shapes import (
     RejectedParameterError,
     ShapeInfo,
     UnknownShapeError,
+    check_params,
     gen_circle,
     gen_clusteredspheres,
     gen_cone,
@@ -77,6 +78,7 @@ from .shapes import (
     shape_info,
 )
 from .topology import (
+    HOLES,
     DegenerateHoleError,
     HoleRetentionWarning,
     gen_hole,

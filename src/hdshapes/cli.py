@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import io
 import json
 import os
@@ -23,7 +22,6 @@ import secrets
 import shutil
 import sys
 import tempfile
-import types
 import typing
 import warnings
 from datetime import datetime, timezone
@@ -36,15 +34,10 @@ import numpy as np
 from . import OUTPUT_VERSION, __version__
 from .composer import PRESETS, MultiClusterSpec, gen_multicluster, make_preset, preset_info
 from .core import ParameterError
-from .shapes import SHAPES, ShapeInfo, generate, shape_info
-from .topology import gen_scurvehole, gen_unifcubehole
+from .shapes import SHAPES, ShapeInfo, check_params, generate, shape_info
+from .topology import HOLES
 
 __all__ = ["main"]
-
-_HOLES = {
-    "scurve": ShapeInfo(gen_scurvehole, 3, "S-curve with a spherical hole."),
-    "unifcube": ShapeInfo(gen_unifcubehole, None, "Uniform cube with a central void."),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -219,37 +212,20 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _value_type(func, param: inspect.Parameter) -> tuple:
-    """(type, nargs) of a parameter's values, read from its default (bool,
-    int, float or a pair) or, when that is missing or None, its annotation
-    (`X | None` as X). The type is None when neither tells: no flag."""
-    value = param.default
-    if value is param.empty or value is None:
-        hint = typing.get_type_hints(func).get(param.name)
-        hint = typing.get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
-        elems = typing.get_args(hint)
-        return (elems[0], len(elems)) if elems else (hint, None)
-    return (type(value[0]), len(value)) if isinstance(value, tuple) else (type(value), None)
-
-
-def _add_param_flags(parser, funcs, given: tuple[str, ...] = ()) -> None:
-    """Add a flag for each parameter of `funcs` but `seed` and `given`. Flags
-    default to None, so only values the user sets are passed on; a parameter
-    without a default is required. `args.param_flags` names them all."""
+def _add_param_flags(parser, infos, given: tuple[str, ...] = ()) -> None:
+    """Add a flag, typed by `ShapeInfo.kinds`, for each parameter of `infos`
+    but `given`. Flags default to None, so only values the user sets are
+    passed on; one without a default is required. `args.param_flags` names them all."""
     names = list(given)
-    for func in funcs:
-        for param in inspect.signature(func).parameters.values():
-            if param.name == "seed" or param.name in names:
-                continue
-            kind, nargs = _value_type(func, param)
-            if kind is None:  # nothing to parse a value with, e.g. gaussian's matrix `s`
+    for info in infos:
+        for name, (kind, nargs) in info.kinds.items():
+            if name in names or kind is None:  # None: no way to parse gaussian's matrix `s`
                 continue
             if kind is bool:
-                parser.add_argument(_flag(param.name), action="store_true", default=None)
+                parser.add_argument(_flag(name), action="store_true", default=None)
             else:
-                required = param.default is param.empty
-                parser.add_argument(_flag(param.name), type=kind, nargs=nargs, required=required)
-            names.append(param.name)
+                parser.add_argument(_flag(name), type=kind, nargs=nargs, required=name not in info.defaults)
+            names.append(name)
     parser.set_defaults(param_flags=tuple(names))
 
 
@@ -282,19 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("shape", nargs="?", help="shape kind (see `hdshapes list`)")
     p_gen.add_argument("--n", type=int, help="number of points")
     p_gen.add_argument("--from-manifest", dest="from_manifest", help="re-run a recorded manifest")
-    _add_param_flags(p_gen, [info.func for info in SHAPES.values()], given=("n",))
+    _add_param_flags(p_gen, SHAPES.values(), given=("n",))
 
     p_multi = sub.add_parser("multicluster", parents=[common], help="compose clusters from a JSON config")
     p_multi.add_argument("config", help="JSON file describing the scene")
     p_multi.add_argument("--no-shuffle", action="store_true", help="keep clusters in block order")
 
     p_hole = sub.add_parser("hole", parents=[common], help="generate a shape with a hyperspherical hole")
-    p_hole.add_argument("kind", choices=tuple(_HOLES), help="holed wrapper shape")
-    _add_param_flags(p_hole, [info.func for info in _HOLES.values()])
+    p_hole.add_argument("kind", choices=tuple(HOLES), help="holed wrapper shape")
+    _add_param_flags(p_hole, HOLES.values())
 
     p_preset = sub.add_parser("preset", parents=[common], help="generate a named preset scene")
     p_preset.add_argument("name", help="preset name (see `hdshapes list --presets`)")
-    _add_param_flags(p_preset, [builder for builder, _, _ in PRESETS.values()])
+    _add_param_flags(p_preset, PRESETS.values())
 
     p_list = sub.add_parser("list", help="list available shapes or presets")
     p_list.add_argument("--presets", action="store_true", help="list preset scenes instead")
@@ -312,36 +288,19 @@ def _field(obj: dict, key: str):
         raise ParameterError(f"manifest is missing field '{key}'") from None
 
 
-_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+def _hole_info(kind) -> ShapeInfo:
+    if not isinstance(kind, str) or kind not in HOLES:
+        raise ParameterError(f"unknown hole kind '{kind}'; available kinds: {', '.join(HOLES)}")
+    return HOLES[kind]
 
 
-def _is_kind(value, kind) -> bool:
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    if not isinstance(value, (int, float)):
-        return False
-    return kind is float or isinstance(value, int) or value.is_integer()
-
-
-def _check_types(func, params: dict) -> None:
-    """Reject a value that cannot have its parameter's (type, nargs), as
-    `_value_type` reads them for the flags: a string, list or bool for a
-    number, a fraction for an integer or a pair of the wrong length. A
-    number of the right kind goes on to the generator's own checks."""
-    sig = inspect.signature(func).parameters
-    for name, value in params.items():
-        kind, nargs = _value_type(func, sig[name])
-        if kind is None or (value is None and sig[name].default is None):
-            continue
-        if nargs is None:
-            ok, what = _is_kind(value, kind), _KIND_NAMES[kind]
-        else:
-            ok = isinstance(value, (list, tuple)) and len(value) == nargs
-            ok = ok and all(_is_kind(v, kind) for v in value)
-            what = f"a list of {nargs} {'integers' if kind is int else 'numbers'}"
-        if not ok:
-            raise ParameterError(f"{name} must be {what}, got {value!r}")
-
+# command: (spec field naming the target, its lookup, its name in messages, the
+# call that builds it, looking `generate` and `make_preset` up when it runs)
+_TARGETS = {
+    "generate": ("kind", shape_info, "shape", lambda kind, **params: generate(kind, **params)),
+    "hole": ("kind", _hole_info, "hole kind", lambda kind, **params: HOLES[kind].func(**params)),
+    "preset": ("name", preset_info, "preset", lambda name, **params: make_preset(name, **params)),
+}
 
 _SPEC_KEYS = {
     "generate": ("kind", "n", "params"),
@@ -373,30 +332,17 @@ def _build(command: str, spec, seed):
     params = _field(spec, "params")
     if not isinstance(params, dict):
         raise ParameterError("manifest field 'spec.params' must be a JSON object")
-    if command == "generate":
-        kind, n = _field(spec, "kind"), _field(spec, "n")
-        info = shape_info(kind)
-        _check_types(info.func, {"n": n})
-        func, accepted, call = info.func, info.params, partial(generate, kind, n)
-    elif command == "preset":
-        name = _field(spec, "name")
-        func, accepted, _ = preset_info(name)
-        call = partial(make_preset, name)
-    else:
-        kind = _field(spec, "kind")
-        if not isinstance(kind, str) or kind not in _HOLES:
-            raise ParameterError(f"unknown hole kind '{kind}'; available kinds: {', '.join(_HOLES)}")
-        _field(params, "n")  # the one parameter without a default
-        func, accepted = _HOLES[kind].func, ("n",) + _HOLES[kind].params
-        call = func
-    bad = sorted(set(params) - set(accepted))
-    if bad:
-        raise ParameterError(
-            f"manifest spec.params has {', '.join(bad)}, not accepted by {command} "
-            f"(accepts: {', '.join(accepted)})"
-        )
-    _check_types(func, params)
-    return call(seed=seed, **{k: tuple(v) if isinstance(v, list) else v for k, v in params.items()})
+    field, lookup, noun, call = _TARGETS[command]
+    name = _field(spec, field)
+    info = lookup(name)
+    if command == "generate":  # n is a spec field of its own
+        if "n" in params:
+            raise ParameterError("manifest spec.params has n, not accepted by generate (n is spec.n)")
+        params = {"n": _field(spec, "n"), **params}
+    for required in info.kinds.keys() - info.defaults.keys():  # a hole's n
+        _field(params, required)
+    check_params(info, params, f"{noun} '{name}'")
+    return call(name, seed=seed, **params)
 
 
 def _emit(out_path: Path, fmt: str, command: str, seed: int, spec: dict) -> int:
@@ -454,13 +400,12 @@ def cmd_generate(args) -> int:
     if not args.shape:
         raise ParameterError("generate needs a shape kind (or --from-manifest)")
     info = shape_info(args.shape)
-    params = _provided(args, ("n",) + info.params, f"shape '{args.shape}'")
-    if "n" not in params:
-        raise ParameterError("generate needs --n")
-    n = params.pop("n")
     # Defaults are recorded too, so the manifest pins every value.
-    spec = {"kind": args.shape, "n": n, "params": {**info.defaults, **params}}
-    return _run(args, "generate", spec, args.shape)
+    params = {**info.defaults, **_provided(args, tuple(info.kinds), f"shape '{args.shape}'")}
+    n = params.pop("n", None)
+    if n is None:
+        raise ParameterError("generate needs --n")
+    return _run(args, "generate", {"kind": args.shape, "n": n, "params": params}, args.shape)
 
 
 def cmd_multicluster(args) -> int:
@@ -469,25 +414,22 @@ def cmd_multicluster(args) -> int:
 
 
 def cmd_hole(args) -> int:
-    info = _HOLES[args.kind]
-    params = _provided(args, ("n",) + info.params, f"hole kind '{args.kind}'")
+    info = HOLES[args.kind]
+    params = _provided(args, tuple(info.kinds), f"hole kind '{args.kind}'")
     spec = {"kind": args.kind, "params": {**info.defaults, **params}}
     return _run(args, "hole", spec, f"{args.kind}hole")
 
 
 def cmd_preset(args) -> int:
-    _, accepted, _ = preset_info(args.name)
-    params = _provided(args, accepted, f"preset '{args.name}'")
+    info = preset_info(args.name)
+    params = _provided(args, tuple(info.kinds), f"preset '{args.name}'")
     return _run(args, "preset", {"name": args.name, "params": params}, args.name)
 
 
 def cmd_list(args) -> int:
-    if args.presets:
-        for name, (_, params, desc) in PRESETS.items():
-            print(f"{name}: {', '.join(params)}  # {desc}")
-    else:
-        for name, info in SHAPES.items():
-            print(f"{name}: {', '.join(('n',) + info.params)}")
+    for name, info in (PRESETS if args.presets else SHAPES).items():
+        note = f"  # {info.description}" if args.presets else ""
+        print(f"{name}: {', '.join(('n',) + info.params)}{note}")
     return 0
 
 

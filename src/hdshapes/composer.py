@@ -11,7 +11,6 @@ concurrently without changing its output.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .core import (
     gen_nsum,
     gen_rotation,
 )
-from .shapes import RejectedParameterError, generate, shape_info
+from .shapes import RejectedParameterError, ShapeInfo, check_params, generate, shape_info
 
 __all__ = [
     "MultiClusterSpec",
@@ -158,6 +157,9 @@ class MultiClusterSpec:
         return self.loc.shape[1]
 
     def _normalized_extras(self) -> tuple[dict, ...]:
+        """One dict of extras per cluster. A per-cluster list is checked here;
+        the values of scene-wide extras, which go to every cluster whose shape
+        takes the key, are checked per cluster by gen_multicluster."""
         if self.extras is None:
             return tuple({} for _ in range(self.k))
         if isinstance(self.extras, dict):
@@ -178,11 +180,9 @@ class MultiClusterSpec:
         if len(extras) != self.k:
             raise ParameterError(f"extras has {len(extras)} entries, expected k = {self.k}")
         for kind, ex in zip(self.shape, extras):
-            bad = sorted(set(ex) - set(shape_info(kind).params))
-            if bad:
-                raise RejectedParameterError(
-                    f"extras parameter(s) {', '.join(bad)} not accepted by shape '{kind}'"
-                )
+            if "n" in ex:
+                raise RejectedParameterError(f"extras cannot set n of shape '{kind}': the spec's n does")
+            check_params(shape_info(kind), ex, f"shape '{kind}'")
         return extras
 
     @classmethod
@@ -260,9 +260,11 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
         raise ParameterError("gen_multicluster expects a MultiClusterSpec")
     stream = as_stream(seed)
     p = spec.p
+    # Every cluster is checked before any is sampled.
     for c, kind in enumerate(spec.shape):
-        dim = shape_info(kind).dim
-        width = dim if dim is not None else _check_n(spec.extras[c].get("p", p), "p")
+        info = shape_info(kind)
+        check_params(info, spec.extras[c], f"shape '{kind}'")
+        width = info.dim if info.dim is not None else spec.extras[c].get("p", p)
         if width > p:
             raise DimensionError(f"cluster {c} shape '{kind}' has {width} dims but the scene has {p}")
     # Sample every cluster first: the row counts place each cluster's block
@@ -318,6 +320,8 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
 
 
 def _zeros_loc(k: int, p: int) -> np.ndarray:
+    if p < 2:  # before a preset indexes column 2; its shapes need 2 anyway
+        raise DimensionError(f"preset scenes need p >= 2, got p = {p}")
     return np.zeros((k, p))
 
 
@@ -464,26 +468,20 @@ def _preset_shape_para(n=1200, k=3, p=4, seed=None):
     return gen_multicluster(spec, seed=seed)
 
 
-def _preset_entry(builder, description: str) -> tuple:
-    params = tuple(name for name in inspect.signature(builder).parameters if name != "seed")
-    return builder, params, description
-
-
-PRESETS: dict[str, tuple] = {
-    # name: (builder, accepted params, description)
-    "mobiusgau": _preset_entry(_preset_mobiusgau, "Mobius band beside a Gaussian blob."),
-    "multigau": _preset_entry(_preset_multigau, "Well-separated Gaussian clusters."),
-    "curvygau": _preset_entry(_preset_curvygau, "Curved band with a Gaussian cluster."),
-    "klink_circles": _preset_entry(_preset_klink_circles, "Interlocked rings in alternating planes."),
-    "chain_circles": _preset_entry(_preset_chain_circles, "Coplanar rings connected in a row."),
-    "klink_curvycycle": _preset_entry(_preset_klink_curvycycle, "Interlocked curvy cycles."),
-    "chain_curvycycle": _preset_entry(_preset_chain_curvycycle, "Curvy cycles connected in a row."),
-    "gaucircles": _preset_entry(_preset_gaucircles, "Concentric rings with a central Gaussian."),
-    "gaucurvycycle": _preset_entry(_preset_gaucurvycycle, "Concentric curvy cycles with a central Gaussian."),
-    "onegrid": _preset_entry(_preset_onegrid, "Single 2-D lattice."),
-    "twogrid_overlap": _preset_entry(_preset_twogrid_overlap, "Two partially overlapping lattices."),
-    "twogrid_shift": _preset_entry(_preset_twogrid_shift, "Two lattices offset by half a cell."),
-    "shape_para": _preset_entry(_preset_shape_para, "Parallel copies of one curved shape."),
+PRESETS: dict[str, ShapeInfo] = {
+    "mobiusgau": ShapeInfo(_preset_mobiusgau, None, "Mobius band beside a Gaussian blob."),
+    "multigau": ShapeInfo(_preset_multigau, None, "Well-separated Gaussian clusters."),
+    "curvygau": ShapeInfo(_preset_curvygau, None, "Curved band with a Gaussian cluster."),
+    "klink_circles": ShapeInfo(_preset_klink_circles, None, "Interlocked rings in alternating planes."),
+    "chain_circles": ShapeInfo(_preset_chain_circles, None, "Coplanar rings connected in a row."),
+    "klink_curvycycle": ShapeInfo(_preset_klink_curvycycle, None, "Interlocked curvy cycles."),
+    "chain_curvycycle": ShapeInfo(_preset_chain_curvycycle, None, "Curvy cycles connected in a row."),
+    "gaucircles": ShapeInfo(_preset_gaucircles, None, "Concentric rings with a central Gaussian."),
+    "gaucurvycycle": ShapeInfo(_preset_gaucurvycycle, None, "Concentric curvy cycles with a central Gaussian."),
+    "onegrid": ShapeInfo(_preset_onegrid, None, "Single 2-D lattice."),
+    "twogrid_overlap": ShapeInfo(_preset_twogrid_overlap, None, "Two partially overlapping lattices."),
+    "twogrid_shift": ShapeInfo(_preset_twogrid_shift, None, "Two lattices offset by half a cell."),
+    "shape_para": ShapeInfo(_preset_shape_para, None, "Parallel copies of one curved shape."),
 }
 
 
@@ -491,8 +489,8 @@ def list_presets() -> tuple[str, ...]:
     return tuple(PRESETS)
 
 
-def preset_info(name: str) -> tuple:
-    """The (builder, accepted params, description) entry of a named preset."""
+def preset_info(name: str) -> ShapeInfo:
+    """The registry record of a named preset."""
     try:
         return PRESETS[name]
     except (KeyError, TypeError):
@@ -502,13 +500,7 @@ def preset_info(name: str) -> tuple:
 
 
 def make_preset(name: str, seed=None, **params) -> Dataset:
-    """Build a named preset scene; accepts only that preset's parameters."""
-    builder, accepted, _ = preset_info(name)
-    provided = {k: v for k, v in params.items() if v is not None}
-    bad = sorted(set(provided) - set(accepted))
-    if bad:
-        raise RejectedParameterError(
-            f"parameter(s) {', '.join(bad)} not accepted by preset '{name}' "
-            f"(accepts: {', '.join(accepted)})"
-        )
-    return builder(seed=seed, **provided)
+    """Build a named preset scene; its parameters go through `check_params`."""
+    info = preset_info(name)
+    check_params(info, params, f"preset '{name}'")
+    return info.func(seed=seed, **params)

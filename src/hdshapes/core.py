@@ -45,11 +45,11 @@ class DimensionError(ParameterError):
 
 
 def _check_n(value, name: str = "n") -> int:
-    """`value` as an int; rejects a fractional, non-finite, non-numeric or
-    non-positive value instead of truncating it. Integral floats such as
-    3.0 and numpy integers pass."""
+    """`value` as an int; rejects a fractional, non-finite, non-numeric,
+    bool or non-positive value instead of truncating it. Integral floats
+    such as 3.0 and numpy integers pass."""
     try:
-        count = int(value)
+        count = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
     if count is None or count != value or count < 1:
@@ -119,14 +119,14 @@ def as_stream(seed=None) -> RandomStream:
     """Normalize `seed` into a RandomStream.
 
     Accepts an existing stream (returned as is), a non-negative int, or
-    None for a fresh entropy-derived stream. Analogous to scikit-learn's
-    ``check_random_state``.
+    None for a fresh entropy-derived stream. A bool is refused rather than
+    read as seed 0 or 1. Analogous to scikit-learn's ``check_random_state``.
     """
     if isinstance(seed, RandomStream):
         return seed
     if seed is None:
         return RandomStream(secrets.randbits(64))
-    if isinstance(seed, (int, np.integer)):
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
         return RandomStream(int(seed))
     raise ParameterError(f"seed must be an int, RandomStream, or None, got {type(seed).__name__}")
 

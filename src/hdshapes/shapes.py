@@ -13,8 +13,12 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import numbers
+import types
+import typing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,6 +42,7 @@ __all__ = [
     "SHAPES",
     "list_shapes",
     "shape_info",
+    "check_params",
     "generate",
     "gen_expbranches",
     "gen_linearbranches",
@@ -104,16 +109,6 @@ def _check_fixed_p(p, dim: int, func: str) -> None:
     """Fixed-dimension shapes take p only to reject a value they cannot honour."""
     if p != dim:
         raise DimensionError(f"{func} is defined for p = {dim}, got p = {p}")
-
-
-def _has_nonfinite(value) -> bool:
-    if value is None:
-        return False
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        return False
-    return not np.isfinite(arr).all()
 
 
 def _unit_directions(rng, n: int, d: int) -> np.ndarray:
@@ -1051,24 +1046,48 @@ def gen_nonlinear(n: int, hc: float = 1.0, non_fac: float = 1.0, p: int = 4, see
 
 @dataclass(frozen=True)
 class ShapeInfo:
-    """Dispatch record for one shape kind.
+    """Dispatch record for one buildable target: a shape kind, a holed
+    shape (`topology.HOLES`) or a preset scene (`composer.PRESETS`).
 
-    `params` (keyword params beyond n and seed, in signature order) and
-    their `defaults` are read from `func`'s signature.
+    Everything about the parameters is read from `func`'s signature on
+    first use, so importing hdshapes reads no signature.
     """
 
     func: Callable[..., Dataset]
-    dim: int | None  # intrinsic output dim; None means "equals p"
+    dim: int | None  # output dim; None means "equals p", and for presets "not fixed"
     description: str
-    params: tuple[str, ...] = field(init=False)
-    defaults: dict = field(init=False)
 
-    def __post_init__(self):
-        sig = inspect.signature(self.func).parameters
-        params = tuple(name for name in sig if name not in ("n", "seed"))
-        object.__setattr__(self, "params", params)
-        defaults = {name: sig[name].default for name in params if sig[name].default is not sig[name].empty}
-        object.__setattr__(self, "defaults", defaults)
+    @cached_property
+    def _signature(self) -> dict[str, inspect.Parameter]:
+        return {name: param for name, param in inspect.signature(self.func).parameters.items() if name != "seed"}
+
+    @cached_property
+    def params(self) -> tuple[str, ...]:
+        """Keyword parameters beyond n and seed, in signature order."""
+        return tuple(name for name in self._signature if name != "n")
+
+    @cached_property
+    def defaults(self) -> dict:
+        """The default of every parameter but seed that has one, n included."""
+        return {name: p.default for name, p in self._signature.items() if p.default is not p.empty}
+
+    @cached_property
+    def kinds(self) -> dict[str, tuple]:
+        """(type, nargs) of every parameter but seed, n included, read from
+        its default (bool, int, float, or a pair: its element type and
+        length) or, if that is missing or None, its annotation (`X | None`
+        as X); type None if neither tells (gaussian's matrix `s`)."""
+        kinds = {}
+        for name in self._signature:
+            value = self.defaults.get(name)
+            if value is None:
+                hint = typing.get_type_hints(self.func).get(name)
+                hint = typing.get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
+                elems = typing.get_args(hint)
+                kinds[name] = (elems[0], len(elems)) if elems else (hint, None)
+            else:
+                kinds[name] = (type(value[0]), len(value)) if isinstance(value, tuple) else (type(value), None)
+        return kinds
 
 
 SHAPES: dict[str, ShapeInfo] = {
@@ -1120,21 +1139,56 @@ def shape_info(kind: str) -> ShapeInfo:
         raise UnknownShapeError(kind) from None
 
 
-def generate(kind: str, n: int, seed=None, **params) -> Dataset:
-    """Generate `n` points of the named shape kind.
+def _is_kind(value, kind) -> bool:
+    """Whether `value` is a scalar of `kind`: a bool for bool, a real
+    number for float, an integral one for int; a bool is no number."""
+    if isinstance(value, (bool, np.bool_)):
+        return kind is bool
+    if kind is bool or not isinstance(value, numbers.Real):
+        return False
+    return kind is float or isinstance(value, numbers.Integral) or float(value).is_integer()
 
-    Only parameters the kind accepts are allowed; anything else raises
-    RejectedParameterError rather than being silently ignored. A NaN or
-    infinite numeric parameter raises ParameterError naming it.
-    """
-    info = shape_info(kind)
-    bad = sorted(set(params) - set(info.params))
+
+def check_params(info: ShapeInfo, params: dict, what: str) -> None:
+    """Raise ParameterError unless every key of `params` is a parameter of
+    `info`'s target (n too, seed not; else RejectedParameterError) with a
+    value of its kind (`ShapeInfo.kinds`): an int is a positive integer, a
+    float a finite number, a bool true or false, a pair a list or tuple of
+    that many; None only where it is the default. `what` names the target
+    ("shape 'cone'"). Generators check the rest of a domain (`h > 0`)."""
+    kinds = info.kinds
+    bad = sorted(set(params) - set(kinds))
     if bad:
         raise RejectedParameterError(
-            f"parameter(s) {', '.join(bad)} not accepted by shape '{kind}' "
-            f"(accepts: {', '.join(info.params) or 'none beyond n'})"
+            f"request for {what} has {', '.join(bad)}, not accepted (accepts: {', '.join(kinds)})"
         )
     for name, value in params.items():
-        if _has_nonfinite(value):
-            raise ParameterError(f"parameter {name} of shape '{kind}' must be finite, got {value!r}")
+        kind, nargs = kinds[name]
+        if value is None and info.defaults.get(name, 0) is None:
+            continue
+        if kind is int and nargs is None:
+            _check_n(value, name)
+            continue
+        if kind is None:
+            try:
+                finite = np.isfinite(np.asarray(value, dtype=np.float64)).all()
+            except (TypeError, ValueError):
+                raise ParameterError(f"{name} must be numeric, got {value!r}") from None
+        else:
+            values = (value,) if nargs is None else value
+            ok = isinstance(values, (list, tuple, np.ndarray)) and len(values) == (nargs or 1)
+            if not (ok and all(_is_kind(v, kind) for v in values)):
+                pair = f"a list of {nargs} {'integers' if kind is int else 'numbers'}"
+                must = pair if nargs else "true or false" if kind is bool else "a number"
+                raise ParameterError(f"{name} must be {must}, got {value!r}")
+            finite = all(-math.inf < v < math.inf for v in values)
+        if not finite:
+            raise ParameterError(f"parameter {name} of {what} must be finite, got {value!r}")
+
+
+def generate(kind: str, n: int, seed=None, **params) -> Dataset:
+    """Generate `n` points of the named shape kind, after `check_params`:
+    a parameter the kind does not take is refused, never ignored."""
+    info = shape_info(kind)
+    check_params(info, {"n": n, **params}, f"shape '{kind}'")
     return info.func(n=n, seed=seed, **params)

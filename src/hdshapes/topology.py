@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 
 from .core import Dataset, ParameterError, _check_n, as_dataset, as_stream
-from .shapes import gen_scurve, gen_unifcube
+from .shapes import ShapeInfo, gen_scurve, gen_unifcube
 
 __all__ = [
+    "HOLES",
     "DegenerateHoleError",
     "HoleRetentionWarning",
     "gen_hole",
@@ -69,22 +70,23 @@ def _holed_sample(make, n: int, r_hole, stream) -> Dataset:
         r_hole = float(r_hole)
     except (TypeError, ValueError):
         raise ParameterError(f"r_hole must be a number, got {r_hole!r}") from None
-    pilot = make(n, stream.derive(0))
-    removed = n - gen_hole(pilot, r_hole).n
-    frac = min(removed / n, 0.95)
-    m = int(np.ceil(n / (1.0 - frac) * 1.1))
-    for attempt in range(5):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", HoleRetentionWarning)
-            full = make(m, stream.derive(1 + attempt))
-            survivors = gen_hole(full, r_hole)
-        if survivors.n >= n:
-            break
-        m *= 2
-    else:
-        raise DegenerateHoleError(
-            f"could not retain {n} points outside a hole of radius {r_hole}"
-        )
+    # Low retention in the pilot or a draw only sizes the next draw; the
+    # returned sample always has n points, so nothing here warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HoleRetentionWarning)
+        pilot = make(n, stream.derive(0))
+        removed = n - gen_hole(pilot, r_hole).n
+        frac = min(removed / n, 0.95)
+        m = int(np.ceil(n / (1.0 - frac) * 1.1))
+        for attempt in range(5):
+            survivors = gen_hole(make(m, stream.derive(1 + attempt)), r_hole)
+            if survivors.n >= n:
+                break
+            m *= 2
+        else:
+            raise DegenerateHoleError(
+                f"could not retain {n} points outside a hole of radius {r_hole}"
+            )
     pick = np.sort(stream.derive(100).rng.choice(survivors.n, size=n, replace=False))
     return survivors.take(pick)
 
@@ -101,3 +103,9 @@ def gen_unifcubehole(n: int, p: int = 3, r_hole: float = 0.3, seed=None) -> Data
     return _holed_sample(
         lambda m, s: gen_unifcube(m, p=p, seed=s), _check_n(n), r_hole, as_stream(seed)
     )
+
+
+HOLES: dict[str, ShapeInfo] = {
+    "scurve": ShapeInfo(gen_scurvehole, 3, "S-curve with a spherical hole."),
+    "unifcube": ShapeInfo(gen_unifcubehole, None, "Uniform cube with a central void."),
+}

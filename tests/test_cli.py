@@ -308,7 +308,7 @@ def test_flag_surface_is_unchanged():
 def test_every_registry_parameter_has_a_generate_flag():
     golden = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
     assert {kind: list(info.params) for kind, info in SHAPES.items()} == golden["shape_params"]
-    assert {name: list(entry[1]) for name, entry in PRESETS.items()} == golden["preset_params"]
+    assert {name: ["n", *info.params] for name, info in PRESETS.items()} == golden["preset_params"]
     flags = {a.dest: a for a in _options("generate").values()}
     flagless = set()
     for kind, info in SHAPES.items():
@@ -393,11 +393,11 @@ def test_malformed_manifest_exits_2(corrupt, named, tmp_path, capsys):
         (lambda m: {**m, "command": "hole", "spec": {"kind": "scurve", "params": {"n": 5, "r_hole": "x"}}}, "r_hole must be a number, got 'x'"),
         (lambda m: {**m, "command": "hole", "spec": {"kind": "scurve", "params": {"r_hole": 0.2}}}, "missing field 'n'"),
         (lambda m: {**m, "spec": {**m["spec"], "params": {**m["spec"]["params"], "h": "x"}}}, "h must be a number, got 'x'"),
-        (lambda m: {**m, "spec": {**m["spec"], "params": {**m["spec"]["params"], "p": [4]}}}, "p must be an integer, got [4]"),
-        (lambda m: {**m, "spec": {**m["spec"], "params": {**m["spec"]["params"], "p": True}}}, "p must be an integer, got True"),
-        (lambda m: {**m, "spec": {**m["spec"], "n": "10"}}, "n must be an integer, got '10'"),
-        (lambda m: {**m, "command": "preset", "spec": {"name": "multigau", "params": {"n": "x"}}}, "n must be an integer, got 'x'"),
-        (lambda m: {**m, "command": "preset", "spec": {"name": "multigau", "params": {"n": 2.5}}}, "n must be an integer, got 2.5"),
+        (lambda m: {**m, "spec": {**m["spec"], "params": {**m["spec"]["params"], "p": [4]}}}, "p must be a positive integer, got [4]"),
+        (lambda m: {**m, "spec": {**m["spec"], "params": {**m["spec"]["params"], "p": True}}}, "p must be a positive integer, got True"),
+        (lambda m: {**m, "spec": {**m["spec"], "n": "10"}}, "n must be a positive integer, got '10'"),
+        (lambda m: {**m, "command": "preset", "spec": {"name": "multigau", "params": {"n": "x"}}}, "n must be a positive integer, got 'x'"),
+        (lambda m: {**m, "command": "preset", "spec": {"name": "multigau", "params": {"n": 2.5}}}, "n must be a positive integer, got 2.5"),
         (lambda m: {**m, "spec": {"kind": "quadratic", "n": 5, "params": {"range": [0, 1, 2]}}}, "range must be a list of 2 numbers"),
         (lambda m: {**m, "spec": {"kind": "clusteredspheres", "n": None, "params": {"n_vec": [9, "3"]}}}, "n_vec must be a list of 2 integers"),
         (lambda m: {**m, "spec": {"kind": "orglinearbranches", "n": 9, "params": {"allow_share": 1}}}, "allow_share must be true or false"),
@@ -458,6 +458,30 @@ def test_lattice_overshoot_is_reported_on_stderr(tmp_path):
     assert len(out.read_text().splitlines()) == 13
     manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
     assert manifest["warnings"] == ["gridcube lattice has 12 points, more than n = 10"]
+
+
+def test_hole_pilot_is_not_reported_as_a_warning(tmp_path, capsys):
+    out = tmp_path / "h.csv"
+    argv = ["hole", "unifcube", "--n", "40", "--p", "2", "--r-hole", "0.55", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / "h.csv.manifest.json").read_text())
+    assert manifest["warnings"] == []
+    direct = tmp_path / "direct.csv"
+    write_csv(gen_unifcubehole(40, p=2, r_hole=0.55, seed=1), direct)
+    assert out.read_bytes() == direct.read_bytes()
+
+
+def test_replayed_bool_seed_exits_2(tmp_path, capsys):
+    man = _manifest(tmp_path)
+    man["seed"] = True
+    bad = tmp_path / "bad.manifest.json"
+    bad.write_text(json.dumps(man))
+    capsys.readouterr()
+    replay = tmp_path / "replay.csv"
+    assert main(["generate", "--from-manifest", str(bad), "--out", str(replay)]) == 2
+    assert "seed must be an int" in capsys.readouterr().err
+    assert not replay.exists()
 
 
 def test_manifest_records_no_warnings_as_an_empty_list(tmp_path, capsys):

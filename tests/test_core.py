@@ -64,6 +64,13 @@ def test_as_stream_validation():
         as_stream("not a seed")
 
 
+@pytest.mark.parametrize("bad", [True, False, np.True_])
+def test_bool_seed_is_refused_not_read_as_0_or_1(bad):
+    """`gen_cone(5, seed=True)` once gave the bytes of seed 1."""
+    with pytest.raises(ParameterError, match="seed must be an int, RandomStream, or None, got bool"):
+        as_stream(bad)
+
+
 def test_seed_range_is_64_bit():
     top = 2**64 - 1
     assert RandomStream(top).seed == top

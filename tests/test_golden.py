@@ -284,7 +284,7 @@ def write_goldens() -> None:
         "numpy": np.__version__,
         "python": platform.python_version(),
         "shape_params": {kind: list(info.params) for kind, info in SHAPES.items()},
-        "preset_params": {name: list(entry[1]) for name, entry in PRESETS.items()},
+        "preset_params": {name: ["n", *info.params] for name, info in PRESETS.items()},
         "library": lib,
         "cli": outs,
     }

@@ -1,0 +1,185 @@
+"""One parameter check at every entry point.
+
+A value of the wrong kind, a count that is not a positive integer or a
+NaN is refused the same way wherever it comes in: a library call, a
+MultiClusterSpec's extras, a preset, a CLI flag, a multicluster config or
+a replayed manifest. The library raises a ParameterError naming the
+parameter; the CLI exits 2, names it and writes no data file.
+"""
+
+import json
+import re
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hdshapes import (
+    HOLES,
+    PRESETS,
+    SHAPES,
+    Dataset,
+    MultiClusterSpec,
+    ParameterError,
+    gen_multicluster,
+    generate,
+    make_preset,
+)
+from hdshapes.cli import _build, main
+
+NAN = float("nan")
+
+BAD = {"string": "x", "bool": True, "list": [1, 2], "fraction": 2.5, "zero": 0, "negative": -1, "nan": NAN}
+COUNTS = {"n", "k", "p"}  # every other parameter used below is a float
+
+
+def _scene(extras):
+    spec = MultiClusterSpec(
+        n=(20, 20), k=2, loc=[[0, 0, 0, 0], [5, 5, 5, 5]], scale=(1, 1),
+        shape=("cone", "gaussian"), extras=extras,
+    )
+    return gen_multicluster(spec, seed=1)
+
+
+def _library_build(entry, target, param, value):
+    if entry == "generate":
+        return generate(target, 10, seed=1, **{param: value})
+    if entry == "make_preset":
+        return make_preset(target, seed=1, **{param: value})
+    return _scene({param: value} if entry == "spec_dict_extras" else ({param: value}, {}))
+
+
+def _token(value) -> str:
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _argv(entry, target, param, value, tmp_path) -> list[str]:
+    """The command line that gives `param` the value `value`."""
+    if entry == "cli_preset":
+        return ["preset", target, f"--{param}", _token(value), "--seed", "1"]
+    if entry == "cli_multicluster":
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps({
+            "n": [20, 20], "k": 2, "loc": [[0, 0, 0, 0], [5, 5, 5, 5]], "scale": [1, 1],
+            "shape": ["cone", "gaussian"], "extras": {param: value},
+        }))
+        return ["multicluster", str(config), "--seed", "1"]
+    # cli_replay: a run's manifest with one parameter edited
+    command = ["preset", target] if target in PRESETS else ["generate", target, "--n", "10"]
+    assert main([*command, "--seed", "1", "--out", str(tmp_path / "first.csv")]) == 0
+    manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
+    manifest["spec"]["params"][param] = value
+    edited = tmp_path / "edited.manifest.json"
+    edited.write_text(json.dumps(manifest))
+    return ["generate", "--from-manifest", str(edited)]
+
+
+def _refusal(entry, target, param, value, tmp_path, capsys) -> str:
+    """The error text of a refused build; fails if the build is not refused."""
+    if not entry.startswith("cli_"):
+        with pytest.raises(ParameterError) as exc:
+            _library_build(entry, target, param, value)
+        return str(exc.value)
+    out = tmp_path / "out.csv"
+    argv = [*_argv(entry, target, param, value, tmp_path), "--out", str(out)]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag value it cannot parse
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+# (entry point, target, the parameters it is given)
+ENTRIES = [
+    ("generate", "cone", ("p", "h")),
+    ("make_preset", "gaucircles", ("n", "k", "p")),
+    ("spec_dict_extras", None, ("p", "h")),
+    ("spec_list_extras", None, ("p", "h")),
+    ("cli_multicluster", None, ("p", "h")),
+    ("cli_preset", "gaucircles", ("n", "k", "p")),
+    ("cli_replay", "cone", ("p", "h")),
+    ("cli_replay", "multigau", ("n", "k", "p")),
+]
+
+CASES = [
+    pytest.param(entry, target, param, value, id=f"{entry}-{target}-{param}-{label}")
+    for entry, target, params in ENTRIES
+    for param in params
+    for label, value in BAD.items()
+    if param in COUNTS or label != "fraction"  # 2.5 is a fine float
+] + [
+    # Each case reproduced before one check served every entry point.
+    pytest.param("cli_preset", "curvygau", "p", 0, id="cli_preset-curvygau-p-zero"),
+    pytest.param("cli_preset", "klink_circles", "k", -1, id="cli_preset-klink_circles-k-negative"),
+    pytest.param("cli_preset", "shape_para", "p", -1, id="cli_preset-shape_para-p-negative"),
+    pytest.param("make_preset", "onegrid", "k", None, id="make_preset-onegrid-k-none"),
+    pytest.param("make_preset", "gaucircles", "k", None, id="make_preset-gaucircles-k-none"),
+    pytest.param("cli_multicluster", None, "h", True, id="cli_multicluster-h-true"),
+]
+
+
+@pytest.mark.parametrize("entry, target, param, value", CASES)
+def test_every_entry_point_refuses_a_bad_value_and_names_it(entry, target, param, value, tmp_path, capsys):
+    err = _refusal(entry, target, param, value, tmp_path, capsys)
+    assert re.search(rf"(^|[\s-]){param}\b", err), err
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_preset_count_error_names_n(name, tmp_path, capsys):
+    err = _refusal("cli_preset", name, "n", 0, tmp_path, capsys)
+    assert "n must be a positive integer, got 0" in err and "target" not in err
+
+
+# ---------------------------------------------------------------------------
+# Property: any drawn parameters build a Dataset or raise ParameterError
+
+EDGES = st.sampled_from([0, NAN, float("inf"), float("-inf"), "x", True, False, None, (), (1.0,), (1, 2, 3)])
+
+
+def _values(kind, nargs):
+    if nargs is not None:
+        elem = st.integers(-1, 6) if kind is int else st.floats(-3, 3)
+        return st.tuples(*[elem] * nargs) | st.lists(elem, max_size=3) | EDGES
+    own = {int: st.integers(-1, 6), float: st.floats(-3, 3), bool: st.booleans()}[kind]
+    return own | EDGES
+
+
+TARGETS = (
+    [("shape", name) for name in SHAPES]
+    + [("hole", name) for name in HOLES]
+    + [("preset", name) for name in PRESETS]
+)
+REGISTRIES = {"shape": SHAPES, "hole": HOLES, "preset": PRESETS}
+
+
+@st.composite
+def _draws(draw):
+    what, name = draw(st.sampled_from(TARGETS))
+    info = REGISTRIES[what][name]
+    params = {"n": draw(st.integers(-1, 6) | EDGES)}
+    for param, (kind, nargs) in info.kinds.items():
+        if param != "n" and kind is not None and draw(st.booleans()):  # no strategy for gaussian's matrix `s`
+            params[param] = draw(_values(kind, nargs))
+    return what, name, params
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_draws())
+def test_any_parameters_give_a_dataset_or_a_parameter_error(draw):
+    what, name, params = draw
+    try:
+        if what == "shape":
+            ds = generate(name, seed=1, **params)
+        elif what == "preset":
+            ds = make_preset(name, seed=1, **params)
+        else:
+            ds = _build("hole", {"kind": name, "params": params}, 1)
+    except ParameterError:
+        return
+    assert isinstance(ds, Dataset)
+    if what != "preset":
+        info = REGISTRIES[what][name]
+        assert ds.p == (info.dim or params.get("p", info.defaults.get("p")))

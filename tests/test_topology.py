@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,18 @@ def test_scurvehole_exact_n_and_manifold():
     # the hole sits near the analytic s-curve mean (0, 1, 0)
     dist = np.linalg.norm(pts - np.array([0.0, 1.0, 0.0]), axis=1)
     assert dist.min() > 0.5 - 0.1
+
+
+def test_holed_wrapper_does_not_warn_for_its_pilot():
+    """The pilot keeps 3 of its 40 points here, but it only sizes the real
+    draw, and the result has all 40: nothing to warn about."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", HoleRetentionWarning)
+        ds = gen_unifcubehole(40, p=2, r_hole=0.55, seed=1)
+    assert ds.n == 40
+    # The same bytes as when the pilot's warning escaped.
+    digest = "89a6d32102f1559c2d67fb00f65d28d17b9673b27ce16d347f20a802c4bd4ec2"
+    assert hashlib.sha256(ds.points.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("holed", [gen_scurvehole, gen_unifcubehole])
