@@ -11,7 +11,8 @@ concurrently without changing its output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -22,12 +23,15 @@ from .core import (
     RotationPlan,
     _adopt,
     _check_n,
+    _is_kind,
+    _reals,
     as_dataset,
     as_stream,
     gen_bkgnoise,
     gen_nproduct,
     gen_nsum,
     gen_rotation,
+    randomize_rows,
 )
 from .shapes import RejectedParameterError, ShapeInfo, check_params, generate, shape_info
 
@@ -57,15 +61,32 @@ def simplex_vertices(p: int, scale: float = 1.0) -> np.ndarray:
 
 
 def _rotation_matrix(rotation) -> np.ndarray:
+    """The orthogonal matrix of a RotationPlan, of its JSON form
+    {"dim": d, "steps": [[i, j, angle], ...]}, or of a square matrix."""
+    if isinstance(rotation, dict):
+        if set(rotation) != {"dim", "steps"}:
+            raise ParameterError(f"a rotation object must have exactly the fields dim and steps, got {rotation!r}")
+        rotation = RotationPlan(rotation["dim"], rotation["steps"])
     if isinstance(rotation, RotationPlan):
         return gen_rotation(rotation)
-    mat = np.asarray(rotation, dtype=np.float64)
+    mat = _reals(rotation, "rotation must be a RotationPlan, a {dim, steps} object or a square matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ParameterError("rotation must be a square matrix or a RotationPlan")
+        raise ParameterError(f"rotation must be a square matrix, got shape {mat.shape}")
     err = np.abs(mat.T @ mat - np.eye(mat.shape[0])).max()
-    if err > 1e-8:
+    if not err <= 1e-8:
         raise ParameterError(f"rotation matrix is not orthogonal (max |R'R - I| = {err:.2e})")
     return mat
+
+
+def _entries(value, name: str, k: int) -> tuple:
+    """The k entries of a list, tuple or array (one per row); anything else is refused."""
+    if isinstance(value, np.ndarray) and value.ndim >= 1:
+        value = value.tolist() if value.ndim == 1 else list(value)
+    if not isinstance(value, (list, tuple)):
+        raise ParameterError(f"{name} must be a list with one entry per cluster, got {value!r}")
+    if len(value) != k:
+        raise ParameterError(f"{name} has {len(value)} entries, expected k = {k}")
+    return tuple(value)
 
 
 def pad_to_dim(ds, p_target: int, seed=None) -> Dataset:
@@ -109,13 +130,16 @@ def apply_transform(ds, scale: float, rotation=None, center=None) -> Dataset:
 class MultiClusterSpec:
     """Declarative description of a multi-cluster scene.
 
-    `loc` is a k x p matrix of target centroids; a row of all NaN leaves
-    that cluster where its formulas put it. `rotation` entries may be
-    None, an orthogonal matrix, or a RotationPlan, sized either to the
-    cluster's generated dimension (applied before padding) or to the
-    scene dimension (applied after). `extras` is a dict of shape
-    parameters applied to every cluster whose kind accepts them, or a
-    per-cluster list of dicts.
+    `n`, `scale`, `shape` and `rotation` hold one entry per cluster. `loc`
+    is a k x p matrix of target centroids; a row of all NaN leaves that
+    cluster where its formulas put it. `rotation` entries may be None, an
+    orthogonal matrix, a RotationPlan or its JSON form {"dim", "steps"},
+    sized either to the cluster's generated dimension (applied before
+    padding) or to the scene dimension (applied after); the spec holds
+    each realized matrix (or None). `extras` is a dict of shape parameters
+    applied to every cluster whose kind accepts them, or a per-cluster
+    list of dicts. A value of the wrong kind (a bool for a count, a string
+    for a number) is refused with a ParameterError, never converted.
     """
 
     n: tuple[int, ...]
@@ -129,27 +153,24 @@ class MultiClusterSpec:
 
     def __post_init__(self):
         self.k = _check_n(self.k, "k")
-        self.n = tuple(_check_n(v) for v in np.atleast_1d(self.n).tolist())
-        self.scale = tuple(float(v) for v in np.atleast_1d(self.scale))
-        self.shape = tuple(str(v) for v in np.atleast_1d(self.shape))
-        for name, seq in (("n", self.n), ("scale", self.scale), ("shape", self.shape)):
-            if len(seq) != self.k:
-                raise ParameterError(f"{name} has {len(seq)} entries, expected k = {self.k}")
-        if not all(0 < v < np.inf for v in self.scale):
-            raise ParameterError("every scale must be positive and finite")
+        self.n = tuple(_check_n(v) for v in _entries(self.n, "n", self.k))
+        self.scale = _entries(self.scale, "scale", self.k)
+        self.shape = _entries(self.shape, "shape", self.k)
+        if not all(_is_kind(v, float) and 0 < v < np.inf for v in self.scale):
+            raise ParameterError(f"every scale must be positive and finite, got {self.scale!r}")
         for kind in self.shape:
             shape_info(kind)  # raises UnknownShapeError for unregistered kinds
-        self.loc = np.asarray(self.loc, dtype=np.float64)
+        if not _is_kind(self.is_bkg, bool):
+            raise ParameterError(f"is_bkg must be true or false, got {self.is_bkg!r}")
+        self.loc = _reals(self.loc, f"loc must be a {self.k} x p matrix of numbers")
         if self.loc.ndim != 2 or self.loc.shape[0] != self.k:
             raise ParameterError(f"loc must be a {self.k} x p matrix, got shape {self.loc.shape}")
         nan_rows = np.isnan(self.loc)
         if (nan_rows.any(axis=1) & ~nan_rows.all(axis=1)).any():
             raise ParameterError("loc rows must be fully specified or entirely NaN")
         if self.rotation is not None:
-            rot = tuple(self.rotation)
-            if len(rot) != self.k:
-                raise ParameterError(f"rotation has {len(rot)} entries, expected k = {self.k}")
-            self.rotation = rot
+            rot = _entries(self.rotation, "rotation", self.k)
+            self.rotation = tuple(None if r is None else _rotation_matrix(r) for r in rot)
         self.extras = self._normalized_extras()
 
     @property
@@ -176,72 +197,37 @@ class MultiClusterSpec:
                     f"cluster shape in {sorted(set(self.shape))}"
                 )
             return tuple(per_cluster)
-        extras = tuple(dict(e or {}) for e in self.extras)
-        if len(extras) != self.k:
-            raise ParameterError(f"extras has {len(extras)} entries, expected k = {self.k}")
+        extras = tuple({} if e is None else e for e in _entries(self.extras, "extras", self.k))
         for kind, ex in zip(self.shape, extras):
+            if not isinstance(ex, dict):
+                raise ParameterError(f"extras entries must be objects (or null), got {ex!r}")
             if "n" in ex:
                 raise RejectedParameterError(f"extras cannot set n of shape '{kind}': the spec's n does")
             check_params(shape_info(kind), ex, f"shape '{kind}'")
-        return extras
+        return tuple(dict(ex) for ex in extras)
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "MultiClusterSpec":
-        """Build a spec from a parsed JSON config, with field diagnostics."""
+        """Build a spec from a parsed JSON config. Only the field names are
+        checked here; the values are checked as for any spec."""
         if not isinstance(cfg, dict):
             raise ParameterError("config must be a JSON object")
-        missing = [key for key in ("n", "k", "loc", "scale", "shape") if key not in cfg]
+        spec_fields = fields(cls)
+        missing = [f.name for f in spec_fields if f.default is MISSING and f.name not in cfg]
         if missing:
             raise ParameterError(f"config is missing required field(s): {', '.join(missing)}")
-        known = {"n", "k", "loc", "scale", "shape", "rotation", "is_bkg", "extras"}
-        unknown = sorted(set(cfg) - known)
+        unknown = sorted(set(cfg) - {f.name for f in spec_fields})
         if unknown:
             raise ParameterError(f"config has unknown field(s): {', '.join(unknown)}")
-        rotation = cfg.get("rotation")
-        if rotation is not None:
-            parsed = []
-            for i, entry in enumerate(rotation):
-                if entry is None:
-                    parsed.append(None)
-                elif isinstance(entry, dict):
-                    try:
-                        parsed.append(
-                            RotationPlan(entry["dim"], tuple(tuple(s) for s in entry["steps"]))
-                        )
-                    except KeyError as exc:
-                        raise ParameterError(
-                            f"rotation[{i}] must have 'dim' and 'steps' fields"
-                        ) from exc
-                else:
-                    parsed.append(np.asarray(entry, dtype=np.float64))
-            rotation = tuple(parsed)
-        extras = cfg.get("extras")
-        if isinstance(extras, list):
-            extras = tuple(extras)
-        return cls(
-            n=cfg["n"],
-            k=cfg["k"],
-            loc=cfg["loc"],
-            scale=cfg["scale"],
-            shape=cfg["shape"],
-            rotation=rotation,
-            is_bkg=bool(cfg.get("is_bkg", False)),
-            extras=extras,
-        )
+        return cls(**cfg)
 
 
 def _cluster_labels(shapes: tuple[str, ...]) -> list[str]:
-    counts = {}
+    """Each cluster's shape name, numbered (`gaussian_1`) where it repeats."""
+    counts, seen, out = Counter(shapes), Counter(), []
     for kind in shapes:
-        counts[kind] = counts.get(kind, 0) + 1
-    seen = {}
-    out = []
-    for kind in shapes:
-        if counts[kind] == 1:
-            out.append(kind)
-        else:
-            seen[kind] = seen.get(kind, 0) + 1
-            out.append(f"{kind}_{seen[kind]}")
+        seen[kind] += 1
+        out.append(kind if counts[kind] == 1 else f"{kind}_{seen[kind]}")
     return out
 
 
@@ -260,31 +246,25 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
         raise ParameterError("gen_multicluster expects a MultiClusterSpec")
     stream = as_stream(seed)
     p = spec.p
+    rotations = spec.rotation or (None,) * spec.k
     # Every cluster is checked before any is sampled.
+    kwargs = []
     for c, kind in enumerate(spec.shape):
         info = shape_info(kind)
-        check_params(info, spec.extras[c], f"shape '{kind}'")
-        width = info.dim if info.dim is not None else spec.extras[c].get("p", p)
+        kwargs.append(spec.extras[c] if info.dim is not None else {"p": p, **spec.extras[c]})
+        check_params(info, kwargs[c], f"shape '{kind}'")
+        width = info.dim if info.dim is not None else kwargs[c]["p"]
         if width > p:
             raise DimensionError(f"cluster {c} shape '{kind}' has {width} dims but the scene has {p}")
+        dim = None if rotations[c] is None else rotations[c].shape[0]
+        if dim not in (None, width, p):
+            raise ParameterError(f"cluster {c} rotation is {dim}-dimensional; expected {width} (shape) or {p} (scene)")
     # Sample every cluster first: the row counts place each cluster's block
     # in the one scene array.
-    samples, rotations = [], []
-    for c, kind in enumerate(spec.shape):
-        kwargs = dict(spec.extras[c])
-        if shape_info(kind).dim is None:
-            kwargs.setdefault("p", p)
-        ds = generate(kind, n=spec.n[c], seed=stream.derive(c).derive(0), **kwargs)
-        rot = None
-        if spec.rotation is not None and spec.rotation[c] is not None:
-            rot = _rotation_matrix(spec.rotation[c])
-            if rot.shape[0] not in (ds.p, p):
-                raise ParameterError(
-                    f"cluster {c} rotation is {rot.shape[0]}-dimensional; expected "
-                    f"{ds.p} (shape) or {p} (scene)"
-                )
-        samples.append(ds)
-        rotations.append(rot)
+    samples = [
+        generate(kind, n=spec.n[c], seed=stream.derive(c).derive(0), **kwargs[c])
+        for c, kind in enumerate(spec.shape)
+    ]
     counts = [ds.n for ds in samples]
     n_rows = sum(counts)
     n_bkg = max(1, round(0.1 * sum(spec.n))) if spec.is_bkg else 0
@@ -309,10 +289,7 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
         counts.append(n_bkg)
         names.append("background")
     out = _adopt(scene, np.repeat(np.arange(len(counts)), counts), names)
-    if shuffle:
-        perm = stream.derive(spec.k + 1).rng.permutation(out.n)
-        out = out.take(perm)
-    return out
+    return randomize_rows(out, seed=stream.derive(spec.k + 1)) if shuffle else out
 
 
 # ---------------------------------------------------------------------------
@@ -325,46 +302,42 @@ def _zeros_loc(k: int, p: int) -> np.ndarray:
     return np.zeros((k, p))
 
 
-def _preset_mobiusgau(n=1000, seed=None):
-    sizes = gen_nsum(n, 2)
-    spec = MultiClusterSpec(
-        n=sizes,
+def _preset_mobiusgau(n=1000):
+    return MultiClusterSpec(
+        n=gen_nsum(n, 2),
         k=2,
         # NaN row: keep the band exactly where its parameterization puts it
         loc=np.array([[np.nan] * 3, [4.0, 4.0, 0.0]]),
         scale=(1.0, 0.5),
         shape=("mobius", "gaussian"),
     )
-    return gen_multicluster(spec, seed=seed)
 
 
-def _preset_multigau(n=1500, k=3, p=4, seed=None):
+def _preset_multigau(n=1500, k=3, p=4):
     if k > p + 1:
         raise ParameterError("multigau places clusters on simplex vertices; needs k <= p + 1")
-    spec = MultiClusterSpec(
+    return MultiClusterSpec(
         n=gen_nsum(n, k),
         k=k,
         loc=simplex_vertices(p, scale=5.0)[:k],
         scale=(1.0,) * k,
         shape=("gaussian",) * k,
     )
-    return gen_multicluster(spec, seed=seed)
 
 
-def _preset_curvygau(n=1000, p=4, seed=None):
+def _preset_curvygau(n=1000, p=4):
     loc = _zeros_loc(2, p)
     loc[1, 0], loc[1, 1] = 3.0, 1.0
-    spec = MultiClusterSpec(
+    return MultiClusterSpec(
         n=gen_nsum(n, 2),
         k=2,
         loc=loc,
         scale=(2.0, 0.5),
         shape=("quadratic", "gaussian"),
     )
-    return gen_multicluster(spec, seed=seed)
 
 
-def _ring_chain(n, k, shape, spacing, interlock, seed):
+def _ring_chain(n, k, shape, spacing, interlock):
     """Row of ring-like clusters along x1, optionally in alternating planes."""
     loc = _zeros_loc(k, 3)
     loc[:, 0] = spacing * np.arange(k)
@@ -373,7 +346,7 @@ def _ring_chain(n, k, shape, spacing, interlock, seed):
     if interlock:
         flip = RotationPlan(3, ((1, 3, np.pi / 2.0),))
         rotation = tuple(flip if i % 2 else None for i in range(k))
-    spec = MultiClusterSpec(
+    return MultiClusterSpec(
         n=gen_nsum(n, k),
         k=k,
         loc=loc,
@@ -382,90 +355,83 @@ def _ring_chain(n, k, shape, spacing, interlock, seed):
         rotation=rotation,
         extras=extras,
     )
-    return gen_multicluster(spec, seed=seed)
 
 
-def _preset_klink_circles(n=900, k=3, seed=None):
-    return _ring_chain(n, k, "circle", spacing=1.0, interlock=True, seed=seed)
+def _preset_klink_circles(n=900, k=3):
+    return _ring_chain(n, k, "circle", spacing=1.0, interlock=True)
 
 
-def _preset_chain_circles(n=900, k=3, seed=None):
-    return _ring_chain(n, k, "circle", spacing=1.8, interlock=False, seed=seed)
+def _preset_chain_circles(n=900, k=3):
+    return _ring_chain(n, k, "circle", spacing=1.8, interlock=False)
 
 
-def _preset_klink_curvycycle(n=900, k=3, seed=None):
-    return _ring_chain(n, k, "curvycycle", spacing=1.0, interlock=True, seed=seed)
+def _preset_klink_curvycycle(n=900, k=3):
+    return _ring_chain(n, k, "curvycycle", spacing=1.0, interlock=True)
 
 
-def _preset_chain_curvycycle(n=900, k=3, seed=None):
-    return _ring_chain(n, k, "curvycycle", spacing=1.8, interlock=False, seed=seed)
+def _preset_chain_curvycycle(n=900, k=3):
+    return _ring_chain(n, k, "curvycycle", spacing=1.8, interlock=False)
 
 
-def _concentric_gau(n, k, p, ring_shape, seed):
+def _concentric_gau(n, k, p, ring_shape):
     """k concentric rings of growing radius with a small Gaussian at center."""
-    sizes = gen_nsum(n, k + 1)
     ring_extras = {"p": 2} if ring_shape == "circle" else {"p": 3}
-    spec = MultiClusterSpec(
-        n=sizes,
+    return MultiClusterSpec(
+        n=gen_nsum(n, k + 1),
         k=k + 1,
         loc=_zeros_loc(k + 1, p),
         scale=tuple(2.0 * (i + 1) for i in range(k)) + (0.5,),
         shape=(ring_shape,) * k + ("gaussian",),
         extras=tuple([dict(ring_extras)] * k + [{}]),
     )
-    return gen_multicluster(spec, seed=seed)
 
 
-def _preset_gaucircles(n=2000, k=3, p=4, seed=None):
-    return _concentric_gau(n, k, p, "circle", seed)
+def _preset_gaucircles(n=2000, k=3, p=4):
+    return _concentric_gau(n, k, p, "circle")
 
 
-def _preset_gaucurvycycle(n=2000, k=3, p=4, seed=None):
-    return _concentric_gau(n, k, p, "curvycycle", seed)
+def _preset_gaucurvycycle(n=2000, k=3, p=4):
+    return _concentric_gau(n, k, p, "curvycycle")
 
 
-def _preset_onegrid(n=400, seed=None):
-    spec = MultiClusterSpec(
+def _preset_onegrid(n=400):
+    return MultiClusterSpec(
         n=(n,), k=1, loc=np.array([[0.5, 0.5]]), scale=(1.0,), shape=("gridcube",)
     )
-    return gen_multicluster(spec, seed=seed)
 
 
-def _preset_twogrid_overlap(n=800, seed=None):
-    spec = MultiClusterSpec(
+def _preset_twogrid_overlap(n=800):
+    return MultiClusterSpec(
         n=gen_nsum(n, 2),
         k=2,
         loc=np.array([[0.5, 0.5], [1.0, 0.75]]),
         scale=(1.0, 1.0),
         shape=("gridcube", "gridcube"),
     )
-    return gen_multicluster(spec, seed=seed)
 
 
-def _preset_twogrid_shift(n=800, seed=None):
+def _preset_twogrid_shift(n=800):
     m = gen_nproduct(gen_nsum(n, 2)[0], 2)[0]
     delta = 0.5 / (m - 1) if m > 1 else 0.25  # half a lattice cell
-    spec = MultiClusterSpec(
+    return MultiClusterSpec(
         n=gen_nsum(n, 2),
         k=2,
         loc=np.array([[0.5, 0.5], [0.5 + delta, 0.5 + delta]]),
         scale=(1.0, 1.0),
         shape=("gridcube", "gridcube"),
     )
-    return gen_multicluster(spec, seed=seed)
 
 
-def _preset_shape_para(n=1200, k=3, p=4, seed=None):
+def _preset_shape_para(n=1200, k=3, p=4):
     loc = _zeros_loc(k, p)
     loc[:, 1] = 2.0 * np.arange(k)
-    spec = MultiClusterSpec(
+    return MultiClusterSpec(
         n=gen_nsum(n, k),
         k=k,
         loc=loc,
         scale=(1.0,) * k,
         shape=("quadratic",) * k,
     )
-    return gen_multicluster(spec, seed=seed)
 
 
 PRESETS: dict[str, ShapeInfo] = {
@@ -500,7 +466,8 @@ def preset_info(name: str) -> ShapeInfo:
 
 
 def make_preset(name: str, seed=None, **params) -> Dataset:
-    """Build a named preset scene; its parameters go through `check_params`."""
+    """Sample a named preset scene: its parameters go through `check_params`,
+    its builder returns the MultiClusterSpec and `gen_multicluster` samples it."""
     info = preset_info(name)
     check_params(info, params, f"preset '{name}'")
-    return info.func(seed=seed, **params)
+    return gen_multicluster(info.func(**params), seed=seed)

@@ -9,6 +9,7 @@ shuffling, cluster relocation, background noise).
 
 from __future__ import annotations
 
+import numbers
 import secrets
 from dataclasses import dataclass, field
 
@@ -55,6 +56,28 @@ def _check_n(value, name: str = "n") -> int:
     if count is None or count != value or count < 1:
         raise ParameterError(f"{name} must be a positive integer, got {value!r}")
     return count
+
+
+def _is_kind(value, kind) -> bool:
+    """Whether `value` is a scalar of `kind`: a bool for bool, a real
+    number for float, an integral one for int; a bool is no number."""
+    if isinstance(value, (bool, np.bool_)):
+        return kind is bool
+    if kind is bool or not isinstance(value, numbers.Real):
+        return False
+    return kind is float or isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
+def _reals(value, what: str) -> np.ndarray:
+    """`value`, a number, a nested list of numbers or a numeric array, as a
+    float64 array. A bool, string or None entry, or a ragged nesting, is
+    refused with "<what>, got <value>" instead of converted."""
+    arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+    if arr.dtype == object and all(_is_kind(v, float) for v in arr.flat):
+        arr = arr.astype(np.float64)
+    if arr.dtype.kind not in "iuf":
+        raise ParameterError(f"{what}, got {value!r}")
+    return np.asarray(arr, dtype=np.float64)
 
 
 def _splitmix64(x: int) -> int:
@@ -285,13 +308,14 @@ class RotationPlan:
     steps: tuple[tuple[int, int, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ParameterError("rotation dimension must be a positive integer")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _check_n(self.dim, "rotation dimension"))
+        if not isinstance(self.steps, (list, tuple, np.ndarray)):
+            raise ParameterError(f"rotation steps must be a list of (i, j, angle), got {self.steps!r}")
         norm = []
         for step in self.steps:
-            if len(step) != 3:
-                raise ParameterError(f"rotation step must be (i, j, angle), got {step!r}")
+            if not (isinstance(step, (list, tuple, np.ndarray)) and len(step) == 3
+                    and all(map(_is_kind, step, (int, int, float)))):
+                raise ParameterError(f"rotation step must be (i, j, angle) of integer axes and a number, got {step!r}")
             i, j, angle = int(step[0]), int(step[1]), float(step[2])
             if i == j:
                 raise ParameterError(f"rotation plane axes must differ, got i=j={i}")
@@ -412,12 +436,19 @@ def relocate_clusters(ds, loc) -> Dataset:
     return _adopt(pts, ds.codes, ds.categories)
 
 
-def gen_bkgnoise(n: int, p: int, m=0.0, s=1.0, seed=None) -> Dataset:
-    """n x p background noise, column j drawn from Normal(m_j, s_j^2)."""
+def _gaussian_cols(n: int, p: int, m, s, seed) -> np.ndarray:
+    """n x p draws, column j from Normal(m_j, s_j^2); `m` and `s` are each a
+    number or a length-p vector, every s_j positive."""
     n, p = _check_n(n), _check_n(p, "p")
-    mean = np.broadcast_to(np.asarray(m, dtype=np.float64), (p,))
-    sd = np.broadcast_to(np.asarray(s, dtype=np.float64), (p,))
+    mean, sd = _reals(m, "m must be a number or a vector"), _reals(s, "s must be a number or a vector")
+    for name, vec in (("m", mean), ("s", sd)):
+        if vec.shape not in ((), (p,)):
+            raise ParameterError(f"{name} must be a number or a vector of length {p}, got shape {vec.shape}")
     if not (sd > 0).all():
         raise ParameterError("standard deviations must be strictly positive")
-    rng = as_stream(seed).rng
-    return _adopt(rng.normal(mean, sd, size=(n, p)))
+    return as_stream(seed).rng.normal(np.broadcast_to(mean, (p,)), np.broadcast_to(sd, (p,)), size=(n, p))
+
+
+def gen_bkgnoise(n: int, p: int, m=0.0, s=1.0, seed=None) -> Dataset:
+    """n x p background noise, column j drawn from Normal(m_j, s_j^2)."""
+    return _adopt(_gaussian_cols(n, p, m, s, seed))

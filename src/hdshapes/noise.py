@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, ParameterError, _adopt, _check_n, as_dataset, as_stream
+from .core import Dataset, ParameterError, _adopt, _check_n, _gaussian_cols, as_dataset, as_stream
 
 __all__ = [
     "gen_noisedims",
@@ -31,20 +31,7 @@ def gen_noisedims(n: int, p: int, m=0.0, s=0.2, seed=None) -> Dataset:
     keeps the columns independent but avoids a consistent directional
     drift when the noise is attached to a structure.
     """
-    n, p = _check_n(n), _check_n(p, "p")
-    mean = np.asarray(m, dtype=np.float64)
-    sd = np.asarray(s, dtype=np.float64)
-    if mean.ndim > 1 or sd.ndim > 1:
-        raise ParameterError("m and s must be scalars or 1-D vectors")
-    if mean.ndim == 1 and mean.shape[0] != p:
-        raise ParameterError(f"m has length {mean.shape[0]}, expected {p}")
-    if sd.ndim == 1 and sd.shape[0] != p:
-        raise ParameterError(f"s has length {sd.shape[0]}, expected {p}")
-    mean = np.broadcast_to(mean, (p,))
-    sd = np.broadcast_to(sd, (p,))
-    if not (sd > 0).all():
-        raise ParameterError("standard deviations must be strictly positive")
-    pts = as_stream(seed).rng.normal(mean, sd, size=(n, p))
+    pts = _gaussian_cols(n, p, m, s, seed)
     pts[:, ::2] *= -1.0
     return _adopt(pts)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-import numbers
 import types
 import typing
 import warnings
@@ -29,6 +28,7 @@ from .core import (
     ParameterError,
     _adopt,
     _check_n,
+    _is_kind,
     as_stream,
     gen_nproduct,
     gen_nsum,
@@ -472,7 +472,7 @@ def _clamped_exp_heights(rng, n: int, h: float) -> np.ndarray:
 
 
 def _noise_cols(rng, n: int, count: int) -> np.ndarray:
-    return rng.normal(0.0, 0.2, (n, count)) if count > 0 else np.empty((n, 0))
+    return rng.normal(0.0, 0.2, (n, count))
 
 
 def gen_pyrrect(n: int, p: int = 4, h: float = 1.0, l_vec=(1.0, 1.0), rt: float = 0.0, seed=None) -> Dataset:
@@ -1048,12 +1048,14 @@ def gen_nonlinear(n: int, hc: float = 1.0, non_fac: float = 1.0, p: int = 4, see
 class ShapeInfo:
     """Dispatch record for one buildable target: a shape kind, a holed
     shape (`topology.HOLES`) or a preset scene (`composer.PRESETS`).
+    A shape's `func` returns its Dataset; a preset's takes no seed and
+    returns its MultiClusterSpec, which `make_preset` samples.
 
     Everything about the parameters is read from `func`'s signature on
     first use, so importing hdshapes reads no signature.
     """
 
-    func: Callable[..., Dataset]
+    func: Callable  # -> Dataset, or MultiClusterSpec for a preset
     dim: int | None  # output dim; None means "equals p", and for presets "not fixed"
     description: str
 
@@ -1137,16 +1139,6 @@ def shape_info(kind: str) -> ShapeInfo:
         return SHAPES[kind]
     except (KeyError, TypeError):
         raise UnknownShapeError(kind) from None
-
-
-def _is_kind(value, kind) -> bool:
-    """Whether `value` is a scalar of `kind`: a bool for bool, a real
-    number for float, an integral one for int; a bool is no number."""
-    if isinstance(value, (bool, np.bool_)):
-        return kind is bool
-    if kind is bool or not isinstance(value, numbers.Real):
-        return False
-    return kind is float or isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
 def check_params(info: ShapeInfo, params: dict, what: str) -> None:

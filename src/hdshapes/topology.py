@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .core import Dataset, ParameterError, _check_n, as_dataset, as_stream
+from .core import Dataset, ParameterError, _check_n, _is_kind, as_dataset, as_stream
 from .shapes import ShapeInfo, gen_scurve, gen_unifcube
 
 __all__ = [
@@ -27,6 +27,13 @@ class HoleRetentionWarning(UserWarning):
     """The hole removed more than 90% of the points."""
 
 
+def _check_radius(r, name: str) -> None:
+    if not _is_kind(r, float):
+        raise ParameterError(f"{name} must be a number, got {r!r}")
+    if not r > 0:
+        raise ParameterError(f"hole radius {name} must be positive, got {r!r}")
+
+
 def gen_hole(ds, r: float, anchor=None) -> Dataset:
     """Remove every row within Euclidean distance r of the anchor.
 
@@ -38,8 +45,7 @@ def gen_hole(ds, r: float, anchor=None) -> Dataset:
     ds = as_dataset(ds)
     if ds.n == 0:
         raise ParameterError("cannot punch a hole in an empty dataset")
-    if r <= 0:
-        raise ParameterError("hole radius must be positive")
+    _check_radius(r, "r")
     if anchor is None:
         anchor = ds.points.mean(axis=0)
     anchor = np.asarray(anchor, dtype=np.float64).ravel()
@@ -66,10 +72,7 @@ def _holed_sample(make, n: int, r_hole, stream) -> Dataset:
     sample is oversampled by 1 / (1 - fraction) plus 10%, doubling up to
     four more times if too few points survive.
     """
-    try:
-        r_hole = float(r_hole)
-    except (TypeError, ValueError):
-        raise ParameterError(f"r_hole must be a number, got {r_hole!r}") from None
+    _check_radius(r_hole, "r_hole")
     # Low retention in the pilot or a draw only sizes the next draw; the
     # returned sample always has n points, so nothing here warns.
     with warnings.catch_warnings():

@@ -14,6 +14,7 @@ from hdshapes.core import (
     gen_rotation,
 )
 from hdshapes.composer import (
+    PRESETS,
     MultiClusterSpec,
     apply_transform,
     gen_multicluster,
@@ -272,6 +273,41 @@ def test_too_small_scene_is_rejected_before_sampling(monkeypatch):
     with pytest.raises(DimensionError, match="cluster 0 shape 'gaussian' has 5 dims"):
         gen_multicluster(wide, seed=1)
     assert calls == []
+
+
+@pytest.mark.parametrize("rotation", [
+    (None, None, {"dim": "4", "steps": []}),
+    (None, None, {"dim": 4, "steps": [[1, True, 0.5]]}),
+    (None, None, "eye"),
+    (None, None, np.eye(2)),  # neither the cube's nor the scene's dimension
+], ids=["string-dim", "bool-axis", "string-entry", "wrong-size"])
+def test_a_bad_rotation_is_refused_before_any_cluster_is_sampled(rotation, monkeypatch):
+    from hdshapes import composer
+
+    calls = []
+    monkeypatch.setattr(composer, "generate", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ParameterError, match="rotation"):
+        gen_multicluster(usage_spec(rotation=rotation), seed=1)
+    assert calls == []
+
+
+def test_spec_holds_each_realized_rotation():
+    plan = RotationPlan(4, ((1, 2, 0.9), (2, 4, 2.2)))
+    spec = usage_spec(rotation=(plan, None, {"dim": 4, "steps": [[1, 2, 0.9], [2, 4, 2.2]]}))
+    assert spec.rotation[1] is None
+    assert np.array_equal(spec.rotation[0], gen_rotation(plan))
+    assert np.array_equal(spec.rotation[2], gen_rotation(plan))
+
+
+@pytest.mark.parametrize("name", list_presets())
+def test_a_preset_builds_its_spec_and_make_preset_samples_it(name):
+    spec = PRESETS[name].func()
+    assert isinstance(spec, MultiClusterSpec)
+    for seed in (0, 31):
+        ours, theirs = gen_multicluster(PRESETS[name].func(), seed=seed), make_preset(name, seed=seed)
+        assert ours.points.tobytes() == theirs.points.tobytes()
+        assert ours.codes.tobytes() == theirs.codes.tobytes()
+        assert ours.categories == theirs.categories
 
 
 def test_nan_loc_row_skips_translation():

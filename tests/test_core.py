@@ -249,6 +249,28 @@ def test_plan_validation():
         gen_rotation(np.eye(3))  # not a plan
 
 
+@pytest.mark.parametrize("dim, steps", [
+    ("4", ()),
+    (True, ()),
+    (2.5, ()),
+    (4, ((True, 2, 0.5),)),
+    (4, ((1, "2", 0.5),)),
+    (4, ((1, 2, "0.5"),)),
+    (4, ((1, 2, False),)),
+    (4, ((1, 2),)),
+    (4, (5,)),
+    (4, 5),
+])
+def test_plan_refuses_a_string_or_bool_instead_of_converting_it(dim, steps):
+    with pytest.raises(ParameterError, match="rotation"):
+        RotationPlan(dim, steps)
+
+
+def test_plan_keeps_integral_and_numpy_numbers():
+    plan = RotationPlan(np.int64(3), [(1.0, np.int32(3), np.float32(0.5))])
+    assert plan.dim == 3 and plan.steps == ((1, 3, float(np.float32(0.5))),)
+
+
 def _random_plan(rng, p, n_steps=10):
     steps = []
     for _ in range(n_steps):
@@ -476,6 +498,18 @@ def test_bkgnoise_validation():
         gen_bkgnoise(10, 2, 0.0, (1.0, 0.0), seed=1)
     with pytest.raises(ParameterError):
         gen_bkgnoise(0, 2, seed=1)
+
+
+@pytest.mark.parametrize("m, s, message", [
+    ([1, 2], 1.0, "m must be a number or a vector of length 3"),
+    (0.0, [1, 2, 3, 4], "s must be a number or a vector of length 3"),
+    ([[0.0, 0.0, 0.0]], 1.0, "m must be a number or a vector of length 3"),
+    ("x", 1.0, "m must be a number or a vector"),
+    (0.0, True, "s must be a number or a vector"),
+])
+def test_bkgnoise_names_a_malformed_mean_or_sd(m, s, message):
+    with pytest.raises(ParameterError, match=message):
+        gen_bkgnoise(5, 3, m=m, s=s, seed=1)
 
 
 @pytest.mark.parametrize("name", ["n", "p"])

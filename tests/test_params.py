@@ -183,3 +183,47 @@ def test_any_parameters_give_a_dataset_or_a_parameter_error(draw):
     if what != "preset":
         info = REGISTRIES[what][name]
         assert ds.p == (info.dim or params.get("p", info.defaults.get("p")))
+
+
+# ---------------------------------------------------------------------------
+# Multicluster configs: a field of the wrong kind is refused, not converted
+
+CONFIG = {
+    "n": [20, 20], "k": 2, "loc": [[0, 0, 0, 0], [5, 5, 5, 5]], "scale": [1, 1],
+    "shape": ["cone", "gaussian"],
+}
+
+
+def _plan(**change):
+    return {"rotation": [None, {"dim": 4, "steps": [[1, 2, 0.5]], **change}]}
+
+
+# Each was read as something else (a bool as a count or scale, "no" as
+# true) or ended in a traceback instead of a ParameterError.
+BAD_CONFIGS = {
+    "is_bkg-string": ("is_bkg", {"is_bkg": "no"}),
+    "n-bool": ("n", {"n": [True, 20]}),
+    "scale-bool": ("scale", {"scale": [True, 1]}),
+    "loc-string": ("loc", {"loc": [["a", 0, 0, 0], [5, 5, 5, 5]]}),
+    "rotation-number": ("rotation", {"rotation": 5}),
+    "rotation-string-entry": ("rotation", {"rotation": [None, "eye"]}),
+    "rotation-string-dim": ("rotation", _plan(dim="4")),
+    "rotation-bool-axis": ("rotation", _plan(steps=[[True, 2, 0.5]])),
+    "rotation-string-axis": ("rotation", _plan(steps=[[1, "x", 0.5]])),
+    "rotation-number-steps": ("rotation", _plan(steps=5)),
+    "extras-number-entry": ("extras", {"extras": [1, {}]}),
+}
+
+
+@pytest.mark.parametrize("field, change", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_a_malformed_config_is_refused_and_names_its_field(field, change, tmp_path, capsys):
+    cfg = {**CONFIG, **change}
+    named = rf"(^|[\s-]){field}\b"
+    with pytest.raises(ParameterError, match=named):
+        MultiClusterSpec.from_dict(cfg)
+    config, out = tmp_path / "scene.json", tmp_path / "out.csv"
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["multicluster", str(config), "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert re.search(named, capsys.readouterr().err, re.M)

@@ -149,7 +149,14 @@ def test_unifcubehole_degenerate():
 
 
 @pytest.mark.parametrize("make", [gen_scurvehole, gen_unifcubehole])
-@pytest.mark.parametrize("r_hole", ["x", None, [0.1, 0.2]])
+@pytest.mark.parametrize("r_hole", ["x", None, [0.1, 0.2], True, "0.3"])
 def test_non_numeric_hole_radius_is_named(make, r_hole):
     with pytest.raises(ParameterError, match="r_hole must be a number"):
         make(50, r_hole=r_hole, seed=1)
+
+
+@pytest.mark.parametrize("r", ["x", True, None, "0.3"])
+def test_gen_hole_refuses_a_radius_that_is_not_a_number(r):
+    ds = gen_unifcube(20, p=2, seed=1)
+    with pytest.raises(ParameterError, match="r must be a number"):
+        gen_hole(ds, r)
