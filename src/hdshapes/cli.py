@@ -33,7 +33,7 @@ import numpy as np
 
 from . import OUTPUT_VERSION, __version__
 from .composer import PRESETS, MultiClusterSpec, gen_multicluster, make_preset, preset_info
-from .core import ParameterError
+from .core import ParameterError, _cpu_count
 from .shapes import SHAPES, ShapeInfo, check_params, generate, shape_info
 from .topology import HOLES
 
@@ -51,12 +51,10 @@ _CHUNK_ROWS = 1024
 
 def _shares(n: int) -> list[range]:
     """Rows 0..n cut into contiguous, chunk-aligned ranges, one per process
-    that formats them: one per CPU this process may run on, but no more
-    than there are chunks, and one where `os.fork` or
-    `os.sched_getaffinity` is missing."""
+    that formats them: one per CPU this process may run on (`core._cpu_count`),
+    but no more than there are chunks, and one where `os.fork` is missing."""
     chunks = -(-n // _CHUNK_ROWS)
-    parallel = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    workers = max(1, min(chunks, len(os.sched_getaffinity(0)) if parallel else 1))
+    workers = max(1, min(chunks, _cpu_count() if hasattr(os, "fork") else 1))
     cuts = [chunks * i // workers * _CHUNK_ROWS for i in range(workers)] + [n]
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 

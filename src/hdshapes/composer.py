@@ -4,13 +4,19 @@ The pipeline generates each cluster from its shape kind, applies scale and
 optional rotation, pads with Gaussian noise columns up to the scene
 dimension, translates the cluster centroid onto its target location,
 labels rows by shape name, concatenates, optionally appends background
-noise, and shuffles rows. Per-cluster substreams keep cluster generation
-independent of evaluation order, so the pipeline could run clusters
-concurrently without changing its output.
+noise, and shuffles rows. Clusters run concurrently: the calling thread and
+one helper thread per further CPU in the process's affinity mask share them
+out, and each samples a cluster and writes it straight into its block of the
+scene array. Each cluster draws from its own substream, so the bytes do not
+depend on the number of threads or on which thread took which cluster.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
+import threading
+import warnings
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 
@@ -22,8 +28,11 @@ from .core import (
     ParameterError,
     RotationPlan,
     _adopt,
+    _check_finite,
     _check_n,
+    _cpu_count,
     _is_kind,
+    _number,
     _reals,
     as_dataset,
     as_stream,
@@ -89,6 +98,34 @@ def _entries(value, name: str, k: int) -> tuple:
     return tuple(value)
 
 
+def _place(out: np.ndarray, points: np.ndarray, scale=1.0, rotation=None, pad=None, center=None) -> None:
+    """Write `points` (n x w) into `out` (n x p, C-contiguous, w <= p): scaled,
+    rotated by a w x w `rotation`, padded with N(mu, PAD_SD^2) columns drawn
+    from the RandomStream `pad` (mu the mean over every entry of the scaled,
+    rotated points), rotated by a p x p `rotation` when w < p, and translated
+    so that the centroid lands on `center`.
+
+    The padding mean is taken over the contiguous n x w array and the
+    centroid over `out`'s full rows, so the result is the same, bit for bit,
+    as building each stage as a new array.
+    """
+    w, p = points.shape[1], out.shape[1]
+    before = rotation if rotation is not None and rotation.shape[0] == w else None
+    # Without padding, the last of scaling and rotating writes straight into `out`.
+    if scale != 1:  # x * 1.0 is x exactly for finite x, so a unit scale skips the multiply
+        points = np.multiply(points, float(scale), out=out if w == p and before is None else None)
+    if before is not None:
+        points = np.matmul(points, before.T, out=out if w == p else None)
+    if w < p:
+        out[:, w:] = pad.rng.normal(float(points.mean()), PAD_SD, (out.shape[0], p - w))
+    if points is not out:
+        out[:, :w] = points
+    if rotation is not None and before is None:
+        out[:] = out @ rotation.T
+    if center is not None:
+        out += center - out.mean(axis=0)
+
+
 def pad_to_dim(ds, p_target: int, seed=None) -> Dataset:
     """Append Gaussian noise columns up to p_target dimensions.
 
@@ -101,29 +138,27 @@ def pad_to_dim(ds, p_target: int, seed=None) -> Dataset:
         raise DimensionError(f"cannot pad {ds.p} columns down to {p_target}")
     if p_target == ds.p:
         return ds
-    mu = float(ds.points.mean())
-    extra = as_stream(seed).rng.normal(mu, PAD_SD, (ds.n, p_target - ds.p))
-    return _adopt(np.hstack([ds.points, extra]), ds.codes, ds.categories)
+    out = np.empty((ds.n, p_target))
+    _place(out, ds.points, pad=as_stream(seed))
+    return _adopt(out, ds.codes, ds.categories)
 
 
 def apply_transform(ds, scale: float, rotation=None, center=None) -> Dataset:
     """Scale, optionally rotate, then translate the centroid onto `center`."""
     ds = as_dataset(ds)
-    if scale <= 0:
+    if _number(scale, "scale") <= 0:
         raise ParameterError("scale must be positive")
-    # x * 1.0 is x exactly for finite x, so a unit scale skips the multiply.
-    pts = ds.points if scale == 1 else ds.points * float(scale)
     if rotation is not None:
-        rot = _rotation_matrix(rotation)
-        if rot.shape[0] != ds.p:
-            raise ParameterError(f"rotation is {rot.shape[0]}-dimensional, dataset has {ds.p}")
-        pts = pts @ rot.T
+        rotation = _rotation_matrix(rotation)
+        if rotation.shape[0] != ds.p:
+            raise ParameterError(f"rotation is {rotation.shape[0]}-dimensional, dataset has {ds.p}")
     if center is not None:
-        center = np.asarray(center, dtype=np.float64).ravel()
+        center = _reals(center, "center must be a vector of numbers").ravel()
         if center.shape[0] != ds.p:
             raise ParameterError(f"center has length {center.shape[0]}, dataset has {ds.p}")
-        pts = pts + (center - pts.mean(axis=0))
-    return _adopt(pts, ds.codes, ds.categories)
+    out = np.empty((ds.n, ds.p))
+    _place(out, ds.points, scale, rotation, center=center)
+    return _adopt(out, ds.codes, ds.categories)
 
 
 @dataclass
@@ -222,6 +257,90 @@ class MultiClusterSpec:
         return cls(**cfg)
 
 
+# Warnings raised by a thread running `_each_cluster` jobs are held, then
+# shown in cluster order. A filter still decides, when a warning is raised,
+# whether it is shown, ignored or raised as an error; only showing it waits.
+_held = threading.local()  # .warnings: the list the current job's warnings go to
+_hold_lock = threading.Lock()
+_hold_users = 0  # calls of _each_cluster running, in any thread
+_show = None  # warnings._showwarnmsg while the hold is installed
+
+
+def _hold_or_show(msg) -> None:
+    held = getattr(_held, "warnings", None)
+    if held is None:
+        _show(msg)
+    else:
+        held.append(msg)
+
+
+def _set_hold(on: bool) -> None:
+    """Install the hold for the first running `_each_cluster`, remove it
+    after the last. `warnings._showwarnmsg` is the one function every shown
+    warning passes through, whether printed, recorded or sent to a
+    replaced `warnings.showwarning`."""
+    global _hold_users, _show
+    with _hold_lock:
+        if on and _hold_users == 0:
+            _show, warnings._showwarnmsg = warnings._showwarnmsg, _hold_or_show
+        _hold_users += 1 if on else -1
+        if not on and _hold_users == 0:
+            warnings._showwarnmsg = _show
+
+
+def _each_cluster(k: int, job) -> list:
+    """[job(0), ..., job(k - 1)], run by the calling thread and one helper
+    thread per further CPU in the affinity mask, at most one thread per
+    cluster. Every helper has ended when this returns or raises.
+
+    Threads take clusters in increasing order, and none is taken after one
+    fails, so every cluster before the first failed one has run: its
+    exception is raised, as a loop over the clusters would raise it, after
+    the warnings of the clusters up to it are shown in cluster order. An
+    interrupt (an exception that is not an `Exception`) is raised first.
+    Helpers run in copies of the caller's context, so `np.errstate` holds
+    in them too.
+    """
+    results, errors, held = [None] * k, [None] * k, [[] for _ in range(k)]
+    taken = itertools.count()  # next() on it is one call under the interpreter lock
+    failed = threading.Event()
+
+    def work() -> None:
+        outer = getattr(_held, "warnings", None)
+        try:
+            while not failed.is_set() and (c := next(taken)) < k:
+                _held.warnings = held[c]
+                try:
+                    results[c] = job(c)
+                except BaseException as exc:
+                    errors[c] = exc
+                    failed.set()
+        finally:
+            _held.warnings = outer
+
+    helpers = []
+    _set_hold(True)
+    try:
+        for _ in range(min(k, _cpu_count()) - 1):
+            helpers.append(threading.Thread(target=contextvars.copy_context().run, args=(work,)))
+            helpers[-1].start()
+        work()
+    finally:
+        failed.set()  # if the calling thread was interrupted, helpers take no more clusters
+        for thread in helpers:
+            thread.join()
+        _set_hold(False)
+    for exc in errors:
+        if exc is not None and not isinstance(exc, Exception):
+            raise exc
+    last = next((c for c, exc in enumerate(errors) if exc is not None), k - 1)
+    for msg in itertools.chain.from_iterable(held[: last + 1]):
+        warnings._showwarnmsg(msg)
+    if errors[last] is not None:
+        raise errors[last]
+    return results
+
+
 def _cluster_labels(shapes: tuple[str, ...]) -> list[str]:
     """Each cluster's shape name, numbered (`gaussian_1`) where it repeats."""
     counts, seen, out = Counter(shapes), Counter(), []
@@ -234,7 +353,9 @@ def _cluster_labels(shapes: tuple[str, ...]) -> list[str]:
 def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) -> Dataset:
     """Compose a labeled multi-cluster dataset from `spec`.
 
-    Per cluster: generate -> scale -> rotate -> pad -> translate. Shapes
+    Per cluster: generate -> scale -> rotate -> pad -> translate, each
+    cluster on one thread (see `_each_cluster`), straight into its block of
+    the scene array; the bytes do not depend on the number of threads. Shapes
     that take a dimension argument receive the scene dimension unless the
     cluster's extras override it; lower-dimensional shapes are padded with
     N(mu, 0.2^2) columns (mu = mean of that cluster's coordinates). With
@@ -259,26 +380,40 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
         dim = None if rotations[c] is None else rotations[c].shape[0]
         if dim not in (None, width, p):
             raise ParameterError(f"cluster {c} rotation is {dim}-dimensional; expected {width} (shape) or {p} (scene)")
-    # Sample every cluster first: the row counts place each cluster's block
-    # in the one scene array.
-    samples = [
-        generate(kind, n=spec.n[c], seed=stream.derive(c).derive(0), **kwargs[c])
-        for c, kind in enumerate(spec.shape)
-    ]
-    counts = [ds.n for ds in samples]
-    n_rows = sum(counts)
+    # The calling thread allocates the scene from the requested counts, so a
+    # cluster is placed as soon as it is sampled, by the thread that sampled
+    # it. No thread holds more than one sample at a time, which matters
+    # because each helper thread's malloc arena keeps the memory it used.
+    guess = np.cumsum([0, *spec.n]).tolist()
     n_bkg = max(1, round(0.1 * sum(spec.n))) if spec.is_bkg else 0
-    scene = np.empty((n_rows + n_bkg, p))
-    start = 0
-    for c, rot in enumerate(rotations):
-        ds, samples[c] = samples[c], None  # freed once its block is written
-        before_pad = rot is not None and rot.shape[0] == ds.p
+    scene = np.empty((guess[-1] + n_bkg, p))
+
+    def place(c: int, ds: Dataset, into: np.ndarray, starts: list) -> None:
+        block = into[starts[c] : starts[c + 1]]
         target = None if np.isnan(spec.loc[c]).all() else spec.loc[c]
-        cluster = apply_transform(ds, spec.scale[c], rot if before_pad else None)
-        cluster = pad_to_dim(cluster, p, seed=stream.derive(c).derive(1))
-        cluster = apply_transform(cluster, 1.0, None if before_pad else rot, target)
-        scene[start : start + ds.n] = cluster.points
-        start += ds.n
+        _place(block, ds.points, spec.scale[c], rotations[c], stream.derive(c).derive(1), target)
+        _check_finite(block)  # before the background, which is drawn from the clusters' spread
+
+    def sample_and_place(c: int) -> Dataset | None:
+        ds = generate(spec.shape[c], n=spec.n[c], seed=stream.derive(c).derive(0), **kwargs[c])
+        if ds.n != spec.n[c]:
+            return ds  # a lattice with more points than n: placed once every count is known
+        place(c, ds, scene, guess)
+        return None
+
+    unplaced = _each_cluster(spec.k, sample_and_place)
+    counts = [spec.n[c] if ds is None else ds.n for c, ds in enumerate(unplaced)]
+    if counts != list(spec.n):
+        # Move the placed blocks to their offsets, then place the lattices.
+        starts = np.cumsum([0, *counts]).tolist()
+        placed, scene = scene, np.empty((starts[-1] + n_bkg, p))
+        for c, ds in enumerate(unplaced):
+            if ds is None:
+                scene[starts[c] : starts[c + 1]] = placed[guess[c] : guess[c + 1]]
+            else:
+                place(c, ds, scene, starts)
+        del placed
+    n_rows = sum(counts)
     names = _cluster_labels(spec.shape)
     if spec.is_bkg:
         clusters = scene[:n_rows]

@@ -10,6 +10,7 @@ shuffling, cluster relocation, background noise).
 from __future__ import annotations
 
 import numbers
+import os
 import secrets
 from dataclasses import dataclass, field
 
@@ -58,6 +59,12 @@ def _check_n(value, name: str = "n") -> int:
     return count
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on (its affinity mask, which
+    `taskset` sets), or 1 where `os.sched_getaffinity` is missing."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _is_kind(value, kind) -> bool:
     """Whether `value` is a scalar of `kind`: a bool for bool, a real
     number for float, an integral one for int; a bool is no number."""
@@ -66,6 +73,14 @@ def _is_kind(value, kind) -> bool:
     if kind is bool or not isinstance(value, numbers.Real):
         return False
     return kind is float or isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
+def _number(value, name: str):
+    """`value` if it is a real number; a ParameterError naming `name` if it
+    is anything else, a bool or a numeric string included."""
+    if not _is_kind(value, float):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def _reals(value, what: str) -> np.ndarray:
@@ -195,8 +210,7 @@ class Dataset:
         pts = own(points, dtype=np.float64)
         if pts.ndim != 2:
             raise ParameterError(f"points must be a 2-D matrix, got ndim={pts.ndim}")
-        if not np.isfinite(pts).all():
-            raise ParameterError("points must be finite (no NaN or Inf entries)")
+        _check_finite(pts)
         if labels is None:
             if categories is not None:
                 raise ParameterError("categories given without label codes")
@@ -278,6 +292,11 @@ class Dataset:
     def __repr__(self) -> str:
         tag = "labeled" if self.codes is not None else "unlabeled"
         return f"Dataset(n={self.n}, p={self.p}, {tag})"
+
+
+def _check_finite(points) -> None:
+    if not np.isfinite(points).all():
+        raise ParameterError("points must be finite (no NaN or Inf entries)")
 
 
 def _adopt(points, codes=None, categories=None) -> Dataset:
@@ -418,7 +437,7 @@ def relocate_clusters(ds, loc) -> Dataset:
     ds = as_dataset(ds)
     if ds.codes is None:
         raise ParameterError("relocate_clusters requires a labeled dataset")
-    loc = np.asarray(loc, dtype=np.float64)
+    loc = _reals(loc, "loc must be a k x p matrix of numbers")
     if loc.ndim != 2:
         raise ParameterError("loc must be a k x p matrix")
     used = np.flatnonzero(np.bincount(ds.codes, minlength=len(ds.categories)))

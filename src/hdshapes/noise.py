@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, ParameterError, _adopt, _check_n, _gaussian_cols, as_dataset, as_stream
+from .core import Dataset, ParameterError, _adopt, _check_n, _gaussian_cols, _number, as_dataset, as_stream
 
 __all__ = [
     "gen_noisedims",
@@ -45,7 +45,7 @@ def gen_wavydims1(n: int, p: int, theta, sigma: float = 0.05, seed=None) -> Data
     theta = np.asarray(theta, dtype=np.float64).ravel()
     if theta.shape[0] != n:
         raise ParameterError(f"theta has length {theta.shape[0]}, expected {n}")
-    if sigma <= 0:
+    if _number(sigma, "sigma") <= 0:
         raise ParameterError("sigma must be positive")
     rng = as_stream(seed).rng
     alphas = 0.1 * np.arange(1, p + 1)
@@ -64,7 +64,7 @@ def gen_wavydims2(n: int, p: int, x1, powers=None, scales=None, noise: float = 0
     x1 = np.asarray(x1, dtype=np.float64).ravel()
     if x1.shape[0] != n:
         raise ParameterError(f"x1 has length {x1.shape[0]}, expected {n}")
-    if noise < 0:
+    if _number(noise, "noise") < 0:
         raise ParameterError("noise amplitude must be non-negative")
     rng = as_stream(seed).rng
     if powers is None:
@@ -101,7 +101,7 @@ def gen_wavydims3(n: int, p: int, base, perturb: float = 0.05, noise: float = 0.
         raise ParameterError(f"base has {base.n} rows, expected {n}")
     if p < 3:
         raise ParameterError("p must be at least 3 (the perturbed base columns)")
-    if perturb < 0 or noise < 0:
+    if _number(perturb, "perturb") < 0 or _number(noise, "noise") < 0:
         raise ParameterError("perturb and noise amplitudes must be non-negative")
     rng = as_stream(seed).rng
     x1, x2, x3 = base.points[:, 0], base.points[:, 1], base.points[:, 2]

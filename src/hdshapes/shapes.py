@@ -116,7 +116,8 @@ def _unit_directions(rng, n: int, d: int) -> np.ndarray:
     v = rng.standard_normal((n, d))
     norms = np.linalg.norm(v, axis=1)
     norms[norms == 0] = 1.0
-    return v / norms[:, None]
+    v /= norms[:, None]
+    return v
 
 
 def _trunc_exp(rng, n: int, rate: float, high: float) -> np.ndarray:
@@ -329,8 +330,9 @@ def gen_cone(n: int, p: int = 4, h: float = 1.0, ratio: float = 0.5, seed=None) 
     rng = as_stream(seed).rng
     z = _trunc_exp(rng, n, 2.0 / h, h)
     r = ratio + (1.0 - ratio) * z / h
+    directions = _unit_directions(rng, n, p - 1)
     pts = np.empty((n, p))
-    pts[:, : p - 1] = _unit_directions(rng, n, p - 1) * r[:, None]
+    np.multiply(directions, r[:, None], out=pts[:, : p - 1])
     pts[:, p - 1] = z
     return _adopt(pts)
 
@@ -366,7 +368,7 @@ def gen_unifcube(n: int, p: int = 4, seed=None) -> Dataset:
     n, p = _check_n(n), _check_n(p, "p")
     pts = as_stream(seed).rng.random((n, p))
     at_vertex = ((pts == 0.0) | (pts == 1.0)).all(axis=1)
-    return _adopt(pts[~at_vertex])
+    return _adopt(pts[~at_vertex] if at_vertex.any() else pts)
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +379,16 @@ def gen_gaussian(n: int, p: int = 4, s=None, seed=None) -> Dataset:
     """n iid draws from N_p(0, s); s defaults to the identity."""
     n, p = _check_n(n), _check_n(p, "p")
     if s is None:
-        cov = np.eye(p)
-    else:
-        cov = np.asarray(s, dtype=np.float64)
-        if cov.shape != (p, p):
-            raise ParameterError(f"covariance must be {p} x {p}, got {cov.shape}")
-        if not np.allclose(cov, cov.T, atol=1e-10):
-            raise ParameterError("covariance must be symmetric")
+        z = as_stream(seed).rng.standard_normal((n, p))
+        # The same bits as z @ I, without BLAS: a product sums from +0.0, so
+        # it too turns -0.0 into +0.0 and keeps every other value.
+        z += 0.0
+        return _adopt(z)
+    cov = np.asarray(s, dtype=np.float64)
+    if cov.shape != (p, p):
+        raise ParameterError(f"covariance must be {p} x {p}, got {cov.shape}")
+    if not np.allclose(cov, cov.T, atol=1e-10):
+        raise ParameterError("covariance must be symmetric")
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -409,7 +414,10 @@ def gen_longlinear(n: int, p: int = 4, seed=None) -> Dataset:
     a = rng.uniform(-10.0, 10.0, p)
     b = rng.uniform(-300.0, 300.0, p)
     eps = rng.normal(0.0, 0.03 * n, (n, p))
-    return _adopt(a * (t[:, None] + b + eps))
+    pts = t[:, None] + b
+    pts += eps
+    pts *= a
+    return _adopt(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .core import Dataset, ParameterError, _check_n, _is_kind, as_dataset, as_stream
+from .core import Dataset, ParameterError, _check_n, _number, as_dataset, as_stream
 from .shapes import ShapeInfo, gen_scurve, gen_unifcube
 
 __all__ = [
@@ -28,9 +28,7 @@ class HoleRetentionWarning(UserWarning):
 
 
 def _check_radius(r, name: str) -> None:
-    if not _is_kind(r, float):
-        raise ParameterError(f"{name} must be a number, got {r!r}")
-    if not r > 0:
+    if not _number(r, name) > 0:
         raise ParameterError(f"hole radius {name} must be positive, got {r!r}")
 
 

@@ -460,6 +460,21 @@ def test_lattice_overshoot_is_reported_on_stderr(tmp_path):
     assert manifest["warnings"] == ["gridcube lattice has 12 points, more than n = 10"]
 
 
+def test_every_cluster_warning_is_reported_in_cluster_order(tmp_path, capsys):
+    cfg = tmp_path / "grids.json"
+    cfg.write_text(json.dumps({"n": [10, 40], "k": 2, "loc": [[0, 0], [3, 3]], "scale": [1, 1],
+                               "shape": ["gridcube", "gridcube"]}))
+    out = tmp_path / "grids.csv"
+    assert main(["multicluster", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+    messages = [
+        "gridcube lattice has 12 points, more than n = 10",
+        "gridcube lattice has 42 points, more than n = 40",
+    ]
+    assert capsys.readouterr().err == "".join(f"warning: {m}\n" for m in messages)
+    assert json.loads((tmp_path / "grids.csv.manifest.json").read_text())["warnings"] == messages
+    assert len(out.read_text().splitlines()) == 1 + 12 + 42
+
+
 def test_hole_pilot_is_not_reported_as_a_warning(tmp_path, capsys):
     out = tmp_path / "h.csv"
     argv = ["hole", "unifcube", "--n", "40", "--p", "2", "--r-hole", "0.55", "--seed", "1", "--out", str(out)]

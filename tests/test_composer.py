@@ -1,5 +1,10 @@
 import collections
+import os
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +28,14 @@ from hdshapes.composer import (
     pad_to_dim,
     simplex_vertices,
 )
-from hdshapes.shapes import RejectedParameterError, UnknownShapeError, gen_scurve
+from hdshapes.shapes import (
+    LatticeSizeWarning,
+    RejectedParameterError,
+    UnknownShapeError,
+    gen_scurve,
+    generate,
+    shape_info,
+)
 
 
 def usage_spec(**overrides):
@@ -450,3 +462,275 @@ def test_multicluster_peak_memory_is_bounded():
         tracemalloc.stop()
     assert out.n == 220_000
     assert peak <= 4 * out.points.nbytes, f"peak {peak / out.points.nbytes:.2f}x the output"
+
+
+# ---------------------------------------------------------------------------
+# Clusters composed on every CPU
+
+
+def _cpus(monkeypatch, count) -> None:
+    """Make the composer see `count` CPUs in the affinity mask, or, for None,
+    run where `os.sched_getaffinity` is missing."""
+    if count is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _rotated_scene_with_background():
+    p = 6
+    return MultiClusterSpec(
+        n=(700, 500, 900, 300), k=4,
+        loc=np.array([[0.0] * p, [5.0] * p, [-4.0, 2.0, 0.0, 1.0, 3.0, -2.0], [np.nan] * p]),
+        scale=(1.5, 0.7, 2.0, 1.0), shape=("scurve", "gaussian", "cone", "mobius"),
+        rotation=(RotationPlan(3, ((1, 2, 0.7),)), RotationPlan(p, ((2, 5, 1.3), (1, 6, 0.2))),
+                  None, RotationPlan(p, ((3, 4, 2.1),))),
+        is_bkg=True,
+    )
+
+
+def _scenes() -> dict:
+    specs = {name: PRESETS[name].func() for name in list_presets()}
+    specs["rotated_background"] = _rotated_scene_with_background()
+    scenes = {name: gen_multicluster(spec, seed=9) for name, spec in specs.items()}
+    return {name: (ds.points.tobytes(), ds.codes.tobytes(), ds.categories) for name, ds in scenes.items()}
+
+
+def _count_helpers(monkeypatch) -> list:
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def test_scene_bytes_do_not_depend_on_the_thread_count(monkeypatch):
+    helpers = _count_helpers(monkeypatch)
+    sizes = [PRESETS[name].func().k for name in list_presets()] + [_rotated_scene_with_background().k]
+    scenes = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LatticeSizeWarning)  # the grid presets overshoot n
+        for count in (1, 2, 3, 8, None):
+            _cpus(monkeypatch, count)
+            helpers.clear()
+            scenes[count] = _scenes()
+            # One helper per CPU past the first, at most one thread per cluster,
+            # serving both the sampling and the placing of a scene.
+            assert len(helpers) == sum(min(k, count or 1) - 1 for k in sizes), count
+    assert all(scenes[count] == scenes[1] for count in scenes)
+    for name in list_presets():
+        ds = make_preset(name, seed=9)
+        assert scenes[1][name] == (ds.points.tobytes(), ds.codes.tobytes(), ds.categories)
+
+
+def test_every_helper_thread_has_ended_when_gen_multicluster_returns_or_raises(monkeypatch):
+    _cpus(monkeypatch, 8)
+    before = threading.active_count()
+    gen_multicluster(_rotated_scene_with_background(), seed=2)
+    assert threading.active_count() == before
+    with pytest.raises(ParameterError):
+        gen_multicluster(usage_spec(extras=({}, {"h": -1}, {})), seed=2)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_a_generator_error_in_a_cluster_is_raised_unchanged(monkeypatch, cpus):
+    with pytest.raises(ParameterError) as direct:
+        generate("cone", n=300, p=4, h=-1, seed=1)
+    _cpus(monkeypatch, cpus)
+    with pytest.raises(ParameterError) as raised:
+        gen_multicluster(usage_spec(extras=({}, {"h": -1}, {})), seed=3)
+    assert type(raised.value) is type(direct.value) and str(raised.value) == str(direct.value) == "h must be positive"
+
+
+def test_when_two_clusters_fail_the_lower_index_wins(monkeypatch):
+    from hdshapes import composer
+
+    _cpus(monkeypatch, 8)
+    real = composer.generate
+
+    def generate_or_fail(kind, n, seed, **params):
+        cluster = seed.path[0]
+        if cluster == 1:
+            time.sleep(0.05)  # fails after cluster 2 has failed
+            raise ParameterError("cluster 1 failed")
+        if cluster == 2:
+            raise ParameterError("cluster 2 failed")
+        return real(kind, n=n, seed=seed, **params)
+
+    monkeypatch.setattr(composer, "generate", generate_or_fail)
+    with pytest.raises(ParameterError, match="cluster 1 failed"):
+        gen_multicluster(usage_spec(), seed=4)
+    monkeypatch.setattr(composer, "generate", real)
+    # Both clusters fail in their generators; cluster 1's error is the one a loop meets first.
+    with pytest.raises(ParameterError, match="h must be positive"):
+        gen_multicluster(usage_spec(shape=("gaussian", "cone", "cone"),
+                                    extras=({}, {"h": -1}, {"ratio": 2.0})), seed=4)
+
+
+def test_an_interrupt_in_any_cluster_wins_over_an_error(monkeypatch):
+    from hdshapes import composer
+
+    _cpus(monkeypatch, 8)
+
+    def fail(kind, n, seed, **params):
+        if seed.path[0] == 2:
+            raise KeyboardInterrupt
+        time.sleep(0.05)  # one thread per cluster: cluster 2 is taken before these fail
+        raise ParameterError(f"cluster {seed.path[0]} failed")
+
+    monkeypatch.setattr(composer, "generate", fail)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        gen_multicluster(usage_spec(), seed=4)
+    assert threading.active_count() == before
+
+
+def _two_grids() -> MultiClusterSpec:
+    return MultiClusterSpec(n=(10, 40), k=2, loc=np.array([[0.0, 0.0], [3.0, 3.0]]),
+                            scale=(1.0, 1.0), shape=("gridcube", "gridcube"))
+
+
+GRID_WARNINGS = [
+    "gridcube lattice has 12 points, more than n = 10",
+    "gridcube lattice has 42 points, more than n = 40",
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_warnings_are_shown_in_cluster_order(monkeypatch, cpus):
+    from hdshapes import composer
+
+    _cpus(monkeypatch, cpus)
+    real = composer.generate
+
+    def late_first_cluster(kind, n, seed, **params):
+        if seed.path[0] == 0:
+            time.sleep(0.05)  # cluster 1 warns first
+        return real(kind, n=n, seed=seed, **params)
+
+    monkeypatch.setattr(composer, "generate", late_first_cluster)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gen_multicluster(_two_grids(), seed=5)
+    assert [str(w.message) for w in caught] == GRID_WARNINGS
+    assert {w.category for w in caught} == {LatticeSizeWarning}
+    assert warnings._showwarnmsg is composer._show  # the hold is removed
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_a_warning_filter_still_decides_in_every_thread(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("ignore")
+        gen_multicluster(_two_grids(), seed=5)
+    assert caught == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LatticeSizeWarning)
+        with pytest.raises(LatticeSizeWarning, match="more than n = 10"):
+            gen_multicluster(_two_grids(), seed=5)
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_errstate_holds_in_every_thread(monkeypatch, cpus):
+    from hdshapes import composer
+
+    _cpus(monkeypatch, cpus)
+    real, seen = composer.generate, []
+
+    def recording(kind, n, seed, **params):
+        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
+        if seen[-1][0]:
+            time.sleep(0.05)  # so the helpers take clusters
+        return real(kind, n=n, seed=seed, **params)
+
+    monkeypatch.setattr(composer, "generate", recording)
+    with np.errstate(over="raise"):
+        gen_multicluster(usage_spec(), seed=6)
+    assert {over for _, over in seen} == {"raise"}
+    assert any(not on_main for on_main, _ in seen) == (cpus > 1)
+    monkeypatch.setattr(composer, "generate", real)
+    huge = usage_spec(scale=(1.0, 1.0, 1e308))
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            gen_multicluster(huge, seed=6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParameterError, match="points must be finite"):
+            gen_multicluster(huge, seed=6)
+    assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_each_cluster_block_equals_the_staged_pipeline(monkeypatch, cpus):
+    """Each cluster is written straight into its block of the scene; the
+    bytes are those of the stages built one array at a time. The lattice in
+    the middle returns more rows than asked, which moves the later blocks."""
+    from hdshapes.core import as_stream
+
+    _cpus(monkeypatch, cpus)
+    p = 5
+    spec = MultiClusterSpec(
+        n=(300, 10, 250, 200), k=4,
+        loc=np.array([[1.0] * p, [4.0, 0.0, 1.0, 0.0, 2.0], [np.nan] * p, [-3.0] * p]),
+        scale=(2.0, 1.5, 0.7, 1.0), shape=("scurve", "gridcube", "gaussian", "cone"),
+        rotation=(RotationPlan(3, ((1, 3, 0.4),)), RotationPlan(p, ((2, 5, 1.1),)), None,
+                  RotationPlan(p, ((1, 2, 2.0),))),
+        extras=({}, {"p": 2}, {}, {}),
+        is_bkg=True,
+    )
+    with pytest.warns(LatticeSizeWarning, match="12 points, more than n = 10"):
+        scene = gen_multicluster(spec, seed=8, shuffle=False)
+    stream = as_stream(8)
+    for c, kind in enumerate(spec.shape):
+        params = spec.extras[c] if shape_info(kind).dim is not None else {"p": p, **spec.extras[c]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LatticeSizeWarning)  # checked above
+            ds = generate(kind, spec.n[c], seed=stream.derive(c).derive(0), **params)
+        rot = spec.rotation[c]
+        before = rot is not None and rot.shape[0] == ds.p
+        target = None if np.isnan(spec.loc[c]).all() else spec.loc[c]
+        staged = apply_transform(ds, spec.scale[c], rot if before else None)
+        staged = pad_to_dim(staged, p, seed=stream.derive(c).derive(1))
+        staged = apply_transform(staged, 1.0, None if before else rot, target)
+        assert scene.points[scene.codes == c].tobytes() == staged.points.tobytes(), kind
+    assert collections.Counter(scene.codes.tolist()) == {0: 300, 1: 12, 2: 250, 3: 200, 4: 76}
+
+
+def test_every_cluster_is_sampled_once_under_frequent_thread_switches(monkeypatch):
+    """More threads than cores take clusters from one shared counter; with
+    the interpreter switching threads every microsecond, each cluster is
+    still sampled exactly once and lands in its own block."""
+    from hdshapes import composer
+
+    k = 24
+    spec = MultiClusterSpec(
+        n=tuple(range(40, 40 + k)), k=k, loc=np.arange(k * 3, dtype=float).reshape(k, 3),
+        scale=(1.0,) * k, shape=("gaussian", "scurve", "cone") * (k // 3), is_bkg=True,
+    )
+    _cpus(monkeypatch, 1)
+    reference = gen_multicluster(spec, seed=10)
+    real, calls, lock = composer.generate, collections.Counter(), threading.Lock()
+
+    def counted(kind, n, seed, **params):
+        with lock:
+            calls[seed.path[0]] += 1
+        return real(kind, n=n, seed=seed, **params)
+
+    monkeypatch.setattr(composer, "generate", counted)
+    _cpus(monkeypatch, 16)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            out = gen_multicluster(spec, seed=10)
+            assert out.points.tobytes() == reference.points.tobytes()
+            assert out.codes.tobytes() == reference.codes.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == {c: 5 for c in range(k)}
+    assert threading.active_count() == before

@@ -10,6 +10,7 @@ parameter; the CLI exits 2, names it and writes no data file.
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,9 @@ from hdshapes import (
     make_preset,
 )
 from hdshapes.cli import _build, main
+from hdshapes.composer import apply_transform
+from hdshapes.core import relocate_clusters
+from hdshapes.noise import gen_wavydims1, gen_wavydims2, gen_wavydims3
 
 NAN = float("nan")
 
@@ -227,3 +231,44 @@ def test_a_malformed_config_is_refused_and_names_its_field(field, change, tmp_pa
     assert main(["multicluster", str(config), "--seed", "1", "--out", str(out)]) == 2
     assert not out.exists()
     assert re.search(named, capsys.readouterr().err, re.M)
+
+
+def _ds():
+    return Dataset([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], ["a", "a", "b"])
+
+
+def _base():
+    return Dataset([[0.0, 1.0, 2.0]] * 3)
+
+
+# Each ended in a TypeError or numpy's plain ValueError, or read a bool as
+# 0 or 1, instead of raising a ParameterError that names the parameter.
+UNCHECKED_KINDS = {
+    "apply_transform-scale-string": ("scale", lambda: apply_transform(_ds(), "x")),
+    "apply_transform-scale-bool": ("scale", lambda: apply_transform(_ds(), True)),
+    "apply_transform-center-string": ("center", lambda: apply_transform(_ds(), 1.0, center="ab")),
+    "apply_transform-center-bool": ("center", lambda: apply_transform(_ds(), 1.0, center=[True, 0.0])),
+    "wavydims1-sigma": ("sigma", lambda: gen_wavydims1(3, 2, [0.0, 1.0, 2.0], sigma="x", seed=1)),
+    "wavydims1-sigma-bool": ("sigma", lambda: gen_wavydims1(3, 2, [0.0, 1.0, 2.0], sigma=True, seed=1)),
+    "wavydims2-noise": ("noise", lambda: gen_wavydims2(3, 2, [0.0, 1.0, 2.0], noise="x", seed=1)),
+    "wavydims3-perturb": ("perturb", lambda: gen_wavydims3(3, 4, _base(), perturb="x", seed=1)),
+    "wavydims3-noise": ("noise", lambda: gen_wavydims3(3, 4, _base(), noise=True, seed=1)),
+    "relocate-loc-bool": ("loc", lambda: relocate_clusters(_ds(), [[True, 0.0], [1.0, 1.0]])),
+    "relocate-loc-string": ("loc", lambda: relocate_clusters(_ds(), [["a", 0.0], [1.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("param, call", UNCHECKED_KINDS.values(), ids=UNCHECKED_KINDS)
+def test_a_wrong_kind_is_refused_and_named_by_the_transforms_and_noise(param, call):
+    with pytest.raises(ParameterError, match=rf"^{param} must be"):
+        call()
+
+
+def test_the_transforms_and_noise_keep_numbers_of_every_numeric_kind():
+    ds = _ds()
+    assert apply_transform(ds, 2).points.tolist() == apply_transform(ds, 2.0).points.tolist()
+    assert apply_transform(ds, np.float32(0.5), center=np.array([1, 2])).p == 2
+    assert gen_wavydims1(3, 2, [0.0, 1.0, 2.0], sigma=np.float64(0.1), seed=1).n == 3
+    assert gen_wavydims2(3, 2, [0.0, 1.0, 2.0], noise=0, seed=1).n == 3
+    assert gen_wavydims3(3, 4, _base(), perturb=0, noise=np.int64(1), seed=1).p == 4
+    assert relocate_clusters(ds, np.array([[0, 0], [1, 1]])).n == 3

@@ -379,6 +379,22 @@ def test_gaussian_single_row_and_validation():
         gen_gaussian(10, p=2, s=np.array([[1.0, 2.0], [2.0, 1.0]]), seed=1)  # not PD
 
 
+@pytest.mark.parametrize("p", [1, 2, 5, 20])
+def test_gaussian_without_covariance_matches_the_identity_product(p):
+    for seed in (0, 3, 2**40):
+        z = as_stream(seed).rng.standard_normal((257, p))
+        assert gen_gaussian(257, p, seed=seed).points.tobytes() == (z @ np.eye(p)).tobytes()
+
+
+def test_adding_zero_matches_the_identity_product_bit_for_bit():
+    # A product sums from +0.0, so z @ I turns -0.0 into +0.0; so does z + 0.0.
+    z = np.array([[-0.0, 5e-324, 1e308], [-5e-324, -1e308, 0.0], [1.5, -0.0, -2.25]])
+    for p in (1, 2, 3):
+        cols = z[:, :p].copy()
+        assert (cols + 0.0).tobytes() == (cols @ np.eye(p)).tobytes()
+    assert np.signbit(z[0, 0]) and not np.signbit((z + 0.0)[0, 0])
+
+
 def test_longlinear_correlation_with_index():
     ds = gen_longlinear(1000, p=5, seed=19)
     t = np.arange(1000)
