@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, ParameterError, _adopt, _check_n, _gaussian_cols, _number, as_dataset, as_stream
+from .core import Dataset, ParameterError, _adopt, _check_n, _gaussian_cols, _number, _reals, as_dataset, as_stream
 
 __all__ = [
     "gen_noisedims",
@@ -42,7 +42,7 @@ def gen_wavydims1(n: int, p: int, theta, sigma: float = 0.05, seed=None) -> Data
     alpha_j = 0.1 j gives each column a distinct slope; eps ~ N(0, sigma^2).
     """
     n, p = _check_n(n), _check_n(p, "p")
-    theta = np.asarray(theta, dtype=np.float64).ravel()
+    theta = _reals(theta, "theta must be a vector of numbers").ravel()
     if theta.shape[0] != n:
         raise ParameterError(f"theta has length {theta.shape[0]}, expected {n}")
     if _number(sigma, "sigma") <= 0:
@@ -61,20 +61,19 @@ def gen_wavydims2(n: int, p: int, x1, powers=None, scales=None, noise: float = 0
     `powers`/`scales` to fix k_j/beta_j, and noise=0 for the exact map.
     """
     n, p = _check_n(n), _check_n(p, "p")
-    x1 = np.asarray(x1, dtype=np.float64).ravel()
+    x1 = _reals(x1, "x1 must be a vector of numbers").ravel()
     if x1.shape[0] != n:
         raise ParameterError(f"x1 has length {x1.shape[0]}, expected {n}")
     if _number(noise, "noise") < 0:
         raise ParameterError("noise amplitude must be non-negative")
     rng = as_stream(seed).rng
-    if powers is None:
-        powers = rng.integers(2, 5, p)
-    powers = np.asarray(powers, dtype=np.int64)
-    if scales is None:
-        scales = rng.uniform(0.5, 1.5, p)
-    scales = np.asarray(scales, dtype=np.float64)
-    if powers.shape[0] != p or scales.shape[0] != p:
+    k = rng.integers(2, 5, p) if powers is None else _reals(powers, "powers must be a list of integers")
+    if (k % 1).any():
+        raise ParameterError(f"powers must be a list of integers, got {powers!r}")
+    beta = rng.uniform(0.5, 1.5, p) if scales is None else _reals(scales, "scales must be a list of numbers")
+    if k.shape != (p,) or beta.shape != (p,):
         raise ParameterError("powers and scales must have length p")
+    powers, scales = k.astype(np.int64), beta
     signs = (-1.0) ** (np.arange(1, p + 1) // 2)
     pts = np.empty((n, p))
     for j in range(p):

@@ -6,10 +6,13 @@ equal (params, seed) pairs reproduce bit-identical output. Shapes with a
 fixed intrinsic dimension (mobius, scurve, the spirals, ...) emit exactly
 that many columns; callers lift them into higher dimensions by appending
 noise dims (see hdshapes.noise) or through the multicluster composer.
+Each generator registers in SHAPES where it is defined (`_shape`), and
+every call, direct or by name, takes the one parameter check.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import math
@@ -29,6 +32,7 @@ from .core import (
     _adopt,
     _check_n,
     _is_kind,
+    _reals,
     as_stream,
     gen_nproduct,
     gen_nsum,
@@ -102,13 +106,153 @@ class LatticeSizeWarning(UserWarning):
 def _warn_lattice_size(kind: str, count: int, n: int) -> None:
     if count > n:
         message = f"{kind} lattice has {count} points, more than n = {n}"
-        warnings.warn(message, LatticeSizeWarning, stacklevel=3)
+        warnings.warn(message, LatticeSizeWarning, stacklevel=4)
 
 
-def _check_fixed_p(p, dim: int, func: str) -> None:
-    """Fixed-dimension shapes take p only to reject a value they cannot honour."""
-    if p != dim:
-        raise DimensionError(f"{func} is defined for p = {dim}, got p = {p}")
+# ---------------------------------------------------------------------------
+# Registry
+
+
+@dataclass(frozen=True)
+class ShapeInfo:
+    """Dispatch record for one buildable target: a shape kind, a holed
+    shape (`topology.HOLES`) or a preset scene (`composer.PRESETS`).
+    A shape's `func` returns its Dataset; a preset's takes no seed and
+    returns its MultiClusterSpec, which `make_preset` samples.
+
+    Everything about the parameters is read from `func`'s signature on
+    first use, so importing hdshapes reads no signature.
+    """
+
+    func: Callable  # -> Dataset, or MultiClusterSpec for a preset
+    dim: int | None  # output dim; None means "equals p", and for presets "not fixed"
+    description: str
+
+    @cached_property
+    def _signature(self) -> inspect.Signature:
+        return inspect.signature(self.func)
+
+    @cached_property
+    def params(self) -> tuple[str, ...]:
+        """Keyword parameters beyond n and seed, in signature order."""
+        return tuple(name for name in self._signature.parameters if name not in ("n", "seed"))
+
+    @cached_property
+    def defaults(self) -> dict:
+        """The default of every parameter but seed that has one, n included."""
+        return {
+            name: p.default
+            for name, p in self._signature.parameters.items()
+            if name != "seed" and p.default is not p.empty
+        }
+
+    @cached_property
+    def kinds(self) -> dict[str, tuple]:
+        """(type, nargs) of every parameter but seed, n included, read from
+        its default (bool, int, float, or a pair: its element type and
+        length) or, if that is missing or None, its annotation (`X | None`
+        as X); type None if neither tells (gaussian's matrix `s`)."""
+        kinds = {}
+        for name in self._signature.parameters:
+            if name == "seed":
+                continue
+            value = self.defaults.get(name)
+            if value is None:
+                hint = typing.get_type_hints(self.func).get(name)
+                hint = typing.get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
+                elems = typing.get_args(hint)
+                kinds[name] = (elems[0], len(elems)) if elems else (hint, None)
+            else:
+                kinds[name] = (type(value[0]), len(value)) if isinstance(value, tuple) else (type(value), None)
+        return kinds
+
+
+SHAPES: dict[str, ShapeInfo] = {}
+
+
+def _shape(dim: int | None, description: str):
+    """Register the decorated `gen_<kind>` in SHAPES as `kind`, in definition
+    order, and run `check_params` on every call, direct or through
+    `generate`; the body gets the checked values (counts as ints)."""
+
+    def register(func):
+        kind = func.__name__.removeprefix("gen_")
+        what = f"shape '{kind}'"
+
+        @functools.wraps(func)
+        def checked(*args, **kwargs):
+            sig = info._signature
+            # Unknown keywords go to check_params, which names them.
+            known = {name: value for name, value in kwargs.items() if name in sig.parameters}
+            params = {**sig.bind_partial(*args, **known).arguments, **kwargs}
+            seed = params.pop("seed", None)
+            return func(seed=seed, **check_params(info, params, what))
+
+        info = SHAPES[kind] = ShapeInfo(checked, dim, description)
+        return checked
+
+    return register
+
+
+def list_shapes() -> tuple[str, ...]:
+    return tuple(SHAPES)
+
+
+def shape_info(kind: str) -> ShapeInfo:
+    try:
+        return SHAPES[kind]
+    except (KeyError, TypeError):
+        raise UnknownShapeError(kind) from None
+
+
+def check_params(info: ShapeInfo, params: dict, what: str) -> dict:
+    """`params` with each count as an int and gaussian's matrix `s` as a
+    float64 array, after a ParameterError unless every key is a parameter
+    of `info`'s target (n too, seed not; else RejectedParameterError) with
+    a value of its kind (`ShapeInfo.kinds`): an int is a positive integer,
+    a float a finite number, a bool true or false, a pair a list or tuple
+    of that many; None only where it is the default. A fixed-dimension
+    target's `p` must equal `info.dim` (DimensionError). `what` names the
+    target ("shape 'cone'"). Generators check the rest of a domain
+    (`h > 0`)."""
+    kinds = info.kinds
+    bad = sorted(set(params) - set(kinds))
+    if bad:
+        raise RejectedParameterError(
+            f"request for {what} has {', '.join(bad)}, not accepted (accepts: {', '.join(kinds)})"
+        )
+    checked = {}
+    for name, value in params.items():
+        kind, nargs = kinds[name]
+        if value is None and info.defaults.get(name, 0) is None:
+            pass
+        elif kind is int and nargs is None:
+            value = _check_n(value, name)
+        else:
+            if kind is None:
+                value = _reals(value, f"{name} must be numeric")
+                finite = np.isfinite(value).all()
+            else:
+                values = (value,) if nargs is None else value
+                ok = isinstance(values, (list, tuple, np.ndarray)) and len(values) == (nargs or 1)
+                if not (ok and all(_is_kind(v, kind) for v in values)):
+                    pair = f"a list of {nargs} {'integers' if kind is int else 'numbers'}"
+                    must = pair if nargs else "true or false" if kind is bool else "a number"
+                    raise ParameterError(f"{name} must be {must}, got {value!r}")
+                finite = all(-math.inf < v < math.inf for v in values)
+            if not finite:
+                raise ParameterError(f"parameter {name} of {what} must be finite, got {value!r}")
+        checked[name] = value
+    if info.dim is not None and checked.get("p", info.dim) != info.dim:
+        raise DimensionError(f"{info.func.__name__} is defined for p = {info.dim}, got p = {checked['p']}")
+    return checked
+
+
+def generate(kind: str, n: int, seed=None, **params) -> Dataset:
+    """Generate `n` points of the named shape kind: `gen_<kind>(n,
+    seed=seed, **params)`, which checks its parameters; a parameter the
+    kind does not take is refused, never ignored."""
+    return shape_info(kind).func(n=n, seed=seed, **params)
 
 
 def _unit_directions(rng, n: int, d: int) -> np.ndarray:
@@ -165,6 +309,28 @@ def _branch_dataset(xs, ys) -> Dataset:
     return _adopt(pts, codes, [f"branch_{i + 1}" for i in range(len(xs))])
 
 
+@_shape(2, "Exponential branches in 2-D.")
+def gen_expbranches(n: int, k: int = 4, seed=None) -> Dataset:
+    """k exponential branches in 2-D radiating from a central region.
+
+    Branch i: X1 ~ U(-2, 2), X2 = exp(sigma_i s_i X1) + eps with
+    sigma_i = (-1)^(i+1) alternating the exponent sign, s_i ~ U(0.5, 2),
+    eps ~ U(0, delta).
+    """
+    sizes = gen_nsum(n, k)
+    rng = as_stream(seed).rng
+    xs, ys = [], []
+    for i, m in enumerate(sizes, start=1):
+        sigma = 1.0 if i % 2 == 1 else -1.0
+        s = float(rng.uniform(0.5, 2.0))
+        x = rng.uniform(-2.0, 2.0, m)
+        y = np.exp(sigma * s * x) + rng.uniform(0.0, _BRANCH_JITTER, m)
+        xs.append(x)
+        ys.append(y)
+    return _branch_dataset(xs, ys)
+
+
+@_shape(2, "Linear branches in 2-D.")
 def gen_linearbranches(n: int, k: int = 4, seed=None) -> Dataset:
     """k noisy line segments in 2-D, later branches attached to earlier ones.
 
@@ -174,7 +340,6 @@ def gen_linearbranches(n: int, k: int = 4, seed=None) -> Dataset:
     are re-placed (up to 100 tries) until their bounding box overlaps the
     existing structure by less than half.
     """
-    n, k = _check_n(n), _check_n(k, "k")
     sizes = gen_nsum(n, k)
     rng = as_stream(seed).rng
     delta = _BRANCH_JITTER
@@ -204,6 +369,7 @@ def gen_linearbranches(n: int, k: int = 4, seed=None) -> Dataset:
     return _branch_dataset(xs, ys)
 
 
+@_shape(2, "Quadratic branches in 2-D.")
 def gen_curvybranches(n: int, k: int = 4, seed=None) -> Dataset:
     """k quadratic branches in 2-D.
 
@@ -213,7 +379,6 @@ def gen_curvybranches(n: int, k: int = 4, seed=None) -> Dataset:
     unit via X2 = 0.1 X1 - s (X1^2 - x_start) + y_start with curvature
     drawn from a fixed set.
     """
-    n, k = _check_n(n), _check_n(k, "k")
     sizes = gen_nsum(n, k)
     rng = as_stream(seed).rng
     delta = _BRANCH_JITTER
@@ -240,29 +405,7 @@ def gen_curvybranches(n: int, k: int = 4, seed=None) -> Dataset:
     return _branch_dataset(xs, ys)
 
 
-def gen_expbranches(n: int, k: int = 4, seed=None) -> Dataset:
-    """k exponential branches in 2-D radiating from a central region.
-
-    Branch i: X1 ~ U(-2, 2), X2 = exp(sigma_i s_i X1) + eps with
-    sigma_i = (-1)^(i+1) alternating the exponent sign, s_i ~ U(0.5, 2),
-    eps ~ U(0, delta).
-    """
-    n, k = _check_n(n), _check_n(k, "k")
-    sizes = gen_nsum(n, k)
-    rng = as_stream(seed).rng
-    xs, ys = [], []
-    for i, m in enumerate(sizes, start=1):
-        sigma = 1.0 if i % 2 == 1 else -1.0
-        s = float(rng.uniform(0.5, 2.0))
-        x = rng.uniform(-2.0, 2.0, m)
-        y = np.exp(sigma * s * x) + rng.uniform(0.0, _BRANCH_JITTER, m)
-        xs.append(x)
-        ys.append(y)
-    return _branch_dataset(xs, ys)
-
-
 def _org_branches(n, p, k, allow_share, seed, curvy: bool) -> Dataset:
-    n, p, k = _check_n(n), _check_n(p, "p"), _check_n(k, "k")
     if p < 2:
         raise DimensionError("origin branches need p >= 2")
     sizes = gen_nsum(n, k)
@@ -291,6 +434,7 @@ def _org_branches(n, p, k, allow_share, seed, curvy: bool) -> Dataset:
     return _adopt(np.vstack(pts_parts), np.concatenate(codes), names)
 
 
+@_shape(None, "Linear branches leaving one origin point.")
 def gen_orglinearbranches(n: int, p: int = 4, k: int = 4, allow_share: bool = False, seed=None) -> Dataset:
     """k linear branches leaving the origin, each in its own 2-D subspace.
 
@@ -302,6 +446,7 @@ def gen_orglinearbranches(n: int, p: int = 4, k: int = 4, allow_share: bool = Fa
     return _org_branches(n, p, k, allow_share, seed, curvy=False)
 
 
+@_shape(None, "Curvy branches leaving one origin point.")
 def gen_orgcurvybranches(n: int, p: int = 4, k: int = 4, allow_share: bool = False, seed=None) -> Dataset:
     """Curvilinear variant of gen_orglinearbranches: X_i2 = -s_i X_i1^2 + eps."""
     return _org_branches(n, p, k, allow_share, seed, curvy=True)
@@ -311,6 +456,7 @@ def gen_orgcurvybranches(n: int, p: int = 4, k: int = 4, allow_share: bool = Fal
 # Cone
 
 
+@_shape(None, "Cone-shaped structure.")
 def gen_cone(n: int, p: int = 4, h: float = 1.0, ratio: float = 0.5, seed=None) -> Dataset:
     """Cone surface in p dims: heights denser toward X_p = 0.
 
@@ -320,7 +466,6 @@ def gen_cone(n: int, p: int = 4, h: float = 1.0, ratio: float = 0.5, seed=None) 
     cross-section is a sphere of that radius. ratio in [0, 1] blunts the
     narrow end (1 gives a cylinder).
     """
-    n, p = _check_n(n), _check_n(p, "p")
     if p < 3:
         raise DimensionError("gen_cone needs p >= 3")
     if h <= 0:
@@ -351,21 +496,21 @@ def _lattice(axes) -> np.ndarray:
     )
 
 
+@_shape(None, "Cube lattice with grid points along each axis.")
 def gen_gridcube(n: int, p: int = 4, seed=None) -> Dataset:
     """Regular lattice filling [0, 1]^p with approximately n points.
 
     Per-axis resolutions come from gen_nproduct(n, p); the realized point
     count is their product, and a LatticeSizeWarning says when it exceeds n.
     """
-    n, p = _check_n(n), _check_n(p, "p")
     factors = gen_nproduct(n, p)
     _warn_lattice_size("gridcube", math.prod(factors), n)
     return _adopt(_lattice([np.linspace(0.0, 1.0, m) for m in factors]))
 
 
+@_shape(None, "Cube filled with uniform points.")
 def gen_unifcube(n: int, p: int = 4, seed=None) -> Dataset:
     """n points uniform in [0, 1]^p, with exact 0/1 vertices filtered out."""
-    n, p = _check_n(n), _check_n(p, "p")
     pts = as_stream(seed).rng.random((n, p))
     at_vertex = ((pts == 0.0) | (pts == 1.0)).all(axis=1)
     return _adopt(pts[~at_vertex] if at_vertex.any() else pts)
@@ -375,22 +520,22 @@ def gen_unifcube(n: int, p: int = 4, seed=None) -> Dataset:
 # Gaussian
 
 
+@_shape(None, "Multivariate Gaussian cloud.")
 def gen_gaussian(n: int, p: int = 4, s=None, seed=None) -> Dataset:
-    """n iid draws from N_p(0, s); s defaults to the identity."""
-    n, p = _check_n(n), _check_n(p, "p")
+    """n iid draws from N_p(0, s); s defaults to the identity. `check_params`
+    hands `s` over as a float64 array (`core._reals`)."""
     if s is None:
         z = as_stream(seed).rng.standard_normal((n, p))
         # The same bits as z @ I, without BLAS: a product sums from +0.0, so
         # it too turns -0.0 into +0.0 and keeps every other value.
         z += 0.0
         return _adopt(z)
-    cov = np.asarray(s, dtype=np.float64)
-    if cov.shape != (p, p):
-        raise ParameterError(f"covariance must be {p} x {p}, got {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=1e-10):
+    if s.shape != (p, p):
+        raise ParameterError(f"covariance must be {p} x {p}, got {s.shape}")
+    if not np.allclose(s, s.T, atol=1e-10):
         raise ParameterError("covariance must be symmetric")
     try:
-        chol = np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         raise ParameterError("covariance must be positive-definite") from None
     z = as_stream(seed).rng.standard_normal((n, p))
@@ -401,6 +546,7 @@ def gen_gaussian(n: int, p: int = 4, s=None, seed=None) -> Dataset:
 # Linear
 
 
+@_shape(None, "Long linear structure.")
 def gen_longlinear(n: int, p: int = 4, seed=None) -> Dataset:
     """Single noisy linear trajectory along a shared index t_i = i - 1.
 
@@ -408,7 +554,6 @@ def gen_longlinear(n: int, p: int = 4, seed=None) -> Dataset:
     b_j ~ U(-300, 300), eps ~ N(0, (0.03 n)^2), giving every dimension its
     own orientation, scale, and offset.
     """
-    n, p = _check_n(n), _check_n(p, "p")
     rng = as_stream(seed).rng
     t = np.arange(n, dtype=np.float64)
     a = rng.uniform(-10.0, 10.0, p)
@@ -424,13 +569,13 @@ def gen_longlinear(n: int, p: int = 4, seed=None) -> Dataset:
 # Mobius
 
 
+@_shape(3, "Mobius band in 3-D.")
 def gen_mobius(n: int, seed=None) -> Dataset:
     """Mobius band surface in 3-D (ring radius 1, width 1, half twist).
 
     x = (1 + (w/2) cos(t/2)) cos t, y = (1 + (w/2) cos(t/2)) sin t,
     z = (w/2) sin(t/2) with t ~ U(0, 2 pi), w ~ U(-1, 1).
     """
-    n = _check_n(n)
     rng = as_stream(seed).rng
     t = rng.uniform(0.0, 2.0 * np.pi, n)
     w = rng.uniform(-1.0, 1.0, n)
@@ -446,9 +591,9 @@ def gen_mobius(n: int, seed=None) -> Dataset:
 # Polynomial
 
 
+@_shape(2, "Quadratic curve in 2-D.")
 def gen_quadratic(n: int, range=(0.0, 1.0), seed=None) -> Dataset:
     """Downward parabolic arc: X2 = X1 - X1^2 + eps, eps ~ U(0, 0.5)."""
-    n = _check_n(n)
     a, b = float(range[0]), float(range[1])
     if a >= b:
         raise ParameterError("range must satisfy a < b")
@@ -458,9 +603,9 @@ def gen_quadratic(n: int, range=(0.0, 1.0), seed=None) -> Dataset:
     return _adopt(np.column_stack([x1, x2]))
 
 
+@_shape(2, "Cubic curve in 2-D.")
 def gen_cubic(n: int, range=(-1.0, 1.0), seed=None) -> Dataset:
     """Cubic curve: X2 = X1 + X1^2 - X1^3 + eps, eps ~ U(0, 0.5)."""
-    n = _check_n(n)
     a, b = float(range[0]), float(range[1])
     if a >= b:
         raise ParameterError("range must satisfy a < b")
@@ -483,6 +628,7 @@ def _noise_cols(rng, n: int, count: int) -> np.ndarray:
     return rng.normal(0.0, 0.2, (n, count))
 
 
+@_shape(None, "Rectangular-base pyramid.")
 def gen_pyrrect(n: int, p: int = 4, h: float = 1.0, l_vec=(1.0, 1.0), rt: float = 0.0, seed=None) -> Dataset:
     """Rectangular-base pyramid; cross-section shrinks linearly toward X_p = 0.
 
@@ -491,7 +637,6 @@ def gen_pyrrect(n: int, p: int = 4, h: float = 1.0, l_vec=(1.0, 1.0), rt: float 
     uniform within +/- r_x(z), X2 within +/- r_y(z). Dims 4..p-1 are
     N(0, 0.2^2) noise, dim p is the height.
     """
-    n, p = _check_n(n), _check_n(p, "p")
     if p < 4:
         raise DimensionError("gen_pyrrect needs p >= 4 (three base coords plus height)")
     lx, ly = float(l_vec[0]), float(l_vec[1])
@@ -513,6 +658,7 @@ def gen_pyrrect(n: int, p: int = 4, h: float = 1.0, l_vec=(1.0, 1.0), rt: float 
     return _adopt(np.column_stack(cols))
 
 
+@_shape(None, "Triangular-base pyramid.")
 def gen_pyrtri(n: int, p: int = 4, h: float = 1.0, l: float = 1.0, rt: float = 0.0, seed=None) -> Dataset:
     """Triangular-base pyramid sampled with barycentric coordinates.
 
@@ -521,7 +667,6 @@ def gen_pyrtri(n: int, p: int = 4, h: float = 1.0, l: float = 1.0, rt: float = 0
     u + v = 1 give X1 = r (1 - u - v), X2 = r u, X3 = r v. Dims 4..p-1
     are noise, dim p is the height.
     """
-    n, p = _check_n(n), _check_n(p, "p")
     if p < 4:
         raise DimensionError("gen_pyrtri needs p >= 4 (three base coords plus height)")
     if h <= 0 or l <= 0:
@@ -545,6 +690,7 @@ def gen_pyrtri(n: int, p: int = 4, h: float = 1.0, l: float = 1.0, rt: float = 0
     return _adopt(np.column_stack(cols))
 
 
+@_shape(None, "Star-base pyramid.")
 def gen_pyrstar(n: int, p: int = 4, h: float = 1.0, rb: float = 1.0, seed=None) -> Dataset:
     """Six-pointed star pyramid: spokes at hexagon sector angles.
 
@@ -553,7 +699,6 @@ def gen_pyrstar(n: int, p: int = 4, h: float = 1.0, rb: float = 1.0, seed=None) 
     {0, pi/3, ..., 5 pi/3} and a radial factor sqrt(U(0, 1)). Dims
     3..p-1 are noise, dim p is the height.
     """
-    n, p = _check_n(n), _check_n(p, "p")
     if p < 3:
         raise DimensionError("gen_pyrstar needs p >= 3 (two base coords plus height)")
     if h <= 0 or rb <= 0:
@@ -572,6 +717,7 @@ def gen_pyrstar(n: int, p: int = 4, h: float = 1.0, rb: float = 1.0, seed=None) 
     return _adopt(np.column_stack(cols))
 
 
+@_shape(None, "Pyramid with self-similar holes.")
 def gen_pyrfrac(n: int, p: int = 3, seed=None) -> Dataset:
     """Sierpinski-style chaos game over the corner simplex of [0, 1]^p.
 
@@ -579,7 +725,6 @@ def gen_pyrfrac(n: int, p: int = 3, seed=None) -> Dataset:
     random vertex of the simplex {0, e_1, ..., e_p}; the n iterates
     T_1..T_n are returned (early ones may sit slightly off the attractor).
     """
-    n, p = _check_n(n), _check_n(p, "p")
     if p < 2:
         raise DimensionError("gen_pyrfrac needs p >= 2")
     rng = as_stream(seed).rng
@@ -687,13 +832,13 @@ def _chaos_game(picks: np.ndarray, t0: np.ndarray) -> np.ndarray:
 # S-curve
 
 
+@_shape(3, "S-curve in 3-D.")
 def gen_scurve(n: int, seed=None) -> Dataset:
     """S-shaped 3-D manifold, noise-free.
 
     X1 = sin(theta), X2 ~ U(0, 2), X3 = sign(theta)(cos(theta) - 1) with
     theta ~ U(-3 pi / 2, 3 pi / 2).
     """
-    n = _check_n(n)
     rng = as_stream(seed).rng
     theta = rng.uniform(-1.5 * np.pi, 1.5 * np.pi, n)
     return _adopt(
@@ -711,13 +856,13 @@ def gen_scurve(n: int, seed=None) -> Dataset:
 # Sphere family
 
 
+@_shape(None, "Circle with sinusoid extensions.")
 def gen_circle(n: int, p: int = 4, seed=None) -> Dataset:
     """Unit circle in the first two dims with damped sinusoid extensions.
 
     X1 = cos(theta), X2 = sin(theta); dimension j >= 3 adds
     sqrt(0.5^(j-2)) sin(theta + (j - 2) pi / (2 p)).
     """
-    n, p = _check_n(n), _check_n(p, "p")
     if p < 2:
         raise DimensionError("gen_circle needs p >= 2")
     theta = as_stream(seed).rng.uniform(0.0, 2.0 * np.pi, n)
@@ -727,13 +872,13 @@ def gen_circle(n: int, p: int = 4, seed=None) -> Dataset:
     return _adopt(np.column_stack(cols))
 
 
+@_shape(None, "Curvy closed cycle.")
 def gen_curvycycle(n: int, p: int = 4, seed=None) -> Dataset:
     """Closed curve with a third-harmonic fold, plus sinusoid extensions.
 
     X1 = cos(theta), X2 = sqrt(3)/3 + sin(theta), X3 = cos(3 theta) / 3;
     dimension j >= 4 adds sqrt(0.5^(j-3)) sin(theta + (j - 2) pi / (2 p)).
     """
-    n, p = _check_n(n), _check_n(p, "p")
     if p < 3:
         raise DimensionError("gen_curvycycle needs p >= 3")
     theta = as_stream(seed).rng.uniform(0.0, 2.0 * np.pi, n)
@@ -754,22 +899,23 @@ def _sphere_surface(rng, n: int, r: float) -> np.ndarray:
     return np.column_stack([r * rad * np.cos(theta), r * rad * np.sin(theta), r * u])
 
 
+@_shape(3, "Uniform sphere surface in 3-D.")
 def gen_unifsphere(n: int, r: float = 1.0, seed=None) -> Dataset:
     """n points uniform on the surface (not interior) of a 3-D sphere of radius r."""
-    n = _check_n(n)
     if r <= 0:
         raise ParameterError("r must be positive")
     return _adopt(_sphere_surface(as_stream(seed).rng, n, float(r)))
 
 
+@_shape(None, "Hollow sphere surface.")
 def gen_hollowsphere(n: int, p: int = 4, seed=None) -> Dataset:
     """n points uniform on the unit (p-1)-sphere surface in R^p."""
-    n, p = _check_n(n), _check_n(p, "p")
     if p < 2:
         raise DimensionError("gen_hollowsphere needs p >= 2")
     return _adopt(_unit_directions(as_stream(seed).rng, n, p))
 
 
+@_shape(None, "Deterministic grid on a sphere surface.")
 def gen_gridedsphere(n: int, p: int = 3, seed=None) -> Dataset:
     """Deterministic spherical-coordinate grid on the unit (p-1)-sphere.
 
@@ -778,7 +924,6 @@ def gen_gridedsphere(n: int, p: int = 3, seed=None) -> Dataset:
     realized point count is their product, and a LatticeSizeWarning says
     when it exceeds n.
     """
-    n, p = _check_n(n), _check_n(p, "p")
     if p < 2:
         raise DimensionError("gen_gridedsphere needs p >= 2")
     factors = gen_nproduct(n, p - 1)
@@ -796,6 +941,7 @@ def gen_gridedsphere(n: int, p: int = 3, seed=None) -> Dataset:
     return _adopt(pts)
 
 
+@_shape(3, "Small spheres inside a big sphere.")
 def gen_clusteredspheres(
     n: int | None = None,
     k_small: int = 3,
@@ -812,7 +958,6 @@ def gen_clusteredspheres(
     given, each small sphere gets n // (2 k_small) points and the big one
     the remainder. Rows are labeled "big" and "small_1".."small_k".
     """
-    k_small = _check_n(k_small, "k_small")
     r1, r2 = float(r_vec[0]), float(r_vec[1])
     if r1 <= 0 or r2 <= 0:
         raise ParameterError("radii must be positive")
@@ -821,7 +966,6 @@ def gen_clusteredspheres(
     if n_vec is not None:
         n1, n2 = _check_n(n_vec[0], "n_vec"), _check_n(n_vec[1], "n_vec")
     elif n is not None:
-        n = _check_n(n)
         n2 = max(1, n // (2 * k_small))
         n1 = n - k_small * n2
     else:
@@ -839,6 +983,7 @@ def gen_clusteredspheres(
     return _adopt(np.vstack(parts), codes, names)
 
 
+@_shape(4, "Hemisphere of a 4-D sphere.")
 def gen_hemisphere(n: int, p: int = 4, seed=None) -> Dataset:
     """Half of the unit 3-sphere in 4-D.
 
@@ -847,8 +992,6 @@ def gen_hemisphere(n: int, p: int = 4, seed=None) -> Dataset:
     X4 = cos(t1) sin(t3); the restricted third angle keeps X3 and X4 on
     the same side.
     """
-    n = _check_n(n)
-    _check_fixed_p(p, 4, "gen_hemisphere")
     rng = as_stream(seed).rng
     t1 = rng.uniform(0.0, np.pi, n)
     t2 = rng.uniform(0.0, np.pi, n)
@@ -869,9 +1012,9 @@ def gen_hemisphere(n: int, p: int = 4, seed=None) -> Dataset:
 # Swiss roll
 
 
+@_shape(3, "Swiss roll in 3-D.")
 def gen_swissroll(n: int, w=(0.0, 10.0), seed=None) -> Dataset:
     """Rolled plane: X1 = t cos t, X2 = t sin t, X3 ~ U(w1, w2), t ~ U(0, 3 pi)."""
-    n = _check_n(n)
     w1, w2 = float(w[0]), float(w[1])
     if w1 >= w2:
         raise ParameterError("w must satisfy w1 < w2")
@@ -887,6 +1030,7 @@ def gen_swissroll(n: int, w=(0.0, 10.0), seed=None) -> Dataset:
 _TREFOIL_BAND = 0.1  # half-width of the theta band around pi/4
 
 
+@_shape(4, "Trefoil knot band in 4-D.")
 def gen_trefoil4d(n: int, steps: int = 8, seed=None) -> Dataset:
     """Trefoil-knot band on the unit 3-sphere in 4-D.
 
@@ -896,7 +1040,6 @@ def gen_trefoil4d(n: int, steps: int = 8, seed=None) -> Dataset:
     the 1.5-frequency pair closes only after phi advances 4 pi. The grid
     tail is trimmed so exactly n rows come back.
     """
-    n, steps = _check_n(n), _check_n(steps, "steps")
     if steps == 1:
         thetas = np.array([np.pi / 4.0])
     else:
@@ -917,6 +1060,7 @@ def gen_trefoil4d(n: int, steps: int = 8, seed=None) -> Dataset:
     )
 
 
+@_shape(3, "Stereographic trefoil in 3-D.")
 def gen_trefoil3d(n: int, steps: int = 8, seed=None) -> Dataset:
     """Stereographic image of the 4-D trefoil band: X_i -> X_i / (1 - X4).
 
@@ -933,6 +1077,7 @@ def gen_trefoil3d(n: int, steps: int = 8, seed=None) -> Dataset:
 # Trigonometric
 
 
+@_shape(2, "Crescent arc in 2-D.")
 def gen_crescent(n: int, p: int = 2, seed=None) -> Dataset:
     """Crescent arc: n evenly spaced angles on [pi/6, 2 pi] mapped to the
     unit circle.
@@ -940,20 +1085,17 @@ def gen_crescent(n: int, p: int = 2, seed=None) -> Dataset:
     Always returns the two arc coordinates; lift to higher dims by
     appending noise dims.
     """
-    n = _check_n(n)
-    _check_fixed_p(p, 2, "gen_crescent")
     theta = np.linspace(np.pi / 6.0, 2.0 * np.pi, n)
     return _adopt(np.column_stack([np.cos(theta), np.sin(theta)]))
 
 
+@_shape(4, "Cylinder with a curvy height dimension.")
 def gen_curvycylinder(n: int, h: float = 10.0, p: int = 4, seed=None) -> Dataset:
     """Cylinder with a sinusoidal fourth dimension tied to height.
 
     theta ~ U(0, 3 pi), z ~ U(0, h); X1 = cos(theta), X2 = sin(theta),
     X3 = z, X4 = sin(z).
     """
-    n = _check_n(n)
-    _check_fixed_p(p, 4, "gen_curvycylinder")
     if h <= 0:
         raise ParameterError("h must be positive")
     rng = as_stream(seed).rng
@@ -962,6 +1104,7 @@ def gen_curvycylinder(n: int, h: float = 10.0, p: int = 4, seed=None) -> Dataset
     return _adopt(np.column_stack([np.cos(theta), np.sin(theta), z, np.sin(z)]))
 
 
+@_shape(4, "Spiral on a sphere surface.")
 def gen_sphericalspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Dataset:
     """Spiral sweeping pole to pole over a unit sphere, plus path progress.
 
@@ -969,8 +1112,6 @@ def gen_sphericalspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Datase
     sin(phi) cos(theta), X2 = sin(phi) sin(theta), X3 = cos(phi) + eps
     with eps ~ U(-0.5, 0.5), X4 = theta / max(theta).
     """
-    n, spins = _check_n(n), _check_n(spins, "spins")
-    _check_fixed_p(p, 4, "gen_sphericalspiral")
     top = 2.0 * np.pi * spins
     theta = np.linspace(0.0, top, n)
     phi = np.linspace(0.0, np.pi, n)
@@ -987,14 +1128,13 @@ def gen_sphericalspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Datase
     )
 
 
+@_shape(4, "Helical spiral.")
 def gen_helicalspiral(n: int, p: int = 4, seed=None) -> Dataset:
     """Partial helix with a jittered height and a periodic wobble.
 
     theta runs over [0, 5 pi / 4]; X1 = cos(theta), X2 = sin(theta),
     X3 = 0.05 theta + eps with eps ~ U(-0.5, 0.5), X4 = 0.1 sin(theta).
     """
-    n = _check_n(n)
-    _check_fixed_p(p, 4, "gen_helicalspiral")
     theta = np.linspace(0.0, 5.0 * np.pi / 4.0, n)
     eps = as_stream(seed).rng.uniform(-0.5, 0.5, n)
     return _adopt(
@@ -1002,6 +1142,7 @@ def gen_helicalspiral(n: int, p: int = 4, seed=None) -> Dataset:
     )
 
 
+@_shape(4, "Conic spiral.")
 def gen_conicspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Dataset:
     """Archimedean spiral fanning out like a conic helix.
 
@@ -1009,8 +1150,6 @@ def gen_conicspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Dataset:
     X2 = theta sin(theta), X3 = 2 theta / max(theta) + eps3,
     X4 = theta sin(2 theta) + eps4 with eps3, eps4 ~ U(-0.1, 0.6).
     """
-    n, spins = _check_n(n), _check_n(spins, "spins")
-    _check_fixed_p(p, 4, "gen_conicspiral")
     top = 2.0 * np.pi * spins
     theta = np.linspace(0.0, top, n)
     rng = as_stream(seed).rng
@@ -1028,14 +1167,13 @@ def gen_conicspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Dataset:
     )
 
 
+@_shape(4, "Nonlinear hyperbola surface.")
 def gen_nonlinear(n: int, hc: float = 1.0, non_fac: float = 1.0, p: int = 4, seed=None) -> Dataset:
     """Hyperbola-plus-sinusoid surface with a cosine fourth dimension.
 
     X1 ~ U(0.1, 2), X2 = hc / X1 + non_fac sin(X1), X3 ~ U(0.1, 0.8),
     X4 = cos(pi X1) + eps with eps ~ U(-0.1, 0.1).
     """
-    n = _check_n(n)
-    _check_fixed_p(p, 4, "gen_nonlinear")
     if hc <= 0:
         raise ParameterError("hc must be positive")
     if non_fac < 0:
@@ -1046,149 +1184,3 @@ def gen_nonlinear(n: int, hc: float = 1.0, non_fac: float = 1.0, p: int = 4, see
     x2 = hc / x1 + non_fac * np.sin(x1)
     x4 = np.cos(np.pi * x1) + rng.uniform(-0.1, 0.1, n)
     return _adopt(np.column_stack([x1, x2, x3, x4]))
-
-
-# ---------------------------------------------------------------------------
-# Registry
-
-
-@dataclass(frozen=True)
-class ShapeInfo:
-    """Dispatch record for one buildable target: a shape kind, a holed
-    shape (`topology.HOLES`) or a preset scene (`composer.PRESETS`).
-    A shape's `func` returns its Dataset; a preset's takes no seed and
-    returns its MultiClusterSpec, which `make_preset` samples.
-
-    Everything about the parameters is read from `func`'s signature on
-    first use, so importing hdshapes reads no signature.
-    """
-
-    func: Callable  # -> Dataset, or MultiClusterSpec for a preset
-    dim: int | None  # output dim; None means "equals p", and for presets "not fixed"
-    description: str
-
-    @cached_property
-    def _signature(self) -> dict[str, inspect.Parameter]:
-        return {name: param for name, param in inspect.signature(self.func).parameters.items() if name != "seed"}
-
-    @cached_property
-    def params(self) -> tuple[str, ...]:
-        """Keyword parameters beyond n and seed, in signature order."""
-        return tuple(name for name in self._signature if name != "n")
-
-    @cached_property
-    def defaults(self) -> dict:
-        """The default of every parameter but seed that has one, n included."""
-        return {name: p.default for name, p in self._signature.items() if p.default is not p.empty}
-
-    @cached_property
-    def kinds(self) -> dict[str, tuple]:
-        """(type, nargs) of every parameter but seed, n included, read from
-        its default (bool, int, float, or a pair: its element type and
-        length) or, if that is missing or None, its annotation (`X | None`
-        as X); type None if neither tells (gaussian's matrix `s`)."""
-        kinds = {}
-        for name in self._signature:
-            value = self.defaults.get(name)
-            if value is None:
-                hint = typing.get_type_hints(self.func).get(name)
-                hint = typing.get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
-                elems = typing.get_args(hint)
-                kinds[name] = (elems[0], len(elems)) if elems else (hint, None)
-            else:
-                kinds[name] = (type(value[0]), len(value)) if isinstance(value, tuple) else (type(value), None)
-        return kinds
-
-
-SHAPES: dict[str, ShapeInfo] = {
-    "expbranches": ShapeInfo(gen_expbranches, 2, "Exponential branches in 2-D."),
-    "linearbranches": ShapeInfo(gen_linearbranches, 2, "Linear branches in 2-D."),
-    "curvybranches": ShapeInfo(gen_curvybranches, 2, "Quadratic branches in 2-D."),
-    "orglinearbranches": ShapeInfo(gen_orglinearbranches, None, "Linear branches leaving one origin point."),
-    "orgcurvybranches": ShapeInfo(gen_orgcurvybranches, None, "Curvy branches leaving one origin point."),
-    "cone": ShapeInfo(gen_cone, None, "Cone-shaped structure."),
-    "gridcube": ShapeInfo(gen_gridcube, None, "Cube lattice with grid points along each axis."),
-    "unifcube": ShapeInfo(gen_unifcube, None, "Cube filled with uniform points."),
-    "gaussian": ShapeInfo(gen_gaussian, None, "Multivariate Gaussian cloud."),
-    "longlinear": ShapeInfo(gen_longlinear, None, "Long linear structure."),
-    "mobius": ShapeInfo(gen_mobius, 3, "Mobius band in 3-D."),
-    "quadratic": ShapeInfo(gen_quadratic, 2, "Quadratic curve in 2-D."),
-    "cubic": ShapeInfo(gen_cubic, 2, "Cubic curve in 2-D."),
-    "pyrrect": ShapeInfo(gen_pyrrect, None, "Rectangular-base pyramid."),
-    "pyrtri": ShapeInfo(gen_pyrtri, None, "Triangular-base pyramid."),
-    "pyrstar": ShapeInfo(gen_pyrstar, None, "Star-base pyramid."),
-    "pyrfrac": ShapeInfo(gen_pyrfrac, None, "Pyramid with self-similar holes."),
-    "scurve": ShapeInfo(gen_scurve, 3, "S-curve in 3-D."),
-    "circle": ShapeInfo(gen_circle, None, "Circle with sinusoid extensions."),
-    "curvycycle": ShapeInfo(gen_curvycycle, None, "Curvy closed cycle."),
-    "unifsphere": ShapeInfo(gen_unifsphere, 3, "Uniform sphere surface in 3-D."),
-    "hollowsphere": ShapeInfo(gen_hollowsphere, None, "Hollow sphere surface."),
-    "gridedsphere": ShapeInfo(gen_gridedsphere, None, "Deterministic grid on a sphere surface."),
-    "clusteredspheres": ShapeInfo(gen_clusteredspheres, 3, "Small spheres inside a big sphere."),
-    "hemisphere": ShapeInfo(gen_hemisphere, 4, "Hemisphere of a 4-D sphere."),
-    "swissroll": ShapeInfo(gen_swissroll, 3, "Swiss roll in 3-D."),
-    "trefoil4d": ShapeInfo(gen_trefoil4d, 4, "Trefoil knot band in 4-D."),
-    "trefoil3d": ShapeInfo(gen_trefoil3d, 3, "Stereographic trefoil in 3-D."),
-    "crescent": ShapeInfo(gen_crescent, 2, "Crescent arc in 2-D."),
-    "curvycylinder": ShapeInfo(gen_curvycylinder, 4, "Cylinder with a curvy height dimension."),
-    "sphericalspiral": ShapeInfo(gen_sphericalspiral, 4, "Spiral on a sphere surface."),
-    "helicalspiral": ShapeInfo(gen_helicalspiral, 4, "Helical spiral."),
-    "conicspiral": ShapeInfo(gen_conicspiral, 4, "Conic spiral."),
-    "nonlinear": ShapeInfo(gen_nonlinear, 4, "Nonlinear hyperbola surface."),
-}
-
-
-def list_shapes() -> tuple[str, ...]:
-    return tuple(SHAPES)
-
-
-def shape_info(kind: str) -> ShapeInfo:
-    try:
-        return SHAPES[kind]
-    except (KeyError, TypeError):
-        raise UnknownShapeError(kind) from None
-
-
-def check_params(info: ShapeInfo, params: dict, what: str) -> None:
-    """Raise ParameterError unless every key of `params` is a parameter of
-    `info`'s target (n too, seed not; else RejectedParameterError) with a
-    value of its kind (`ShapeInfo.kinds`): an int is a positive integer, a
-    float a finite number, a bool true or false, a pair a list or tuple of
-    that many; None only where it is the default. `what` names the target
-    ("shape 'cone'"). Generators check the rest of a domain (`h > 0`)."""
-    kinds = info.kinds
-    bad = sorted(set(params) - set(kinds))
-    if bad:
-        raise RejectedParameterError(
-            f"request for {what} has {', '.join(bad)}, not accepted (accepts: {', '.join(kinds)})"
-        )
-    for name, value in params.items():
-        kind, nargs = kinds[name]
-        if value is None and info.defaults.get(name, 0) is None:
-            continue
-        if kind is int and nargs is None:
-            _check_n(value, name)
-            continue
-        if kind is None:
-            try:
-                finite = np.isfinite(np.asarray(value, dtype=np.float64)).all()
-            except (TypeError, ValueError):
-                raise ParameterError(f"{name} must be numeric, got {value!r}") from None
-        else:
-            values = (value,) if nargs is None else value
-            ok = isinstance(values, (list, tuple, np.ndarray)) and len(values) == (nargs or 1)
-            if not (ok and all(_is_kind(v, kind) for v in values)):
-                pair = f"a list of {nargs} {'integers' if kind is int else 'numbers'}"
-                must = pair if nargs else "true or false" if kind is bool else "a number"
-                raise ParameterError(f"{name} must be {must}, got {value!r}")
-            finite = all(-math.inf < v < math.inf for v in values)
-        if not finite:
-            raise ParameterError(f"parameter {name} of {what} must be finite, got {value!r}")
-
-
-def generate(kind: str, n: int, seed=None, **params) -> Dataset:
-    """Generate `n` points of the named shape kind, after `check_params`:
-    a parameter the kind does not take is refused, never ignored."""
-    info = shape_info(kind)
-    check_params(info, {"n": n, **params}, f"shape '{kind}'")
-    return info.func(n=n, seed=seed, **params)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .core import Dataset, ParameterError, _check_n, _number, as_dataset, as_stream
+from .core import Dataset, ParameterError, _check_n, _number, _reals, as_dataset, as_stream
 from .shapes import ShapeInfo, gen_scurve, gen_unifcube
 
 __all__ = [
@@ -46,7 +46,7 @@ def gen_hole(ds, r: float, anchor=None) -> Dataset:
     _check_radius(r, "r")
     if anchor is None:
         anchor = ds.points.mean(axis=0)
-    anchor = np.asarray(anchor, dtype=np.float64).ravel()
+    anchor = _reals(anchor, "anchor must be a vector of numbers").ravel()
     if anchor.shape[0] != ds.p:
         raise ParameterError(f"anchor has length {anchor.shape[0]}, dataset has {ds.p} columns")
     dist = np.linalg.norm(ds.points - anchor, axis=1)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hdshapes
 from hdshapes import (
     HOLES,
     PRESETS,
@@ -48,6 +49,8 @@ def _scene(extras):
 def _library_build(entry, target, param, value):
     if entry == "generate":
         return generate(target, 10, seed=1, **{param: value})
+    if entry == "direct":
+        return getattr(hdshapes, f"gen_{target}")(10, seed=1, **{param: value})
     if entry == "make_preset":
         return make_preset(target, seed=1, **{param: value})
     return _scene({param: value} if entry == "spec_dict_extras" else ({param: value}, {}))
@@ -99,6 +102,7 @@ def _refusal(entry, target, param, value, tmp_path, capsys) -> str:
 # (entry point, target, the parameters it is given)
 ENTRIES = [
     ("generate", "cone", ("p", "h")),
+    ("direct", "cone", ("p", "h")),
     ("make_preset", "gaucircles", ("n", "k", "p")),
     ("spec_dict_extras", None, ("p", "h")),
     ("spec_list_extras", None, ("p", "h")),
@@ -135,6 +139,49 @@ def test_every_entry_point_refuses_a_bad_value_and_names_it(entry, target, param
 def test_a_preset_count_error_names_n(name, tmp_path, capsys):
     err = _refusal("cli_preset", name, "n", 0, tmp_path, capsys)
     assert "n must be a positive integer, got 0" in err and "target" not in err
+
+
+# gaussian's covariance `s` is a matrix of numbers; strings and bools were
+# converted to floats.
+COVARIANCES = {
+    "string": [["1" if i == j else "0" for j in range(4)] for i in range(4)],
+    "bool": np.eye(4, dtype=bool).tolist(),
+}
+
+
+@pytest.mark.parametrize("entry", ["generate", "direct", "spec_dict_extras", "cli_multicluster"])
+@pytest.mark.parametrize("value", COVARIANCES.values(), ids=COVARIANCES)
+def test_a_covariance_of_strings_or_bools_is_refused(entry, value, tmp_path, capsys):
+    err = _refusal(entry, "gaussian", "s", value, tmp_path, capsys)
+    assert "s must be numeric, got [[" in err, err
+
+
+# ---------------------------------------------------------------------------
+# A direct call and generate() take the one check: same error, same text
+
+
+def _wrong_kinds():
+    values = {"string": "x", "bool": True, "fraction": 2.5, "none": None}
+    for kind, info in SHAPES.items():
+        for param, (ptype, _) in info.kinds.items():
+            for label, value in values.items():
+                if (label == "fraction" and ptype is not int or label == "bool" and ptype is bool
+                        or label == "none" and info.defaults.get(param, 0) is None):
+                    continue
+                yield pytest.param(kind, {param: value}, id=f"{kind}-{param}-{label}")
+        if info.dim is not None and "p" in info.kinds:
+            yield pytest.param(kind, {"p": info.dim + 1}, id=f"{kind}-p-not-its-dim")
+
+
+@pytest.mark.parametrize("kind, params", list(_wrong_kinds()))
+def test_a_direct_call_refuses_a_wrong_kind_as_generate_does(kind, params):
+    params = {"n": 20, **params}
+    with pytest.raises(ParameterError) as registry:
+        generate(kind, seed=1, **params)
+    with pytest.raises(ParameterError) as direct:
+        getattr(hdshapes, f"gen_{kind}")(seed=1, **params)
+    assert type(direct.value) is type(registry.value)
+    assert str(direct.value) == str(registry.value)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +298,11 @@ UNCHECKED_KINDS = {
     "wavydims1-sigma": ("sigma", lambda: gen_wavydims1(3, 2, [0.0, 1.0, 2.0], sigma="x", seed=1)),
     "wavydims1-sigma-bool": ("sigma", lambda: gen_wavydims1(3, 2, [0.0, 1.0, 2.0], sigma=True, seed=1)),
     "wavydims2-noise": ("noise", lambda: gen_wavydims2(3, 2, [0.0, 1.0, 2.0], noise="x", seed=1)),
+    "wavydims2-powers-fraction": ("powers", lambda: gen_wavydims2(3, 3, [0.0, 1.0, 2.0], powers=[2.9, 3.5, 4.2])),
+    "wavydims2-powers-string": ("powers", lambda: gen_wavydims2(3, 3, [0.0, 1.0, 2.0], powers=["2", "3", "4"])),
+    "wavydims2-scales-bool": ("scales", lambda: gen_wavydims2(3, 2, [0.0, 1.0, 2.0], scales=[True, 1.0])),
+    "wavydims2-x1-string": ("x1", lambda: gen_wavydims2(3, 2, ["0", "1", "2"], seed=1)),
+    "wavydims1-theta-string": ("theta", lambda: gen_wavydims1(3, 2, ["0", "1", "2"], seed=1)),
     "wavydims3-perturb": ("perturb", lambda: gen_wavydims3(3, 4, _base(), perturb="x", seed=1)),
     "wavydims3-noise": ("noise", lambda: gen_wavydims3(3, 4, _base(), noise=True, seed=1)),
     "relocate-loc-bool": ("loc", lambda: relocate_clusters(_ds(), [[True, 0.0], [1.0, 1.0]])),

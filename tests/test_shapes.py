@@ -1,4 +1,5 @@
 import collections
+import re
 import warnings
 
 import numpy as np
@@ -180,7 +181,9 @@ def test_n_must_be_integral():
     ],
 )
 def test_counts_and_dimensions_must_be_integral(make, name):
-    with pytest.raises(ParameterError, match=f"{name} must be a positive integer, got 2.5"):
+    # A pair is refused as a whole, by the one check a direct call shares with generate().
+    must = "a list of 2 integers, got (10, 2.5)" if name == "n_vec" else "a positive integer, got 2.5"
+    with pytest.raises(ParameterError, match=re.escape(f"{name} must be {must}")):
         make(2.5)
     ref = make(3).points.tobytes()
     for value in (3.0, np.int64(3)):

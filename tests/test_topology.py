@@ -160,3 +160,10 @@ def test_gen_hole_refuses_a_radius_that_is_not_a_number(r):
     ds = gen_unifcube(20, p=2, seed=1)
     with pytest.raises(ParameterError, match="r must be a number"):
         gen_hole(ds, r)
+
+
+@pytest.mark.parametrize("anchor", [["0", "1", "0"], [False, True, False], ["a", "1", "0"], [None, 1, 0]])
+def test_gen_hole_refuses_an_anchor_that_is_not_numbers(anchor):
+    ds = gen_unifcube(20, p=3, seed=1)
+    with pytest.raises(ParameterError, match="anchor must be a vector of numbers"):
+        gen_hole(ds, 0.3, anchor=anchor)
