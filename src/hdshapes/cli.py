@@ -34,7 +34,7 @@ import numpy as np
 from . import OUTPUT_VERSION, __version__
 from .composer import PRESETS, MultiClusterSpec, gen_multicluster, make_preset, preset_info
 from .core import ParameterError, _cpu_count
-from .shapes import SHAPES, ShapeInfo, check_params, generate, shape_info
+from .shapes import SHAPES, ShapeInfo, generate, shape_info
 from .topology import HOLES
 
 __all__ = ["main"]
@@ -292,12 +292,12 @@ def _hole_info(kind) -> ShapeInfo:
     return HOLES[kind]
 
 
-# command: (spec field naming the target, its lookup, its name in messages, the
-# call that builds it, looking `generate` and `make_preset` up when it runs)
+# command: (spec field naming the target, its lookup, the call that builds it
+# and checks its parameters, looking `generate` and `make_preset` up when it runs)
 _TARGETS = {
-    "generate": ("kind", shape_info, "shape", lambda kind, **params: generate(kind, **params)),
-    "hole": ("kind", _hole_info, "hole kind", lambda kind, **params: HOLES[kind].func(**params)),
-    "preset": ("name", preset_info, "preset", lambda name, **params: make_preset(name, **params)),
+    "generate": ("kind", shape_info, lambda kind, **params: generate(kind, **params)),
+    "hole": ("kind", _hole_info, lambda kind, **params: HOLES[kind].func(**params)),
+    "preset": ("name", preset_info, lambda name, **params: make_preset(name, **params)),
 }
 
 _SPEC_KEYS = {
@@ -330,16 +330,16 @@ def _build(command: str, spec, seed):
     params = _field(spec, "params")
     if not isinstance(params, dict):
         raise ParameterError("manifest field 'spec.params' must be a JSON object")
-    field, lookup, noun, call = _TARGETS[command]
+    field, lookup, call = _TARGETS[command]
     name = _field(spec, field)
     info = lookup(name)
-    if command == "generate":  # n is a spec field of its own
-        if "n" in params:
-            raise ParameterError("manifest spec.params has n, not accepted by generate (n is spec.n)")
+    for key in ("seed", field, "n") if command == "generate" else ("seed", field):
+        if key in params:  # a manifest field of its own
+            raise ParameterError(f"manifest spec.params has {key}, not accepted by {command}")
+    if command == "generate":
         params = {"n": _field(spec, "n"), **params}
     for required in info.kinds.keys() - info.defaults.keys():  # a hole's n
         _field(params, required)
-    check_params(info, params, f"{noun} '{name}'")
     return call(name, seed=seed, **params)
 
 
@@ -421,7 +421,7 @@ def cmd_hole(args) -> int:
 def cmd_preset(args) -> int:
     info = preset_info(args.name)
     params = _provided(args, tuple(info.kinds), f"preset '{args.name}'")
-    return _run(args, "preset", {"name": args.name, "params": params}, args.name)
+    return _run(args, "preset", {"name": args.name, "params": {**info.defaults, **params}}, args.name)
 
 
 def cmd_list(args) -> int:

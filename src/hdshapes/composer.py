@@ -19,6 +19,7 @@ import threading
 import warnings
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .core import (
     gen_rotation,
     randomize_rows,
 )
-from .shapes import RejectedParameterError, ShapeInfo, check_params, generate, shape_info
+from .shapes import RejectedParameterError, ShapeInfo, _registrar, check_params, generate, shape_info
 
 __all__ = [
     "MultiClusterSpec",
@@ -153,7 +154,7 @@ def apply_transform(ds, scale: float, rotation=None, center=None) -> Dataset:
         if rotation.shape[0] != ds.p:
             raise ParameterError(f"rotation is {rotation.shape[0]}-dimensional, dataset has {ds.p}")
     if center is not None:
-        center = _reals(center, "center must be a vector of numbers").ravel()
+        center = _reals(center, "center must be a vector of numbers", "center").ravel()
         if center.shape[0] != ds.p:
             raise ParameterError(f"center has length {center.shape[0]}, dataset has {ds.p}")
     out = np.empty((ds.n, ds.p))
@@ -423,12 +424,16 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
         scene[n_rows:] = bkg.points
         counts.append(n_bkg)
         names.append("background")
-    out = _adopt(scene, np.repeat(np.arange(len(counts)), counts), names)
+    # Each block and the background were checked as they were placed.
+    out = Dataset._checked(scene, np.repeat(np.arange(len(counts), dtype=np.intp), counts), tuple(names))
     return randomize_rows(out, seed=stream.derive(spec.k + 1)) if shuffle else out
 
 
 # ---------------------------------------------------------------------------
 # Preset scenes
+
+PRESETS: dict[str, ShapeInfo] = {}
+_preset = partial(_registrar(PRESETS, "preset", prefix="_preset_"), None)  # no fixed dimension
 
 
 def _zeros_loc(k: int, p: int) -> np.ndarray:
@@ -437,6 +442,7 @@ def _zeros_loc(k: int, p: int) -> np.ndarray:
     return np.zeros((k, p))
 
 
+@_preset("Mobius band beside a Gaussian blob.")
 def _preset_mobiusgau(n=1000):
     return MultiClusterSpec(
         n=gen_nsum(n, 2),
@@ -448,6 +454,7 @@ def _preset_mobiusgau(n=1000):
     )
 
 
+@_preset("Well-separated Gaussian clusters.")
 def _preset_multigau(n=1500, k=3, p=4):
     if k > p + 1:
         raise ParameterError("multigau places clusters on simplex vertices; needs k <= p + 1")
@@ -460,6 +467,7 @@ def _preset_multigau(n=1500, k=3, p=4):
     )
 
 
+@_preset("Curved band with a Gaussian cluster.")
 def _preset_curvygau(n=1000, p=4):
     loc = _zeros_loc(2, p)
     loc[1, 0], loc[1, 1] = 3.0, 1.0
@@ -492,18 +500,22 @@ def _ring_chain(n, k, shape, spacing, interlock):
     )
 
 
+@_preset("Interlocked rings in alternating planes.")
 def _preset_klink_circles(n=900, k=3):
     return _ring_chain(n, k, "circle", spacing=1.0, interlock=True)
 
 
+@_preset("Coplanar rings connected in a row.")
 def _preset_chain_circles(n=900, k=3):
     return _ring_chain(n, k, "circle", spacing=1.8, interlock=False)
 
 
+@_preset("Interlocked curvy cycles.")
 def _preset_klink_curvycycle(n=900, k=3):
     return _ring_chain(n, k, "curvycycle", spacing=1.0, interlock=True)
 
 
+@_preset("Curvy cycles connected in a row.")
 def _preset_chain_curvycycle(n=900, k=3):
     return _ring_chain(n, k, "curvycycle", spacing=1.8, interlock=False)
 
@@ -521,20 +533,24 @@ def _concentric_gau(n, k, p, ring_shape):
     )
 
 
+@_preset("Concentric rings with a central Gaussian.")
 def _preset_gaucircles(n=2000, k=3, p=4):
     return _concentric_gau(n, k, p, "circle")
 
 
+@_preset("Concentric curvy cycles with a central Gaussian.")
 def _preset_gaucurvycycle(n=2000, k=3, p=4):
     return _concentric_gau(n, k, p, "curvycycle")
 
 
+@_preset("Single 2-D lattice.")
 def _preset_onegrid(n=400):
     return MultiClusterSpec(
         n=(n,), k=1, loc=np.array([[0.5, 0.5]]), scale=(1.0,), shape=("gridcube",)
     )
 
 
+@_preset("Two partially overlapping lattices.")
 def _preset_twogrid_overlap(n=800):
     return MultiClusterSpec(
         n=gen_nsum(n, 2),
@@ -545,6 +561,7 @@ def _preset_twogrid_overlap(n=800):
     )
 
 
+@_preset("Two lattices offset by half a cell.")
 def _preset_twogrid_shift(n=800):
     m = gen_nproduct(gen_nsum(n, 2)[0], 2)[0]
     delta = 0.5 / (m - 1) if m > 1 else 0.25  # half a lattice cell
@@ -557,6 +574,7 @@ def _preset_twogrid_shift(n=800):
     )
 
 
+@_preset("Parallel copies of one curved shape.")
 def _preset_shape_para(n=1200, k=3, p=4):
     loc = _zeros_loc(k, p)
     loc[:, 1] = 2.0 * np.arange(k)
@@ -567,23 +585,6 @@ def _preset_shape_para(n=1200, k=3, p=4):
         scale=(1.0,) * k,
         shape=("quadratic",) * k,
     )
-
-
-PRESETS: dict[str, ShapeInfo] = {
-    "mobiusgau": ShapeInfo(_preset_mobiusgau, None, "Mobius band beside a Gaussian blob."),
-    "multigau": ShapeInfo(_preset_multigau, None, "Well-separated Gaussian clusters."),
-    "curvygau": ShapeInfo(_preset_curvygau, None, "Curved band with a Gaussian cluster."),
-    "klink_circles": ShapeInfo(_preset_klink_circles, None, "Interlocked rings in alternating planes."),
-    "chain_circles": ShapeInfo(_preset_chain_circles, None, "Coplanar rings connected in a row."),
-    "klink_curvycycle": ShapeInfo(_preset_klink_curvycycle, None, "Interlocked curvy cycles."),
-    "chain_curvycycle": ShapeInfo(_preset_chain_curvycycle, None, "Curvy cycles connected in a row."),
-    "gaucircles": ShapeInfo(_preset_gaucircles, None, "Concentric rings with a central Gaussian."),
-    "gaucurvycycle": ShapeInfo(_preset_gaucurvycycle, None, "Concentric curvy cycles with a central Gaussian."),
-    "onegrid": ShapeInfo(_preset_onegrid, None, "Single 2-D lattice."),
-    "twogrid_overlap": ShapeInfo(_preset_twogrid_overlap, None, "Two partially overlapping lattices."),
-    "twogrid_shift": ShapeInfo(_preset_twogrid_shift, None, "Two lattices offset by half a cell."),
-    "shape_para": ShapeInfo(_preset_shape_para, None, "Parallel copies of one curved shape."),
-}
 
 
 def list_presets() -> tuple[str, ...]:
@@ -601,8 +602,6 @@ def preset_info(name: str) -> ShapeInfo:
 
 
 def make_preset(name: str, seed=None, **params) -> Dataset:
-    """Sample a named preset scene: its parameters go through `check_params`,
-    its builder returns the MultiClusterSpec and `gen_multicluster` samples it."""
-    info = preset_info(name)
-    check_params(info, params, f"preset '{name}'")
-    return gen_multicluster(info.func(**params), seed=seed)
+    """Sample a named preset scene: its builder checks its parameters and
+    returns the MultiClusterSpec, and `gen_multicluster` samples it."""
+    return gen_multicluster(preset_info(name).func(**params), seed=seed)

@@ -9,6 +9,7 @@ shuffling, cluster relocation, background noise).
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import secrets
@@ -76,23 +77,30 @@ def _is_kind(value, kind) -> bool:
 
 
 def _number(value, name: str):
-    """`value` if it is a real number; a ParameterError naming `name` if it
-    is anything else, a bool or a numeric string included."""
+    """`value` if it is a finite real number; a ParameterError naming `name`
+    if it is anything else (a bool or a numeric string included) or if it is
+    NaN or infinite."""
     if not _is_kind(value, float):
         raise ParameterError(f"{name} must be a number, got {value!r}")
+    if not -math.inf < value < math.inf:
+        raise ParameterError(f"{name} must be finite, got {value!r}")
     return value
 
 
-def _reals(value, what: str) -> np.ndarray:
+def _reals(value, what: str, name: str | None = None) -> np.ndarray:
     """`value`, a number, a nested list of numbers or a numeric array, as a
     float64 array. A bool, string or None entry, or a ragged nesting, is
-    refused with "<what>, got <value>" instead of converted."""
+    refused with "<what>, got <value>" instead of converted; given `name`,
+    a NaN or infinite entry is refused as "<name> must be finite"."""
     arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
     if arr.dtype == object and all(_is_kind(v, float) for v in arr.flat):
         arr = arr.astype(np.float64)
     if arr.dtype.kind not in "iuf":
         raise ParameterError(f"{what}, got {value!r}")
-    return np.asarray(arr, dtype=np.float64)
+    arr = np.asarray(arr, dtype=np.float64)
+    if name is not None and not np.isfinite(arr).all():
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    return arr
 
 
 def _splitmix64(x: int) -> int:
@@ -240,6 +248,15 @@ class Dataset:
         self.points, self.codes, self.categories = points, codes, categories
         self._labels = None
 
+    @classmethod
+    def _checked(cls, points, codes=None, categories=None) -> "Dataset":
+        """A Dataset of arrays built only from checked ones (rows gathered
+        from a Dataset, a scene of checked blocks) that nothing else holds:
+        frozen as they are, with no copy and no check."""
+        out = cls.__new__(cls)
+        out._freeze(points, codes, categories)
+        return out
+
     @property
     def labels(self) -> np.ndarray | None:
         """Read-only unicode array of per-row label names, or None."""
@@ -271,7 +288,8 @@ class Dataset:
         from the end) or a boolean row mask; labels travel with their rows.
 
         Each array is gathered once. Rows and codes drawn from this
-        Dataset were checked when it was built, so they are not re-checked.
+        Dataset were checked when it was built, so they are not re-checked
+        (`_checked`).
         """
         idx = np.asarray(indices)
         if idx.ndim != 1:
@@ -284,10 +302,8 @@ class Dataset:
             idx = idx.astype(np.intp)
         elif idx.dtype.kind not in "iu":
             raise IndexError(f"row indices must be integers or a boolean mask, got dtype {idx.dtype}")
-        out = Dataset.__new__(Dataset)
         codes = None if self.codes is None else np.take(self.codes, idx)
-        out._freeze(np.take(self.points, idx, axis=0), codes, self.categories)
-        return out
+        return Dataset._checked(np.take(self.points, idx, axis=0), codes, self.categories)
 
     def __repr__(self) -> str:
         tag = "labeled" if self.codes is not None else "unlabeled"
@@ -437,7 +453,7 @@ def relocate_clusters(ds, loc) -> Dataset:
     ds = as_dataset(ds)
     if ds.codes is None:
         raise ParameterError("relocate_clusters requires a labeled dataset")
-    loc = _reals(loc, "loc must be a k x p matrix of numbers")
+    loc = _reals(loc, "loc must be a k x p matrix of numbers", "loc")
     if loc.ndim != 2:
         raise ParameterError("loc must be a k x p matrix")
     used = np.flatnonzero(np.bincount(ds.codes, minlength=len(ds.categories)))
@@ -459,7 +475,7 @@ def _gaussian_cols(n: int, p: int, m, s, seed) -> np.ndarray:
     """n x p draws, column j from Normal(m_j, s_j^2); `m` and `s` are each a
     number or a length-p vector, every s_j positive."""
     n, p = _check_n(n), _check_n(p, "p")
-    mean, sd = _reals(m, "m must be a number or a vector"), _reals(s, "s must be a number or a vector")
+    mean, sd = _reals(m, "m must be a number or a vector", "m"), _reals(s, "s must be a number or a vector", "s")
     for name, vec in (("m", mean), ("s", sd)):
         if vec.shape not in ((), (p,)):
             raise ParameterError(f"{name} must be a number or a vector of length {p}, got shape {vec.shape}")

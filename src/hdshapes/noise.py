@@ -42,7 +42,7 @@ def gen_wavydims1(n: int, p: int, theta, sigma: float = 0.05, seed=None) -> Data
     alpha_j = 0.1 j gives each column a distinct slope; eps ~ N(0, sigma^2).
     """
     n, p = _check_n(n), _check_n(p, "p")
-    theta = _reals(theta, "theta must be a vector of numbers").ravel()
+    theta = _reals(theta, "theta must be a vector of numbers", "theta").ravel()
     if theta.shape[0] != n:
         raise ParameterError(f"theta has length {theta.shape[0]}, expected {n}")
     if _number(sigma, "sigma") <= 0:
@@ -61,7 +61,7 @@ def gen_wavydims2(n: int, p: int, x1, powers=None, scales=None, noise: float = 0
     `powers`/`scales` to fix k_j/beta_j, and noise=0 for the exact map.
     """
     n, p = _check_n(n), _check_n(p, "p")
-    x1 = _reals(x1, "x1 must be a vector of numbers").ravel()
+    x1 = _reals(x1, "x1 must be a vector of numbers", "x1").ravel()
     if x1.shape[0] != n:
         raise ParameterError(f"x1 has length {x1.shape[0]}, expected {n}")
     if _number(noise, "noise") < 0:
@@ -70,7 +70,7 @@ def gen_wavydims2(n: int, p: int, x1, powers=None, scales=None, noise: float = 0
     k = rng.integers(2, 5, p) if powers is None else _reals(powers, "powers must be a list of integers")
     if (k % 1).any():
         raise ParameterError(f"powers must be a list of integers, got {powers!r}")
-    beta = rng.uniform(0.5, 1.5, p) if scales is None else _reals(scales, "scales must be a list of numbers")
+    beta = rng.uniform(0.5, 1.5, p) if scales is None else _reals(scales, "scales must be a list of numbers", "scales")
     if k.shape != (p,) or beta.shape != (p,):
         raise ParameterError("powers and scales must have length p")
     powers, scales = k.astype(np.int64), beta

@@ -7,7 +7,9 @@ fixed intrinsic dimension (mobius, scurve, the spirals, ...) emit exactly
 that many columns; callers lift them into higher dimensions by appending
 noise dims (see hdshapes.noise) or through the multicluster composer.
 Each generator registers in SHAPES where it is defined (`_shape`), and
-every call, direct or by name, takes the one parameter check.
+every call, direct or by name, takes the one parameter check. The holed
+shapes (`topology.HOLES`) and the preset scenes (`composer.PRESETS`)
+register the same way, through `_registrar`.
 """
 
 from __future__ import annotations
@@ -116,9 +118,11 @@ def _warn_lattice_size(kind: str, count: int, n: int) -> None:
 @dataclass(frozen=True)
 class ShapeInfo:
     """Dispatch record for one buildable target: a shape kind, a holed
-    shape (`topology.HOLES`) or a preset scene (`composer.PRESETS`).
-    A shape's `func` returns its Dataset; a preset's takes no seed and
-    returns its MultiClusterSpec, which `make_preset` samples.
+    shape (`topology.HOLES`) or a preset scene (`composer.PRESETS`), each
+    registered where its function is defined (`_registrar`), and `func` the
+    function that checks its parameters. A shape's `func` returns its
+    Dataset; a preset's takes no seed and returns its MultiClusterSpec,
+    which `make_preset` samples.
 
     Everything about the parameters is read from `func`'s signature on
     first use, so importing hdshapes reads no signature.
@@ -167,31 +171,37 @@ class ShapeInfo:
         return kinds
 
 
+def _registrar(table: dict, noun: str, prefix: str = "gen_", suffix: str = ""):
+    """The decorator `@registrar(dim, description)` that registers a function
+    in `table`, under its name less `prefix` and `suffix` and in definition
+    order, and runs `check_params` on every call, direct or through the
+    table, naming the target "<noun> '<name>'"; the body gets the checked
+    values (counts as ints), and the seed if it takes one."""
+
+    def decorator(dim: int | None, description: str):
+        def register(func):
+            name = func.__name__.removeprefix(prefix).removesuffix(suffix)
+            what = f"{noun} '{name}'"
+
+            @functools.wraps(func)
+            def checked(*args, **kwargs):
+                sig = info._signature
+                # Unknown keywords go to check_params, which names them.
+                known = {key: value for key, value in kwargs.items() if key in sig.parameters}
+                params = {**sig.bind_partial(*args, **known).arguments, **kwargs}
+                seed = {"seed": params.pop("seed", None)} if "seed" in sig.parameters else {}
+                return func(**seed, **check_params(info, params, what))
+
+            info = table[name] = ShapeInfo(checked, dim, description)
+            return checked
+
+        return register
+
+    return decorator
+
+
 SHAPES: dict[str, ShapeInfo] = {}
-
-
-def _shape(dim: int | None, description: str):
-    """Register the decorated `gen_<kind>` in SHAPES as `kind`, in definition
-    order, and run `check_params` on every call, direct or through
-    `generate`; the body gets the checked values (counts as ints)."""
-
-    def register(func):
-        kind = func.__name__.removeprefix("gen_")
-        what = f"shape '{kind}'"
-
-        @functools.wraps(func)
-        def checked(*args, **kwargs):
-            sig = info._signature
-            # Unknown keywords go to check_params, which names them.
-            known = {name: value for name, value in kwargs.items() if name in sig.parameters}
-            params = {**sig.bind_partial(*args, **known).arguments, **kwargs}
-            seed = params.pop("seed", None)
-            return func(seed=seed, **check_params(info, params, what))
-
-        info = SHAPES[kind] = ShapeInfo(checked, dim, description)
-        return checked
-
-    return register
+_shape = _registrar(SHAPES, "shape")
 
 
 def list_shapes() -> tuple[str, ...]:

@@ -6,8 +6,8 @@ import warnings
 
 import numpy as np
 
-from .core import Dataset, ParameterError, _check_n, _number, _reals, as_dataset, as_stream
-from .shapes import ShapeInfo, gen_scurve, gen_unifcube
+from .core import Dataset, ParameterError, _number, _reals, as_dataset, as_stream
+from .shapes import ShapeInfo, _registrar, gen_scurve, gen_unifcube
 
 __all__ = [
     "HOLES",
@@ -27,11 +27,6 @@ class HoleRetentionWarning(UserWarning):
     """The hole removed more than 90% of the points."""
 
 
-def _check_radius(r, name: str) -> None:
-    if not _number(r, name) > 0:
-        raise ParameterError(f"hole radius {name} must be positive, got {r!r}")
-
-
 def gen_hole(ds, r: float, anchor=None) -> Dataset:
     """Remove every row within Euclidean distance r of the anchor.
 
@@ -43,10 +38,11 @@ def gen_hole(ds, r: float, anchor=None) -> Dataset:
     ds = as_dataset(ds)
     if ds.n == 0:
         raise ParameterError("cannot punch a hole in an empty dataset")
-    _check_radius(r, "r")
+    if not _number(r, "r") > 0:
+        raise ParameterError(f"hole radius r must be positive, got {r!r}")
     if anchor is None:
         anchor = ds.points.mean(axis=0)
-    anchor = _reals(anchor, "anchor must be a vector of numbers").ravel()
+    anchor = _reals(anchor, "anchor must be a vector of numbers", "anchor").ravel()
     if anchor.shape[0] != ds.p:
         raise ParameterError(f"anchor has length {anchor.shape[0]}, dataset has {ds.p} columns")
     dist = np.linalg.norm(ds.points - anchor, axis=1)
@@ -70,7 +66,8 @@ def _holed_sample(make, n: int, r_hole, stream) -> Dataset:
     sample is oversampled by 1 / (1 - fraction) plus 10%, doubling up to
     four more times if too few points survive.
     """
-    _check_radius(r_hole, "r_hole")
+    if not r_hole > 0:  # a finite number: the wrapper's registration checked it
+        raise ParameterError(f"hole radius r_hole must be positive, got {r_hole!r}")
     # Low retention in the pilot or a draw only sizes the next draw; the
     # returned sample always has n points, so nothing here warns.
     with warnings.catch_warnings():
@@ -92,21 +89,17 @@ def _holed_sample(make, n: int, r_hole, stream) -> Dataset:
     return survivors.take(pick)
 
 
+HOLES: dict[str, ShapeInfo] = {}
+_hole = _registrar(HOLES, "hole kind", suffix="hole")
+
+
+@_hole(3, "S-curve with a spherical hole.")
 def gen_scurvehole(n: int, r_hole: float = 0.3, seed=None) -> Dataset:
     """S-curve with a spherical hole at its mean; exactly n points."""
-    return _holed_sample(
-        lambda m, s: gen_scurve(m, seed=s), _check_n(n), r_hole, as_stream(seed)
-    )
+    return _holed_sample(lambda m, s: gen_scurve(m, seed=s), n, r_hole, as_stream(seed))
 
 
+@_hole(None, "Uniform cube with a central void.")
 def gen_unifcubehole(n: int, p: int = 3, r_hole: float = 0.3, seed=None) -> Dataset:
     """Uniform cube with a central hyperspherical void; exactly n points."""
-    return _holed_sample(
-        lambda m, s: gen_unifcube(m, p=p, seed=s), _check_n(n), r_hole, as_stream(seed)
-    )
-
-
-HOLES: dict[str, ShapeInfo] = {
-    "scurve": ShapeInfo(gen_scurvehole, 3, "S-curve with a spherical hole."),
-    "unifcube": ShapeInfo(gen_unifcubehole, None, "Uniform cube with a central void."),
-}
+    return _holed_sample(lambda m, s: gen_unifcube(m, p=p, seed=s), n, r_hole, as_stream(seed))

@@ -355,6 +355,35 @@ def test_hole_manifest_in_the_old_layout_replays(tmp_path):
     assert replay.read_bytes() == direct.read_bytes()
 
 
+@pytest.mark.parametrize("flags", [[], ["--n", "90"], ["--k", "2", "--p", "5"]])
+def test_a_preset_manifest_records_every_default(flags, tmp_path):
+    out = tmp_path / "pre.csv"
+    assert main(["preset", "gaucircles", *flags, "--seed", "2", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "pre.csv.manifest.json").read_text())
+    given = {flag.removeprefix("--"): int(value) for flag, value in zip(flags[::2], flags[1::2])}
+    assert manifest["spec"]["params"] == {**PRESETS["gaucircles"].defaults, **given}
+    replay = tmp_path / "replay.csv"
+    assert main(["generate", "--from-manifest", str(tmp_path / "pre.csv.manifest.json"), "--out", str(replay)]) == 0
+    assert replay.read_bytes() == out.read_bytes()
+
+
+def test_a_preset_manifest_in_the_old_layout_replays(tmp_path):
+    """Manifests written before presets recorded their defaults hold only
+    the flags given, here none."""
+    man = tmp_path / "old.csv.manifest.json"
+    man.write_text(json.dumps({
+        "command": "preset",
+        "seed": 2,
+        "spec": {"name": "gaucircles", "params": {}},
+        "output_path": str(tmp_path / "old.csv"),
+        "format": "csv",
+    }))
+    replay, fresh = tmp_path / "replay.csv", tmp_path / "fresh.csv"
+    assert main(["generate", "--from-manifest", str(man), "--out", str(replay)]) == 0
+    assert main(["preset", "gaucircles", "--seed", "2", "--out", str(fresh)]) == 0
+    assert replay.read_bytes() == fresh.read_bytes()
+
+
 def _manifest(tmp_path):
     out = tmp_path / "g.csv"
     assert main(["generate", "cone", "--n", "10", "--seed", "1", "--out", str(out)]) == 0
@@ -390,6 +419,12 @@ def test_malformed_manifest_exits_2(corrupt, named, tmp_path, capsys):
         (lambda m: {**m, "command": "hole", "spec": {"kind": "unifcube", "params": {"n": 5, "bogus": 1}}}, "has bogus"),
         (lambda m: {**m, "spec": {**m["spec"], "params": {**m["spec"]["params"], "seed": 3}}}, "has seed"),
         (lambda m: {**m, "command": "preset", "spec": {"name": "multigau", "params": {"seed": 3}}}, "has seed"),
+        (lambda m: {**m, "spec": {**m["spec"], "params": {**m["spec"]["params"], "kind": "cone"}}}, "has kind"),
+        (lambda m: {**m, "spec": {**m["spec"], "params": {**m["spec"]["params"], "n": 10}}}, "has n"),
+        (lambda m: {**m, "command": "preset", "spec": {"name": "multigau", "params": {"name": "x"}}}, "has name"),
+        (lambda m: {**m, "command": "hole", "spec": {"kind": "scurve", "params": {"n": 5, "kind": 1}}}, "has kind"),
+        (lambda m: {**m, "command": "hole", "spec": {"kind": "scurve", "params": {"n": 5, "r_hole": 1e400}}},
+         "r_hole of hole kind 'scurve' must be finite"),
         (lambda m: {**m, "command": "hole", "spec": {"kind": "scurve", "params": {"n": 5, "r_hole": "x"}}}, "r_hole must be a number, got 'x'"),
         (lambda m: {**m, "command": "hole", "spec": {"kind": "scurve", "params": {"r_hole": 0.2}}}, "missing field 'n'"),
         (lambda m: {**m, "spec": {**m["spec"], "params": {**m["spec"]["params"], "h": "x"}}}, "h must be a number, got 'x'"),
@@ -403,7 +438,8 @@ def test_malformed_manifest_exits_2(corrupt, named, tmp_path, capsys):
         (lambda m: {**m, "spec": {"kind": "orglinearbranches", "n": 9, "params": {"allow_share": 1}}}, "allow_share must be true or false"),
         (lambda m: {**m, "command": "multicluster", "spec": {"config": USAGE_CONFIG, "shuffle": "no"}}, "shuffle must be true or false"),
     ],
-    ids=["unknown-hole-param", "generate-seed", "preset-seed", "string-r-hole", "hole-without-n", "string-h",
+    ids=["unknown-hole-param", "generate-seed", "preset-seed", "generate-kind", "generate-n", "preset-name",
+         "hole-kind", "infinite-r-hole", "string-r-hole", "hole-without-n", "string-h",
          "list-p", "bool-p", "string-n", "string-preset-n", "fractional-preset-n", "long-pair", "string-in-pair",
          "number-for-flag", "string-shuffle"],
 )

@@ -358,6 +358,17 @@ def test_background_noise_rows():
     assert counts["background"] == 100
 
 
+def test_a_background_whose_spread_overflows_is_refused():
+    """The scene is frozen without a pass over every row, so a background
+    drawn from an overflowing sd must be refused where it is drawn."""
+    huge = usage_spec(is_bkg=True, scale=(1e300, 1e300, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the sd's overflow
+        assert np.isfinite(gen_multicluster(usage_spec(scale=(1e300, 1e300, 1e300)), seed=17).points).all()
+        with pytest.raises(ParameterError, match="must be finite"):
+            gen_multicluster(huge, seed=17)
+
+
 def test_pipeline_deterministic_including_shuffle():
     a = gen_multicluster(usage_spec(), seed=18)
     b = gen_multicluster(usage_spec(), seed=18)

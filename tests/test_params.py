@@ -31,8 +31,10 @@ from hdshapes.cli import _build, main
 from hdshapes.composer import apply_transform
 from hdshapes.core import relocate_clusters
 from hdshapes.noise import gen_wavydims1, gen_wavydims2, gen_wavydims3
+from hdshapes.topology import gen_hole
 
 NAN = float("nan")
+INF = float("inf")
 
 BAD = {"string": "x", "bool": True, "list": [1, 2], "fraction": 2.5, "zero": 0, "negative": -1, "nan": NAN}
 COUNTS = {"n", "k", "p"}  # every other parameter used below is a float
@@ -157,29 +159,52 @@ def test_a_covariance_of_strings_or_bools_is_refused(entry, value, tmp_path, cap
 
 
 # ---------------------------------------------------------------------------
-# A direct call and generate() take the one check: same error, same text
+# A direct call and a call by name take the one check: same error, same text
+
+TARGETS = (
+    [("shape", name) for name in SHAPES]
+    + [("hole", name) for name in HOLES]
+    + [("preset", name) for name in PRESETS]
+)
+REGISTRIES = {"shape": SHAPES, "hole": HOLES, "preset": PRESETS}
+
+# For each registry: the call by name (for holed shapes, the CLI's build of
+# a spec) and the direct call of the registered function.
+BY_NAME = {
+    "shape": lambda name, params: generate(name, seed=1, **params),
+    "hole": lambda name, params: _build("hole", {"kind": name, "params": params}, 1),
+    "preset": lambda name, params: make_preset(name, seed=1, **params),
+}
+DIRECT = {
+    "shape": lambda name, params: getattr(hdshapes, f"gen_{name}")(seed=1, **params),
+    "hole": lambda name, params: getattr(hdshapes, f"gen_{name}hole")(seed=1, **params),
+    "preset": lambda name, params: getattr(hdshapes.composer, f"_preset_{name}")(**params),
+}
 
 
 def _wrong_kinds():
-    values = {"string": "x", "bool": True, "fraction": 2.5, "none": None}
-    for kind, info in SHAPES.items():
+    values = {"string": "x", "bool": True, "fraction": 2.5, "none": None, "inf": INF}
+    for what, name in TARGETS:
+        info = REGISTRIES[what][name]
+        case = name if what == "shape" else f"{what}-{name}"
         for param, (ptype, _) in info.kinds.items():
             for label, value in values.items():
                 if (label == "fraction" and ptype is not int or label == "bool" and ptype is bool
                         or label == "none" and info.defaults.get(param, 0) is None):
                     continue
-                yield pytest.param(kind, {param: value}, id=f"{kind}-{param}-{label}")
+                yield pytest.param(what, name, {param: value}, id=f"{case}-{param}-{label}")
         if info.dim is not None and "p" in info.kinds:
-            yield pytest.param(kind, {"p": info.dim + 1}, id=f"{kind}-p-not-its-dim")
+            yield pytest.param(what, name, {"p": info.dim + 1}, id=f"{case}-p-not-its-dim")
+        yield pytest.param(what, name, {"foo": 1}, id=f"{case}-unknown-keyword")
 
 
-@pytest.mark.parametrize("kind, params", list(_wrong_kinds()))
-def test_a_direct_call_refuses_a_wrong_kind_as_generate_does(kind, params):
+@pytest.mark.parametrize("what, name, params", list(_wrong_kinds()))
+def test_a_direct_call_refuses_a_wrong_kind_as_generate_does(what, name, params):
     params = {"n": 20, **params}
     with pytest.raises(ParameterError) as registry:
-        generate(kind, seed=1, **params)
+        BY_NAME[what](name, params)
     with pytest.raises(ParameterError) as direct:
-        getattr(hdshapes, f"gen_{kind}")(seed=1, **params)
+        DIRECT[what](name, params)
     assert type(direct.value) is type(registry.value)
     assert str(direct.value) == str(registry.value)
 
@@ -196,14 +221,6 @@ def _values(kind, nargs):
         return st.tuples(*[elem] * nargs) | st.lists(elem, max_size=3) | EDGES
     own = {int: st.integers(-1, 6), float: st.floats(-3, 3), bool: st.booleans()}[kind]
     return own | EDGES
-
-
-TARGETS = (
-    [("shape", name) for name in SHAPES]
-    + [("hole", name) for name in HOLES]
-    + [("preset", name) for name in PRESETS]
-)
-REGISTRIES = {"shape": SHAPES, "hole": HOLES, "preset": PRESETS}
 
 
 @st.composite
@@ -307,6 +324,23 @@ UNCHECKED_KINDS = {
     "wavydims3-noise": ("noise", lambda: gen_wavydims3(3, 4, _base(), noise=True, seed=1)),
     "relocate-loc-bool": ("loc", lambda: relocate_clusters(_ds(), [[True, 0.0], [1.0, 1.0]])),
     "relocate-loc-string": ("loc", lambda: relocate_clusters(_ds(), [["a", 0.0], [1.0, 1.0]])),
+    # NaN noise was silently dropped; an infinite number ended in an
+    # OverflowError or in the unnamed "points must be finite".
+    "wavydims2-noise-nan": ("noise", lambda: gen_wavydims2(3, 2, [0.0, 1.0, 2.0], noise=NAN, seed=1)),
+    "wavydims3-noise-nan": ("noise", lambda: gen_wavydims3(3, 4, _base(), noise=NAN, seed=1)),
+    "wavydims2-noise-inf": ("noise", lambda: gen_wavydims2(3, 2, [0.0, 1.0, 2.0], noise=INF, seed=1)),
+    "wavydims3-perturb-inf": ("perturb", lambda: gen_wavydims3(3, 4, _base(), perturb=INF, seed=1)),
+    "wavydims1-sigma-inf": ("sigma", lambda: gen_wavydims1(3, 2, [0.0, 1.0, 2.0], sigma=INF, seed=1)),
+    "apply_transform-scale-inf": ("scale", lambda: apply_transform(_ds(), INF)),
+    # A non-finite vector entry was refused unnamed, kept every row
+    # (gen_hole's anchor at inf) or removed every one (at NaN).
+    "hole-anchor-nan": ("anchor", lambda: gen_hole(_base(), 0.3, anchor=[NAN, 0.0, 0.0])),
+    "hole-anchor-inf": ("anchor", lambda: gen_hole(_base(), 0.3, anchor=[INF, 0.0, 0.0])),
+    "wavydims2-scales-nan": ("scales", lambda: gen_wavydims2(3, 2, [0.0, 1.0, 2.0], scales=[NAN, 1.0], noise=0)),
+    "wavydims2-x1-inf": ("x1", lambda: gen_wavydims2(3, 2, [0.0, INF, 2.0], seed=1)),
+    "wavydims1-theta-nan": ("theta", lambda: gen_wavydims1(3, 2, [0.0, NAN, 2.0], seed=1)),
+    "apply_transform-center-nan": ("center", lambda: apply_transform(_ds(), 1.0, center=[NAN, 0.0])),
+    "relocate-loc-inf": ("loc", lambda: relocate_clusters(_ds(), [[INF, 0.0], [1.0, 1.0]])),
 }
 
 
@@ -314,6 +348,22 @@ UNCHECKED_KINDS = {
 def test_a_wrong_kind_is_refused_and_named_by_the_transforms_and_noise(param, call):
     with pytest.raises(ParameterError, match=rf"^{param} must be"):
         call()
+
+
+NON_FINITE = {case: entry for case, entry in UNCHECKED_KINDS.items() if case.endswith(("-nan", "-inf"))}
+
+
+@pytest.mark.parametrize("param, call", NON_FINITE.values(), ids=NON_FINITE)
+def test_a_non_finite_value_is_refused_as_such(param, call):
+    with pytest.raises(ParameterError, match=rf"^{param} must be finite, got "):
+        call()
+
+
+def test_a_non_finite_number_keeps_its_text_apart_from_a_wrong_kind():
+    with pytest.raises(ParameterError, match=r"^noise must be finite, got nan$"):
+        gen_wavydims2(3, 2, [0.0, 1.0, 2.0], noise=NAN, seed=1)
+    with pytest.raises(ParameterError, match=r"^noise must be a number, got 'nan'$"):
+        gen_wavydims2(3, 2, [0.0, 1.0, 2.0], noise="nan", seed=1)
 
 
 def test_the_transforms_and_noise_keep_numbers_of_every_numeric_kind():

@@ -99,6 +99,17 @@ def test_registry_has_all_kinds():
     assert set(list_shapes()) == set(DEFAULT_DIMS)
 
 
+def test_the_package_reexports_each_modules_public_names():
+    import hdshapes
+    from hdshapes import composer, core, noise, shapes, topology
+
+    modules = (core, shapes, topology, noise, composer)
+    names = {name for module in modules for name in module.__all__}
+    names |= {"OUTPUT_VERSION", *(module.__name__.removeprefix("hdshapes.") for module in modules)}
+    assert hdshapes.__all__ == sorted(names)
+    assert all(getattr(hdshapes, name) is getattr(module, name) for module in modules for name in module.__all__)
+
+
 @pytest.mark.parametrize("kind", sorted(DEFAULT_DIMS))
 def test_default_signature_row_count_and_dim(kind):
     ds = generate(kind, 120, seed=3)

@@ -7,6 +7,7 @@ import pytest
 from hdshapes.core import Dataset, ParameterError
 from hdshapes.shapes import gen_scurve, gen_unifcube
 from hdshapes.topology import (
+    HOLES,
     DegenerateHoleError,
     HoleRetentionWarning,
     gen_hole,
@@ -167,3 +168,9 @@ def test_gen_hole_refuses_an_anchor_that_is_not_numbers(anchor):
     ds = gen_unifcube(20, p=3, seed=1)
     with pytest.raises(ParameterError, match="anchor must be a vector of numbers"):
         gen_hole(ds, 0.3, anchor=anchor)
+
+
+def test_holed_shapes_register_where_they_are_defined():
+    assert list(HOLES) == ["scurve", "unifcube"]
+    assert HOLES["scurve"].func is gen_scurvehole and HOLES["unifcube"].func is gen_unifcubehole
+    assert (HOLES["scurve"].dim, HOLES["unifcube"].dim) == (3, None)
