@@ -393,8 +393,15 @@ def cmd_generate(args) -> int:
         fmt = man.get("format", "csv")
         if not isinstance(fmt, str) or fmt not in _WRITERS:
             raise ParameterError(f"manifest field 'format' must be one of {', '.join(_WRITERS)}, got {fmt!r}")
-        out = Path(args.out) if args.out else Path(_field(man, "output_path"))
-        return _emit(out, fmt, _field(man, "command"), _field(man, "seed"), _field(man, "spec"))
+        # A replay needs the recorded seed: as_stream would read None as
+        # "draw a fresh one" (it refuses every other wrong kind itself).
+        seed = _field(man, "seed")
+        if seed is None:
+            raise ParameterError("manifest field 'seed' must be an integer, got None")
+        if not isinstance(man.get("output_path", ""), str):
+            raise ParameterError(f"manifest field 'output_path' must be a string, got {man['output_path']!r}")
+        out = Path(args.out or _field(man, "output_path"))
+        return _emit(out, fmt, _field(man, "command"), seed, _field(man, "spec"))
     if not args.shape:
         raise ParameterError("generate needs a shape kind (or --from-manifest)")
     info = shape_info(args.shape)

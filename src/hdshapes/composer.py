@@ -204,6 +204,8 @@ class MultiClusterSpec:
         nan_rows = np.isnan(self.loc)
         if (nan_rows.any(axis=1) & ~nan_rows.all(axis=1)).any():
             raise ParameterError("loc rows must be fully specified or entirely NaN")
+        if np.isinf(self.loc).any():
+            raise ParameterError(f"loc must be finite or a row of NaN, got {self.loc.tolist()!r}")
         if self.rotation is not None:
             rot = _entries(self.rotation, "rotation", self.k)
             self.rotation = tuple(None if r is None else _rotation_matrix(r) for r in rot)
@@ -419,6 +421,8 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
     if spec.is_bkg:
         clusters = scene[:n_rows]
         sd = clusters.std(axis=0, ddof=1)
+        if not np.isfinite(sd).all():
+            raise ParameterError(f"background sd (the clusters' spread) must be finite, got {sd!r}")
         sd[sd == 0] = 1e-9
         bkg = gen_bkgnoise(n_bkg, p, clusters.mean(axis=0), sd, seed=stream.derive(spec.k))
         scene[n_rows:] = bkg.points

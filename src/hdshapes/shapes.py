@@ -40,6 +40,7 @@ from .core import (
     gen_nsum,
 )
 
+# The registered generators join __all__ after the last registration.
 __all__ = [
     "UnknownShapeError",
     "RejectedParameterError",
@@ -50,40 +51,6 @@ __all__ = [
     "shape_info",
     "check_params",
     "generate",
-    "gen_expbranches",
-    "gen_linearbranches",
-    "gen_curvybranches",
-    "gen_orglinearbranches",
-    "gen_orgcurvybranches",
-    "gen_cone",
-    "gen_gridcube",
-    "gen_unifcube",
-    "gen_gaussian",
-    "gen_longlinear",
-    "gen_mobius",
-    "gen_quadratic",
-    "gen_cubic",
-    "gen_pyrrect",
-    "gen_pyrtri",
-    "gen_pyrstar",
-    "gen_pyrfrac",
-    "gen_scurve",
-    "gen_circle",
-    "gen_curvycycle",
-    "gen_unifsphere",
-    "gen_hollowsphere",
-    "gen_gridedsphere",
-    "gen_clusteredspheres",
-    "gen_hemisphere",
-    "gen_swissroll",
-    "gen_trefoil4d",
-    "gen_trefoil3d",
-    "gen_crescent",
-    "gen_curvycylinder",
-    "gen_sphericalspiral",
-    "gen_helicalspiral",
-    "gen_conicspiral",
-    "gen_nonlinear",
 ]
 
 
@@ -306,14 +273,31 @@ def _box_overlap_frac(cand, boxes) -> float:
     return worst
 
 
-def _pick_start(rng, xs: list[np.ndarray], ys: list[np.ndarray]) -> tuple[float, float]:
-    all_x = np.concatenate(xs)
-    all_y = np.concatenate(ys)
-    ix = int(rng.integers(0, all_x.size))
-    return float(all_x[ix]), float(all_y[ix])
+def _attach(rng, xs: list[np.ndarray], ys: list[np.ndarray], boxes: list, box) -> tuple[float, float]:
+    """A start (x0, y0) on a point of the branches so far, redrawn (up to 100
+    tries) until the box `box(x0, y0)` of the branch from it overlaps theirs
+    by less than half."""
+    all_x, all_y = np.concatenate(xs), np.concatenate(ys)
+    for _ in range(100):
+        ix = int(rng.integers(0, all_x.size))
+        x0, y0 = float(all_x[ix]), float(all_y[ix])
+        if _box_overlap_frac(box(x0, y0), boxes) < 0.5:
+            break
+    return x0, y0
 
 
-def _branch_dataset(xs, ys) -> Dataset:
+def _branches(n: int, k: int, seed, branch) -> Dataset:
+    """k branches of gen_nsum(n, k) points, branch i (from 1) of m points
+    being `branch(rng, i, m, attach)` -> (x, y), where `attach(box)` is
+    `_attach` over the branches before it; labeled "branch_<i>"."""
+    sizes = gen_nsum(n, k)
+    rng = as_stream(seed).rng
+    xs, ys, boxes = [], [], []
+    for i, m in enumerate(sizes, start=1):
+        x, y = branch(rng, i, m, lambda box: _attach(rng, xs, ys, boxes, box))
+        xs.append(x)
+        ys.append(y)
+        boxes.append(_box(x, y))
     pts = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
     codes = np.concatenate([np.full(len(x), i) for i, x in enumerate(xs)])
     return _adopt(pts, codes, [f"branch_{i + 1}" for i in range(len(xs))])
@@ -327,17 +311,14 @@ def gen_expbranches(n: int, k: int = 4, seed=None) -> Dataset:
     sigma_i = (-1)^(i+1) alternating the exponent sign, s_i ~ U(0.5, 2),
     eps ~ U(0, delta).
     """
-    sizes = gen_nsum(n, k)
-    rng = as_stream(seed).rng
-    xs, ys = [], []
-    for i, m in enumerate(sizes, start=1):
+
+    def branch(rng, i, m, attach):
         sigma = 1.0 if i % 2 == 1 else -1.0
         s = float(rng.uniform(0.5, 2.0))
         x = rng.uniform(-2.0, 2.0, m)
-        y = np.exp(sigma * s * x) + rng.uniform(0.0, _BRANCH_JITTER, m)
-        xs.append(x)
-        ys.append(y)
-    return _branch_dataset(xs, ys)
+        return x, np.exp(sigma * s * x) + rng.uniform(0.0, _BRANCH_JITTER, m)
+
+    return _branches(n, k, seed, branch)
 
 
 @_shape(2, "Linear branches in 2-D.")
@@ -350,33 +331,27 @@ def gen_linearbranches(n: int, k: int = 4, seed=None) -> Dataset:
     are re-placed (up to 100 tries) until their bounding box overlaps the
     existing structure by less than half.
     """
-    sizes = gen_nsum(n, k)
-    rng = as_stream(seed).rng
-    delta = _BRANCH_JITTER
-    xs, ys, boxes = [], [], []
-    for i, m in enumerate(sizes, start=1):
-        if i == 1:
-            slope, x0, y0, dom = 0.5, 0.0, 0.0, (0.0, 1.0)
-        elif i == 2:
-            slope, x0, y0, dom = -0.5, 0.0, 0.0, (-1.0, 0.0)
+
+    def branch(rng, i, m, attach):
+        if i <= 2:
+            x0 = y0 = 0.0
+            slope, lo = (0.5, 0.0) if i == 1 else (-0.5, -1.0)
         else:
             while True:
                 slope = float(rng.uniform(*_LINEAR_SLOPE_RANGE))
                 if abs(slope) >= 0.1:
                     break
-            for _ in range(100):
-                x0, y0 = _pick_start(rng, xs, ys)
-                dom = (x0, x0 + 1.0)
-                y_ends = (y0, y0 + slope)
-                cand = (dom[0], dom[1], min(y_ends), max(y_ends) + delta)
-                if _box_overlap_frac(cand, boxes) < 0.5:
-                    break
-        x = rng.uniform(dom[0], dom[1], m)
-        y = slope * (x - x0) + y0 + rng.uniform(0.0, delta, m)
-        xs.append(x)
-        ys.append(y)
-        boxes.append(_box(x, y))
-    return _branch_dataset(xs, ys)
+            x0, y0 = attach(lambda x0, y0: (x0, x0 + 1.0, min(y0, y0 + slope), max(y0, y0 + slope) + _BRANCH_JITTER))
+            lo = x0
+        x = rng.uniform(lo, lo + 1.0, m)
+        return x, slope * (x - x0) + y0 + rng.uniform(0.0, _BRANCH_JITTER, m)
+
+    return _branches(n, k, seed, branch)
+
+
+def _curvy(x, s: float, x0: float, y0: float):
+    """An attached curvy branch of curvature s from (x0, y0), at x."""
+    return 0.1 * x - s * (x * x - x0) + y0
 
 
 @_shape(2, "Quadratic branches in 2-D.")
@@ -389,30 +364,23 @@ def gen_curvybranches(n: int, k: int = 4, seed=None) -> Dataset:
     unit via X2 = 0.1 X1 - s (X1^2 - x_start) + y_start with curvature
     drawn from a fixed set.
     """
-    sizes = gen_nsum(n, k)
-    rng = as_stream(seed).rng
-    delta = _BRANCH_JITTER
-    xs, ys, boxes = [], [], []
-    for i, m in enumerate(sizes, start=1):
+
+    def branch(rng, i, m, attach):
         if i <= 2:
             a, b, s = (0.0, 1.0, 1.0) if i == 1 else (-1.0, 0.0, -2.0)
             x = rng.uniform(a, b, m)
-            y = 0.1 * x + s * x * x + rng.uniform(-delta, delta, m)
-        else:
-            s = float(rng.choice(_CURVY_SCALE_SET))
-            for _ in range(100):
-                x0, y0 = _pick_start(rng, xs, ys)
-                gx = np.linspace(x0, x0 + 1.0, 8)
-                gy = 0.1 * gx - s * (gx * gx - x0) + y0
-                cand = _box(gx, gy)
-                if _box_overlap_frac(cand, boxes) < 0.5:
-                    break
-            x = rng.uniform(x0, x0 + 1.0, m)
-            y = 0.1 * x - s * (x * x - x0) + y0
-        xs.append(x)
-        ys.append(y)
-        boxes.append(_box(x, y))
-    return _branch_dataset(xs, ys)
+            return x, 0.1 * x + s * x * x + rng.uniform(-_BRANCH_JITTER, _BRANCH_JITTER, m)
+        s = float(rng.choice(_CURVY_SCALE_SET))
+
+        def box(x0, y0):
+            gx = np.linspace(x0, x0 + 1.0, 8)
+            return _box(gx, _curvy(gx, s, x0, y0))
+
+        x0, y0 = attach(box)
+        x = rng.uniform(x0, x0 + 1.0, m)
+        return x, _curvy(x, s, x0, y0)
+
+    return _branches(n, k, seed, branch)
 
 
 def _org_branches(n, p, k, allow_share, seed, curvy: bool) -> Dataset:
@@ -601,28 +569,26 @@ def gen_mobius(n: int, seed=None) -> Dataset:
 # Polynomial
 
 
-@_shape(2, "Quadratic curve in 2-D.")
-def gen_quadratic(n: int, range=(0.0, 1.0), seed=None) -> Dataset:
-    """Downward parabolic arc: X2 = X1 - X1^2 + eps, eps ~ U(0, 0.5)."""
+def _curve(n: int, range, seed, f) -> Dataset:
+    """X1 ~ U(range), X2 = f(X1) + eps, eps ~ U(0, 0.5)."""
     a, b = float(range[0]), float(range[1])
     if a >= b:
         raise ParameterError("range must satisfy a < b")
     rng = as_stream(seed).rng
     x1 = rng.uniform(a, b, n)
-    x2 = x1 - x1 * x1 + rng.uniform(0.0, 0.5, n)
-    return _adopt(np.column_stack([x1, x2]))
+    return _adopt(np.column_stack([x1, f(x1) + rng.uniform(0.0, 0.5, n)]))
+
+
+@_shape(2, "Quadratic curve in 2-D.")
+def gen_quadratic(n: int, range=(0.0, 1.0), seed=None) -> Dataset:
+    """Downward parabolic arc: X2 = X1 - X1^2 + eps, eps ~ U(0, 0.5)."""
+    return _curve(n, range, seed, lambda x1: x1 - x1 * x1)
 
 
 @_shape(2, "Cubic curve in 2-D.")
 def gen_cubic(n: int, range=(-1.0, 1.0), seed=None) -> Dataset:
     """Cubic curve: X2 = X1 + X1^2 - X1^3 + eps, eps ~ U(0, 0.5)."""
-    a, b = float(range[0]), float(range[1])
-    if a >= b:
-        raise ParameterError("range must satisfy a < b")
-    rng = as_stream(seed).rng
-    x1 = rng.uniform(a, b, n)
-    x2 = x1 + x1 * x1 - x1**3 + rng.uniform(0.0, 0.5, n)
-    return _adopt(np.column_stack([x1, x2]))
+    return _curve(n, range, seed, lambda x1: x1 + x1 * x1 - x1**3)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +600,11 @@ def _clamped_exp_heights(rng, n: int, h: float) -> np.ndarray:
     return np.minimum(rng.exponential(scale=h / 2.0, size=n), h)
 
 
-def _noise_cols(rng, n: int, count: int) -> np.ndarray:
-    return rng.normal(0.0, 0.2, (n, count))
+def _pyramid(rng, p: int, base: list, z: np.ndarray) -> Dataset:
+    """The `base` columns, then N(0, 0.2^2) noise columns up to p - 1, then
+    the heights z."""
+    noise = rng.normal(0.0, 0.2, (len(z), p - 1 - len(base)))
+    return _adopt(np.column_stack([*base, noise, z]))
 
 
 @_shape(None, "Rectangular-base pyramid.")
@@ -658,14 +627,7 @@ def gen_pyrrect(n: int, p: int = 4, h: float = 1.0, l_vec=(1.0, 1.0), rt: float 
     z = _clamped_exp_heights(rng, n, h)
     rx = rt + (lx - rt) * z / h
     ry = rt + (ly - rt) * z / h
-    cols = [
-        rng.uniform(-rx, rx),
-        rng.uniform(-ry, ry),
-        rng.uniform(-rx, rx),
-        _noise_cols(rng, n, p - 4),
-        z[:, None],
-    ]
-    return _adopt(np.column_stack(cols))
+    return _pyramid(rng, p, [rng.uniform(-rx, rx), rng.uniform(-ry, ry), rng.uniform(-rx, rx)], z)
 
 
 @_shape(None, "Triangular-base pyramid.")
@@ -690,14 +652,7 @@ def gen_pyrtri(n: int, p: int = 4, h: float = 1.0, l: float = 1.0, rt: float = 0
     v = rng.random(n)
     fold = u + v > 1.0
     u[fold], v[fold] = 1.0 - u[fold], 1.0 - v[fold]
-    cols = [
-        (r * (1.0 - u - v))[:, None],
-        (r * u)[:, None],
-        (r * v)[:, None],
-        _noise_cols(rng, n, p - 4),
-        z[:, None],
-    ]
-    return _adopt(np.column_stack(cols))
+    return _pyramid(rng, p, [r * (1.0 - u - v), r * u, r * v], z)
 
 
 @_shape(None, "Star-base pyramid.")
@@ -718,13 +673,7 @@ def gen_pyrstar(n: int, p: int = 4, h: float = 1.0, rb: float = 1.0, seed=None) 
     r = rb * (1.0 - z / h)
     theta = rng.integers(0, 6, n) * (np.pi / 3.0)
     rp = np.sqrt(rng.random(n))
-    cols = [
-        (r * rp * np.cos(theta))[:, None],
-        (r * rp * np.sin(theta))[:, None],
-        _noise_cols(rng, n, p - 3),
-        z[:, None],
-    ]
-    return _adopt(np.column_stack(cols))
+    return _pyramid(rng, p, [r * rp * np.cos(theta), r * rp * np.sin(theta)], z)
 
 
 @_shape(None, "Pyramid with self-similar holes.")
@@ -866,6 +815,18 @@ def gen_scurve(n: int, seed=None) -> Dataset:
 # Sphere family
 
 
+def _cycle(n: int, p: int, seed, base) -> Dataset:
+    """The columns `base(theta)`, theta ~ U(0, 2 pi), then damped sinusoid
+    extensions up to p columns: column j > b = len(base(theta)) is
+    sqrt(0.5^(j-b)) sin(theta + (j - 2) pi / (2 p))."""
+    theta = as_stream(seed).rng.uniform(0.0, 2.0 * np.pi, n)
+    cols = base(theta)
+    b = len(cols)
+    for j in range(b + 1, p + 1):
+        cols.append(math.sqrt(0.5 ** (j - b)) * np.sin(theta + (j - 2) * np.pi / (2 * p)))
+    return _adopt(np.column_stack(cols))
+
+
 @_shape(None, "Circle with sinusoid extensions.")
 def gen_circle(n: int, p: int = 4, seed=None) -> Dataset:
     """Unit circle in the first two dims with damped sinusoid extensions.
@@ -875,11 +836,7 @@ def gen_circle(n: int, p: int = 4, seed=None) -> Dataset:
     """
     if p < 2:
         raise DimensionError("gen_circle needs p >= 2")
-    theta = as_stream(seed).rng.uniform(0.0, 2.0 * np.pi, n)
-    cols = [np.cos(theta), np.sin(theta)]
-    for j in range(3, p + 1):
-        cols.append(math.sqrt(0.5 ** (j - 2)) * np.sin(theta + (j - 2) * np.pi / (2 * p)))
-    return _adopt(np.column_stack(cols))
+    return _cycle(n, p, seed, lambda theta: [np.cos(theta), np.sin(theta)])
 
 
 @_shape(None, "Curvy closed cycle.")
@@ -891,15 +848,9 @@ def gen_curvycycle(n: int, p: int = 4, seed=None) -> Dataset:
     """
     if p < 3:
         raise DimensionError("gen_curvycycle needs p >= 3")
-    theta = as_stream(seed).rng.uniform(0.0, 2.0 * np.pi, n)
-    cols = [
-        np.cos(theta),
-        math.sqrt(3.0) / 3.0 + np.sin(theta),
-        np.cos(3.0 * theta) / 3.0,
-    ]
-    for j in range(4, p + 1):
-        cols.append(math.sqrt(0.5 ** (j - 3)) * np.sin(theta + (j - 2) * np.pi / (2 * p)))
-    return _adopt(np.column_stack(cols))
+    return _cycle(
+        n, p, seed, lambda theta: [np.cos(theta), math.sqrt(3.0) / 3.0 + np.sin(theta), np.cos(3.0 * theta) / 3.0]
+    )
 
 
 def _sphere_surface(rng, n: int, r: float) -> np.ndarray:
@@ -1194,3 +1145,6 @@ def gen_nonlinear(n: int, hc: float = 1.0, non_fac: float = 1.0, p: int = 4, see
     x2 = hc / x1 + non_fac * np.sin(x1)
     x4 = np.cos(np.pi * x1) + rng.uniform(-0.1, 0.1, n)
     return _adopt(np.column_stack([x1, x2, x3, x4]))
+
+
+__all__ += [info.func.__name__ for info in SHAPES.values()]

@@ -9,14 +9,8 @@ import numpy as np
 from .core import Dataset, ParameterError, _number, _reals, as_dataset, as_stream
 from .shapes import ShapeInfo, _registrar, gen_scurve, gen_unifcube
 
-__all__ = [
-    "HOLES",
-    "DegenerateHoleError",
-    "HoleRetentionWarning",
-    "gen_hole",
-    "gen_scurvehole",
-    "gen_unifcubehole",
-]
+# The registered wrappers join __all__ after the last registration.
+__all__ = ["HOLES", "DegenerateHoleError", "HoleRetentionWarning", "gen_hole"]
 
 
 class DegenerateHoleError(ParameterError):
@@ -103,3 +97,6 @@ def gen_scurvehole(n: int, r_hole: float = 0.3, seed=None) -> Dataset:
 def gen_unifcubehole(n: int, p: int = 3, r_hole: float = 0.3, seed=None) -> Dataset:
     """Uniform cube with a central hyperspherical void; exactly n points."""
     return _holed_sample(lambda m, s: gen_unifcube(m, p=p, seed=s), n, r_hole, as_stream(seed))
+
+
+__all__ += [info.func.__name__ for info in HOLES.values()]

@@ -221,6 +221,30 @@ def test_env_seed_fallback(tmp_path):
     assert manifest["seed"] == 123
 
 
+@pytest.mark.parametrize(
+    "argv, env, named",
+    [
+        (["generate", "scurve", "--n", "5"], {"HDSHAPES_SEED": "abc"}, "HDSHAPES_SEED must be an integer, got 'abc'"),
+        (["multicluster", "missing.json", "--seed", "1"], {}, "config not found: missing.json"),
+        (["multicluster", "bad.json", "--seed", "1"], {}, "config bad.json is not valid JSON"),
+        (["generate", "--from-manifest", "missing.json"], {}, "manifest not found: missing.json"),
+        (["generate", "--from-manifest", "bad.json"], {}, "manifest bad.json is not valid JSON"),
+        (["generate", "--seed", "1"], {}, "generate needs a shape kind"),
+        (["generate", "cone", "--seed", "1"], {}, "generate needs --n"),
+    ],
+    ids=["env-seed", "missing-config", "invalid-config", "missing-manifest", "invalid-manifest",
+         "no-shape", "no-n"],
+)
+def test_documented_usage_errors_exit_2(argv, env, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    Path("bad.json").write_text('{"n": [1,')
+    assert main([*argv, "--out", "out.csv"]) == 2
+    assert named in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json"]
+
+
 def test_auto_seed_is_printed_and_recorded(tmp_path):
     import os
 
@@ -401,6 +425,11 @@ def _manifest(tmp_path):
         (lambda m: {**m, "command": "generate", "spec": {"kind": ["cone"], "n": 5, "params": {}}}, "shape kind"),
         (lambda m: {k: v for k, v in m.items() if k != "seed"}, "missing field 'seed'"),
         (lambda m: {**m, "command": ["generate"]}, "unknown command ['generate']"),
+        # null would have drawn a fresh seed, written the data, then failed.
+        (lambda m: {**m, "seed": None}, "field 'seed' must be an integer, got None"),
+        (lambda m: {**m, "seed": "1"}, "seed must be an int, RandomStream, or None, got str"),
+        (lambda m: {**m, "output_path": None}, "field 'output_path' must be a string, got None"),
+        (lambda m: {**m, "output_path": 5}, "field 'output_path' must be a string, got 5"),
     ],
 )
 def test_malformed_manifest_exits_2(corrupt, named, tmp_path, capsys):

@@ -365,7 +365,7 @@ def test_a_background_whose_spread_overflows_is_refused():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the sd's overflow
         assert np.isfinite(gen_multicluster(usage_spec(scale=(1e300, 1e300, 1e300)), seed=17).points).all()
-        with pytest.raises(ParameterError, match="must be finite"):
+        with pytest.raises(ParameterError, match=r"background sd \(the clusters' spread\) must be finite"):
             gen_multicluster(huge, seed=17)
 
 

@@ -273,6 +273,9 @@ BAD_CONFIGS = {
     "n-bool": ("n", {"n": [True, 20]}),
     "scale-bool": ("scale", {"scale": [True, 1]}),
     "loc-string": ("loc", {"loc": [["a", 0, 0, 0], [5, 5, 5, 5]]}),
+    # Built and sampled, then refused unnamed as "points must be finite".
+    "loc-infinite": ("loc", {"loc": [[float("inf"), 0, 0, 0], [5, 5, 5, 5]]}),
+    "loc-minus-infinite": ("loc", {"loc": [[0, 0, 0, 0], [5, 5, float("-inf"), 5]]}),
     "rotation-number": ("rotation", {"rotation": 5}),
     "rotation-string-entry": ("rotation", {"rotation": [None, "eye"]}),
     "rotation-string-dim": ("rotation", _plan(dim="4")),

@@ -110,6 +110,18 @@ def test_the_package_reexports_each_modules_public_names():
     assert all(getattr(hdshapes, name) is getattr(module, name) for module in modules for name in module.__all__)
 
 
+def test_each_registered_function_is_exported_under_its_name():
+    import hdshapes
+    from hdshapes.topology import HOLES
+
+    for kind, info in SHAPES.items():
+        assert f"gen_{kind}" in hdshapes.__all__
+        assert getattr(hdshapes, f"gen_{kind}") is info.func
+    for kind, info in HOLES.items():
+        assert f"gen_{kind}hole" in hdshapes.__all__
+        assert getattr(hdshapes, f"gen_{kind}hole") is info.func
+
+
 @pytest.mark.parametrize("kind", sorted(DEFAULT_DIMS))
 def test_default_signature_row_count_and_dim(kind):
     ds = generate(kind, 120, seed=3)
