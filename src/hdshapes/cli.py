@@ -1,11 +1,12 @@
 """Command-line front-end.
 
 Subcommands: generate (any single shape), multicluster (JSON config),
-hole (the two holed wrapper shapes), preset (named scenes), list.
-Every data-writing command emits `<out>.manifest.json` recording the tool
-and output versions, the numpy and python versions, the seed, and the
-fully resolved spec, so `generate --from-manifest` reproduces the data
-file byte for byte.
+hole (the two holed wrapper shapes), preset (named scenes), list. One
+`_TARGETS` entry per target command (generate, hole, preset) drives the
+parser, the fresh run and the replay. Every data-writing command emits
+`<out>.manifest.json` recording the tool and output versions, the numpy
+and python versions, the seed, and the fully resolved spec, so
+`generate --from-manifest` reproduces the data file byte for byte.
 
 Exit codes: 0 success, 2 usage or spec error, 3 I/O failure.
 """
@@ -210,34 +211,6 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _add_param_flags(parser, infos, given: tuple[str, ...] = ()) -> None:
-    """Add a flag, typed by `ShapeInfo.kinds`, for each parameter of `infos`
-    but `given`. Flags default to None, so only values the user sets are
-    passed on; one without a default is required. `args.param_flags` names them all."""
-    names = list(given)
-    for info in infos:
-        for name, (kind, nargs) in info.kinds.items():
-            if name in names or kind is None:  # None: no way to parse gaussian's matrix `s`
-                continue
-            if kind is bool:
-                parser.add_argument(_flag(name), action="store_true", default=None)
-            else:
-                parser.add_argument(_flag(name), type=kind, nargs=nargs, required=name not in info.defaults)
-            names.append(name)
-    parser.set_defaults(param_flags=tuple(names))
-
-
-def _provided(args, accepted: tuple[str, ...], target: str) -> dict:
-    """The parameter flags the user set, by parameter name; a set flag that
-    `target` does not accept raises ParameterError."""
-    provided = {name: getattr(args, name) for name in args.param_flags if getattr(args, name) is not None}
-    bad = sorted(set(provided) - set(accepted))
-    if bad:
-        flags = ", ".join(_flag(name) for name in accepted if name in args.param_flags)
-        raise ParameterError(f"flag(s) {', '.join(map(_flag, bad))} not valid for {target} (accepts: {flags})")
-    return provided
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdshapes",
@@ -253,25 +226,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", parents=[common], help="generate a single shape")
-    p_gen.add_argument("shape", nargs="?", help="shape kind (see `hdshapes list`)")
+    p_gen.add_argument("kind", nargs="?", metavar="shape", help="shape kind (see `hdshapes list`)")
     p_gen.add_argument("--n", type=int, help="number of points")
     p_gen.add_argument("--from-manifest", dest="from_manifest", help="re-run a recorded manifest")
-    _add_param_flags(p_gen, SHAPES.values(), given=("n",))
 
     p_multi = sub.add_parser("multicluster", parents=[common], help="compose clusters from a JSON config")
     p_multi.add_argument("config", help="JSON file describing the scene")
     p_multi.add_argument("--no-shuffle", action="store_true", help="keep clusters in block order")
+    p_multi.set_defaults(handler=cmd_multicluster)
 
     p_hole = sub.add_parser("hole", parents=[common], help="generate a shape with a hyperspherical hole")
     p_hole.add_argument("kind", choices=tuple(HOLES), help="holed wrapper shape")
-    _add_param_flags(p_hole, HOLES.values())
 
     p_preset = sub.add_parser("preset", parents=[common], help="generate a named preset scene")
     p_preset.add_argument("name", help="preset name (see `hdshapes list --presets`)")
-    _add_param_flags(p_preset, PRESETS.values())
+
+    # A flag, typed by `ShapeInfo.kinds`, per registry parameter that is not a
+    # spec field (generate's n). Flags default to None, so only values the user
+    # sets are passed on; one without a default is required.
+    for command, sub_parser in (("generate", p_gen), ("hole", p_hole), ("preset", p_preset)):
+        registry, _, fields, *_ = _TARGETS[command]
+        names = list(fields[1:])
+        for info in registry.values():
+            for name, (kind, nargs) in info.kinds.items():
+                if name in names or kind is None:  # None: no way to parse gaussian's matrix `s`
+                    continue
+                if kind is bool:
+                    sub_parser.add_argument(_flag(name), action="store_true", default=None)
+                else:
+                    sub_parser.add_argument(_flag(name), type=kind, nargs=nargs, required=name not in info.defaults)
+                names.append(name)
+        sub_parser.set_defaults(handler=cmd_target, param_flags=tuple(names))
 
     p_list = sub.add_parser("list", help="list available shapes or presets")
     p_list.add_argument("--presets", action="store_true", help="list preset scenes instead")
+    p_list.set_defaults(handler=cmd_list)
     return parser
 
 
@@ -292,20 +281,19 @@ def _hole_info(kind) -> ShapeInfo:
     return HOLES[kind]
 
 
-# command: (spec field naming the target, its lookup, the call that builds it
-# and checks its parameters, looking `generate` and `make_preset` up when it runs)
+# command: (registry, its lookup, the spec fields beside `params` (the one
+# naming the target, which is also its positional argument, then any parameter
+# recorded on its own), the noun naming the target in messages, the default file
+# stem, and the call that builds the target and checks its parameters, looking
+# up `generate` and `make_preset` as it runs)
 _TARGETS = {
-    "generate": ("kind", shape_info, lambda kind, **params: generate(kind, **params)),
-    "hole": ("kind", _hole_info, lambda kind, **params: HOLES[kind].func(**params)),
-    "preset": ("name", preset_info, lambda name, **params: make_preset(name, **params)),
+    "generate": (SHAPES, shape_info, ("kind", "n"), "shape", "{}", lambda kind, **params: generate(kind, **params)),
+    "hole": (HOLES, _hole_info, ("kind",), "hole kind", "{}hole", lambda kind, **params: HOLES[kind].func(**params)),
+    "preset": (PRESETS, preset_info, ("name",), "preset", "{}", lambda name, **params: make_preset(name, **params)),
 }
 
-_SPEC_KEYS = {
-    "generate": ("kind", "n", "params"),
-    "hole": ("kind", "params"),
-    "preset": ("name", "params"),
-    "multicluster": ("config", "shuffle"),
-}
+_SPEC_KEYS = {command: (*fields, "params") for command, (_, _, fields, *_) in _TARGETS.items()}
+_SPEC_KEYS["multicluster"] = ("config", "shuffle")
 
 
 def _build(command: str, spec, seed):
@@ -323,44 +311,57 @@ def _build(command: str, spec, seed):
             f"(accepts: {', '.join(_SPEC_KEYS[command])})"
         )
     if command == "multicluster":
-        config, shuffle = MultiClusterSpec.from_dict(_field(spec, "config")), spec.get("shuffle", True)
-        if not isinstance(shuffle, bool):
-            raise ParameterError(f"shuffle must be true or false, got {shuffle!r}")
-        return gen_multicluster(config, seed=seed, shuffle=shuffle)
+        config = MultiClusterSpec.from_dict(_field(spec, "config"))
+        return gen_multicluster(config, seed=seed, shuffle=spec.get("shuffle", True))
     params = _field(spec, "params")
     if not isinstance(params, dict):
         raise ParameterError("manifest field 'spec.params' must be a JSON object")
-    field, lookup, call = _TARGETS[command]
-    name = _field(spec, field)
+    _, lookup, fields, _, _, build = _TARGETS[command]
+    name = _field(spec, fields[0])
     info = lookup(name)
-    for key in ("seed", field, "n") if command == "generate" else ("seed", field):
+    for key in ("seed", *fields):
         if key in params:  # a manifest field of its own
             raise ParameterError(f"manifest spec.params has {key}, not accepted by {command}")
-    if command == "generate":
-        params = {"n": _field(spec, "n"), **params}
+    params = {**{key: _field(spec, key) for key in fields[1:]}, **params}
     for required in info.kinds.keys() - info.defaults.keys():  # a hole's n
         _field(params, required)
-    return call(name, seed=seed, **params)
+    return build(name, seed=seed, **params)
 
 
-def _emit(out_path: Path, fmt: str, command: str, seed: int, spec: dict) -> int:
+def _emit(man: dict, out: str | None) -> int:
+    """Build, write and record the run `man` describes, a replayed manifest
+    or a fresh run's; `out`, from --out, replaces its output path."""
+    fmt = man.get("format", "csv")
+    if not isinstance(fmt, str) or fmt not in _WRITERS:
+        raise ParameterError(f"manifest field 'format' must be one of {', '.join(_WRITERS)}, got {fmt!r}")
+    seed = _field(man, "seed")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ParameterError(f"manifest field 'seed' must be an integer, got {seed!r}")
+    # The recorded path is checked even where --out replaces it; Path("") is the working directory.
+    if not isinstance(man.get("output_path", ""), str):
+        raise ParameterError(f"manifest field 'output_path' must be a string, got {man['output_path']!r}")
+    if man.get("output_path") == "":
+        raise ParameterError("manifest field 'output_path' must not be empty")
+    if out == "":
+        raise ParameterError("--out must not be empty")
+    out = _field(man, "output_path") if out is None else out
+    command, spec = _field(man, "command"), _field(man, "spec")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ds = _build(command, spec, seed)
     warned = [str(w.message) for w in caught]
     for message in warned:
         print(f"warning: {message}", file=sys.stderr)
-    _WRITERS[fmt](ds, out_path)
-    write_manifest(out_path, command, seed, spec, fmt, ds, warned)
-    print(f"wrote {out_path} ({ds.n} rows x {ds.p} cols, seed={seed})")
+    out = Path(out)
+    _WRITERS[fmt](ds, out)
+    write_manifest(out, command, seed, spec, fmt, ds, warned)
+    print(f"wrote {out} ({ds.n} rows x {ds.p} cols, seed={seed})")
     return 0
 
 
-def _run(args, command: str, spec: dict, default_stem: str) -> int:
-    seed = _resolve_seed(args)
-    fmt = args.format or "csv"
-    out = Path(args.out) if args.out is not None else Path(f"{default_stem}.{fmt}")
-    return _emit(out, fmt, command, seed, spec)
+def _run(args, command: str, spec: dict, stem: str) -> int:
+    seed, fmt = _resolve_seed(args), args.format or "csv"
+    return _emit(dict(command=command, seed=seed, spec=spec, format=fmt, output_path=f"{stem}.{fmt}"), args.out)
 
 
 def _load_json(path: str, what: str):
@@ -379,56 +380,45 @@ def _load_json(path: str, what: str):
 # Command handlers: each builds its spec
 
 
-def cmd_generate(args) -> int:
-    if args.from_manifest:
-        flags = (*args.param_flags, "seed", "format")
-        given = [_flag(name) for name in flags if getattr(args, name) is not None]
-        if args.shape:
-            given.append(f"shape '{args.shape}'")
-        if given:
-            raise ParameterError(f"--from-manifest replays the recorded spec; drop {', '.join(given)}")
-        man = _load_json(args.from_manifest, "manifest")
-        if not isinstance(man, dict):
-            raise ParameterError(f"manifest {args.from_manifest} must be a JSON object")
-        fmt = man.get("format", "csv")
-        if not isinstance(fmt, str) or fmt not in _WRITERS:
-            raise ParameterError(f"manifest field 'format' must be one of {', '.join(_WRITERS)}, got {fmt!r}")
-        # A replay needs the recorded seed: as_stream would read None as
-        # "draw a fresh one" (it refuses every other wrong kind itself).
-        seed = _field(man, "seed")
-        if seed is None:
-            raise ParameterError("manifest field 'seed' must be an integer, got None")
-        if not isinstance(man.get("output_path", ""), str):
-            raise ParameterError(f"manifest field 'output_path' must be a string, got {man['output_path']!r}")
-        out = Path(args.out or _field(man, "output_path"))
-        return _emit(out, fmt, _field(man, "command"), seed, _field(man, "spec"))
-    if not args.shape:
-        raise ParameterError("generate needs a shape kind (or --from-manifest)")
-    info = shape_info(args.shape)
+def _replay(args) -> dict:
+    given = [_flag(key) for key in (*args.param_flags, "seed", "format") if getattr(args, key) is not None]
+    if args.kind:
+        given.append(f"shape '{args.kind}'")
+    if given:
+        raise ParameterError(f"--from-manifest replays the recorded spec; drop {', '.join(given)}")
+    man = _load_json(args.from_manifest, "manifest")
+    if not isinstance(man, dict):
+        raise ParameterError(f"manifest {args.from_manifest} must be a JSON object")
+    return man
+
+
+def cmd_target(args) -> int:
+    """A fresh run of generate, hole or preset, or a generate replay."""
+    if args.command == "generate":  # its shape is optional, for a replay
+        if args.from_manifest:
+            return _emit(_replay(args), args.out)
+        if not args.kind:
+            raise ParameterError("generate needs a shape kind (or --from-manifest)")
+    _, lookup, fields, noun, stem, _ = _TARGETS[args.command]
+    name = getattr(args, fields[0])
+    info = lookup(name)
+    given = {key: getattr(args, key) for key in args.param_flags if getattr(args, key) is not None}
+    bad = sorted(given.keys() - info.kinds.keys())
+    if bad:
+        flags = ", ".join(_flag(key) for key in info.kinds if key in args.param_flags)
+        raise ParameterError(f"flag(s) {', '.join(map(_flag, bad))} not valid for {noun} '{name}' (accepts: {flags})")
     # Defaults are recorded too, so the manifest pins every value.
-    params = {**info.defaults, **_provided(args, tuple(info.kinds), f"shape '{args.shape}'")}
-    n = params.pop("n", None)
-    if n is None:
-        raise ParameterError("generate needs --n")
-    return _run(args, "generate", {"kind": args.shape, "n": n, "params": params}, args.shape)
+    params = {**info.defaults, **given}
+    spec = {fields[0]: name, **{key: params.pop(key, None) for key in fields[1:]}}
+    for key in fields[1:]:
+        if spec[key] is None:
+            raise ParameterError(f"{args.command} needs {_flag(key)}")
+    return _run(args, args.command, {**spec, "params": params}, stem.format(name))
 
 
 def cmd_multicluster(args) -> int:
     spec = {"config": _load_json(args.config, "config"), "shuffle": not args.no_shuffle}
     return _run(args, "multicluster", spec, "multicluster")
-
-
-def cmd_hole(args) -> int:
-    info = HOLES[args.kind]
-    params = _provided(args, tuple(info.kinds), f"hole kind '{args.kind}'")
-    spec = {"kind": args.kind, "params": {**info.defaults, **params}}
-    return _run(args, "hole", spec, f"{args.kind}hole")
-
-
-def cmd_preset(args) -> int:
-    info = preset_info(args.name)
-    params = _provided(args, tuple(info.kinds), f"preset '{args.name}'")
-    return _run(args, "preset", {"name": args.name, "params": {**info.defaults, **params}}, args.name)
 
 
 def cmd_list(args) -> int:
@@ -438,20 +428,11 @@ def cmd_list(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "generate": cmd_generate,
-    "multicluster": cmd_multicluster,
-    "hole": cmd_hole,
-    "preset": cmd_preset,
-    "list": cmd_list,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

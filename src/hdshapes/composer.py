@@ -19,7 +19,6 @@ import threading
 import warnings
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -368,6 +367,8 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
     """
     if not isinstance(spec, MultiClusterSpec):
         raise ParameterError("gen_multicluster expects a MultiClusterSpec")
+    if not _is_kind(shuffle, bool):
+        raise ParameterError(f"shuffle must be true or false, got {shuffle!r}")
     stream = as_stream(seed)
     p = spec.p
     rotations = spec.rotation or (None,) * spec.k
@@ -437,7 +438,7 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
 # Preset scenes
 
 PRESETS: dict[str, ShapeInfo] = {}
-_preset = partial(_registrar(PRESETS, "preset", prefix="_preset_"), None)  # no fixed dimension
+_preset = _registrar(PRESETS, "preset", prefix="_preset_")(None)  # no fixed dimension
 
 
 def _zeros_loc(k: int, p: int) -> np.ndarray:
@@ -446,8 +447,9 @@ def _zeros_loc(k: int, p: int) -> np.ndarray:
     return np.zeros((k, p))
 
 
-@_preset("Mobius band beside a Gaussian blob.")
+@_preset
 def _preset_mobiusgau(n=1000):
+    """Mobius band beside a Gaussian blob."""
     return MultiClusterSpec(
         n=gen_nsum(n, 2),
         k=2,
@@ -458,8 +460,9 @@ def _preset_mobiusgau(n=1000):
     )
 
 
-@_preset("Well-separated Gaussian clusters.")
+@_preset
 def _preset_multigau(n=1500, k=3, p=4):
+    """Well-separated Gaussian clusters."""
     if k > p + 1:
         raise ParameterError("multigau places clusters on simplex vertices; needs k <= p + 1")
     return MultiClusterSpec(
@@ -471,8 +474,9 @@ def _preset_multigau(n=1500, k=3, p=4):
     )
 
 
-@_preset("Curved band with a Gaussian cluster.")
+@_preset
 def _preset_curvygau(n=1000, p=4):
+    """Curved band with a Gaussian cluster."""
     loc = _zeros_loc(2, p)
     loc[1, 0], loc[1, 1] = 3.0, 1.0
     return MultiClusterSpec(
@@ -504,23 +508,27 @@ def _ring_chain(n, k, shape, spacing, interlock):
     )
 
 
-@_preset("Interlocked rings in alternating planes.")
+@_preset
 def _preset_klink_circles(n=900, k=3):
+    """Interlocked rings in alternating planes."""
     return _ring_chain(n, k, "circle", spacing=1.0, interlock=True)
 
 
-@_preset("Coplanar rings connected in a row.")
+@_preset
 def _preset_chain_circles(n=900, k=3):
+    """Coplanar rings connected in a row."""
     return _ring_chain(n, k, "circle", spacing=1.8, interlock=False)
 
 
-@_preset("Interlocked curvy cycles.")
+@_preset
 def _preset_klink_curvycycle(n=900, k=3):
+    """Interlocked curvy cycles."""
     return _ring_chain(n, k, "curvycycle", spacing=1.0, interlock=True)
 
 
-@_preset("Curvy cycles connected in a row.")
+@_preset
 def _preset_chain_curvycycle(n=900, k=3):
+    """Curvy cycles connected in a row."""
     return _ring_chain(n, k, "curvycycle", spacing=1.8, interlock=False)
 
 
@@ -537,25 +545,29 @@ def _concentric_gau(n, k, p, ring_shape):
     )
 
 
-@_preset("Concentric rings with a central Gaussian.")
+@_preset
 def _preset_gaucircles(n=2000, k=3, p=4):
+    """Concentric rings with a central Gaussian."""
     return _concentric_gau(n, k, p, "circle")
 
 
-@_preset("Concentric curvy cycles with a central Gaussian.")
+@_preset
 def _preset_gaucurvycycle(n=2000, k=3, p=4):
+    """Concentric curvy cycles with a central Gaussian."""
     return _concentric_gau(n, k, p, "curvycycle")
 
 
-@_preset("Single 2-D lattice.")
+@_preset
 def _preset_onegrid(n=400):
+    """Single 2-D lattice."""
     return MultiClusterSpec(
         n=(n,), k=1, loc=np.array([[0.5, 0.5]]), scale=(1.0,), shape=("gridcube",)
     )
 
 
-@_preset("Two partially overlapping lattices.")
+@_preset
 def _preset_twogrid_overlap(n=800):
+    """Two partially overlapping lattices."""
     return MultiClusterSpec(
         n=gen_nsum(n, 2),
         k=2,
@@ -565,8 +577,9 @@ def _preset_twogrid_overlap(n=800):
     )
 
 
-@_preset("Two lattices offset by half a cell.")
+@_preset
 def _preset_twogrid_shift(n=800):
+    """Two lattices offset by half a cell."""
     m = gen_nproduct(gen_nsum(n, 2)[0], 2)[0]
     delta = 0.5 / (m - 1) if m > 1 else 0.25  # half a lattice cell
     return MultiClusterSpec(
@@ -578,8 +591,9 @@ def _preset_twogrid_shift(n=800):
     )
 
 
-@_preset("Parallel copies of one curved shape.")
+@_preset
 def _preset_shape_para(n=1200, k=3, p=4):
+    """Parallel copies of one curved shape."""
     loc = _zeros_loc(k, p)
     loc[:, 1] = 2.0 * np.arange(k)
     return MultiClusterSpec(

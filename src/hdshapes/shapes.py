@@ -97,7 +97,10 @@ class ShapeInfo:
 
     func: Callable  # -> Dataset, or MultiClusterSpec for a preset
     dim: int | None  # output dim; None means "equals p", and for presets "not fixed"
-    description: str
+
+    @property
+    def description(self) -> str:  # the first line of func's docstring
+        return self.func.__doc__.strip().splitlines()[0]
 
     @cached_property
     def _signature(self) -> inspect.Signature:
@@ -139,13 +142,13 @@ class ShapeInfo:
 
 
 def _registrar(table: dict, noun: str, prefix: str = "gen_", suffix: str = ""):
-    """The decorator `@registrar(dim, description)` that registers a function
+    """The decorator `@registrar(dim)` that registers a function
     in `table`, under its name less `prefix` and `suffix` and in definition
     order, and runs `check_params` on every call, direct or through the
     table, naming the target "<noun> '<name>'"; the body gets the checked
     values (counts as ints), and the seed if it takes one."""
 
-    def decorator(dim: int | None, description: str):
+    def decorator(dim: int | None):
         def register(func):
             name = func.__name__.removeprefix(prefix).removesuffix(suffix)
             what = f"{noun} '{name}'"
@@ -159,7 +162,7 @@ def _registrar(table: dict, noun: str, prefix: str = "gen_", suffix: str = ""):
                 seed = {"seed": params.pop("seed", None)} if "seed" in sig.parameters else {}
                 return func(**seed, **check_params(info, params, what))
 
-            info = table[name] = ShapeInfo(checked, dim, description)
+            info = table[name] = ShapeInfo(checked, dim)
             return checked
 
         return register
@@ -303,7 +306,7 @@ def _branches(n: int, k: int, seed, branch) -> Dataset:
     return _adopt(pts, codes, [f"branch_{i + 1}" for i in range(len(xs))])
 
 
-@_shape(2, "Exponential branches in 2-D.")
+@_shape(2)
 def gen_expbranches(n: int, k: int = 4, seed=None) -> Dataset:
     """k exponential branches in 2-D radiating from a central region.
 
@@ -321,7 +324,7 @@ def gen_expbranches(n: int, k: int = 4, seed=None) -> Dataset:
     return _branches(n, k, seed, branch)
 
 
-@_shape(2, "Linear branches in 2-D.")
+@_shape(2)
 def gen_linearbranches(n: int, k: int = 4, seed=None) -> Dataset:
     """k noisy line segments in 2-D, later branches attached to earlier ones.
 
@@ -354,7 +357,7 @@ def _curvy(x, s: float, x0: float, y0: float):
     return 0.1 * x - s * (x * x - x0) + y0
 
 
-@_shape(2, "Quadratic branches in 2-D.")
+@_shape(2)
 def gen_curvybranches(n: int, k: int = 4, seed=None) -> Dataset:
     """k quadratic branches in 2-D.
 
@@ -412,7 +415,7 @@ def _org_branches(n, p, k, allow_share, seed, curvy: bool) -> Dataset:
     return _adopt(np.vstack(pts_parts), np.concatenate(codes), names)
 
 
-@_shape(None, "Linear branches leaving one origin point.")
+@_shape(None)
 def gen_orglinearbranches(n: int, p: int = 4, k: int = 4, allow_share: bool = False, seed=None) -> Dataset:
     """k linear branches leaving the origin, each in its own 2-D subspace.
 
@@ -424,7 +427,7 @@ def gen_orglinearbranches(n: int, p: int = 4, k: int = 4, allow_share: bool = Fa
     return _org_branches(n, p, k, allow_share, seed, curvy=False)
 
 
-@_shape(None, "Curvy branches leaving one origin point.")
+@_shape(None)
 def gen_orgcurvybranches(n: int, p: int = 4, k: int = 4, allow_share: bool = False, seed=None) -> Dataset:
     """Curvilinear variant of gen_orglinearbranches: X_i2 = -s_i X_i1^2 + eps."""
     return _org_branches(n, p, k, allow_share, seed, curvy=True)
@@ -434,7 +437,7 @@ def gen_orgcurvybranches(n: int, p: int = 4, k: int = 4, allow_share: bool = Fal
 # Cone
 
 
-@_shape(None, "Cone-shaped structure.")
+@_shape(None)
 def gen_cone(n: int, p: int = 4, h: float = 1.0, ratio: float = 0.5, seed=None) -> Dataset:
     """Cone surface in p dims: heights denser toward X_p = 0.
 
@@ -474,7 +477,7 @@ def _lattice(axes) -> np.ndarray:
     )
 
 
-@_shape(None, "Cube lattice with grid points along each axis.")
+@_shape(None)
 def gen_gridcube(n: int, p: int = 4, seed=None) -> Dataset:
     """Regular lattice filling [0, 1]^p with approximately n points.
 
@@ -486,7 +489,7 @@ def gen_gridcube(n: int, p: int = 4, seed=None) -> Dataset:
     return _adopt(_lattice([np.linspace(0.0, 1.0, m) for m in factors]))
 
 
-@_shape(None, "Cube filled with uniform points.")
+@_shape(None)
 def gen_unifcube(n: int, p: int = 4, seed=None) -> Dataset:
     """n points uniform in [0, 1]^p, with exact 0/1 vertices filtered out."""
     pts = as_stream(seed).rng.random((n, p))
@@ -498,7 +501,7 @@ def gen_unifcube(n: int, p: int = 4, seed=None) -> Dataset:
 # Gaussian
 
 
-@_shape(None, "Multivariate Gaussian cloud.")
+@_shape(None)
 def gen_gaussian(n: int, p: int = 4, s=None, seed=None) -> Dataset:
     """n iid draws from N_p(0, s); s defaults to the identity. `check_params`
     hands `s` over as a float64 array (`core._reals`)."""
@@ -524,7 +527,7 @@ def gen_gaussian(n: int, p: int = 4, s=None, seed=None) -> Dataset:
 # Linear
 
 
-@_shape(None, "Long linear structure.")
+@_shape(None)
 def gen_longlinear(n: int, p: int = 4, seed=None) -> Dataset:
     """Single noisy linear trajectory along a shared index t_i = i - 1.
 
@@ -547,7 +550,7 @@ def gen_longlinear(n: int, p: int = 4, seed=None) -> Dataset:
 # Mobius
 
 
-@_shape(3, "Mobius band in 3-D.")
+@_shape(3)
 def gen_mobius(n: int, seed=None) -> Dataset:
     """Mobius band surface in 3-D (ring radius 1, width 1, half twist).
 
@@ -579,13 +582,13 @@ def _curve(n: int, range, seed, f) -> Dataset:
     return _adopt(np.column_stack([x1, f(x1) + rng.uniform(0.0, 0.5, n)]))
 
 
-@_shape(2, "Quadratic curve in 2-D.")
+@_shape(2)
 def gen_quadratic(n: int, range=(0.0, 1.0), seed=None) -> Dataset:
     """Downward parabolic arc: X2 = X1 - X1^2 + eps, eps ~ U(0, 0.5)."""
     return _curve(n, range, seed, lambda x1: x1 - x1 * x1)
 
 
-@_shape(2, "Cubic curve in 2-D.")
+@_shape(2)
 def gen_cubic(n: int, range=(-1.0, 1.0), seed=None) -> Dataset:
     """Cubic curve: X2 = X1 + X1^2 - X1^3 + eps, eps ~ U(0, 0.5)."""
     return _curve(n, range, seed, lambda x1: x1 + x1 * x1 - x1**3)
@@ -607,7 +610,7 @@ def _pyramid(rng, p: int, base: list, z: np.ndarray) -> Dataset:
     return _adopt(np.column_stack([*base, noise, z]))
 
 
-@_shape(None, "Rectangular-base pyramid.")
+@_shape(None)
 def gen_pyrrect(n: int, p: int = 4, h: float = 1.0, l_vec=(1.0, 1.0), rt: float = 0.0, seed=None) -> Dataset:
     """Rectangular-base pyramid; cross-section shrinks linearly toward X_p = 0.
 
@@ -630,7 +633,7 @@ def gen_pyrrect(n: int, p: int = 4, h: float = 1.0, l_vec=(1.0, 1.0), rt: float 
     return _pyramid(rng, p, [rng.uniform(-rx, rx), rng.uniform(-ry, ry), rng.uniform(-rx, rx)], z)
 
 
-@_shape(None, "Triangular-base pyramid.")
+@_shape(None)
 def gen_pyrtri(n: int, p: int = 4, h: float = 1.0, l: float = 1.0, rt: float = 0.0, seed=None) -> Dataset:
     """Triangular-base pyramid sampled with barycentric coordinates.
 
@@ -655,7 +658,7 @@ def gen_pyrtri(n: int, p: int = 4, h: float = 1.0, l: float = 1.0, rt: float = 0
     return _pyramid(rng, p, [r * (1.0 - u - v), r * u, r * v], z)
 
 
-@_shape(None, "Star-base pyramid.")
+@_shape(None)
 def gen_pyrstar(n: int, p: int = 4, h: float = 1.0, rb: float = 1.0, seed=None) -> Dataset:
     """Six-pointed star pyramid: spokes at hexagon sector angles.
 
@@ -676,7 +679,7 @@ def gen_pyrstar(n: int, p: int = 4, h: float = 1.0, rb: float = 1.0, seed=None) 
     return _pyramid(rng, p, [r * rp * np.cos(theta), r * rp * np.sin(theta)], z)
 
 
-@_shape(None, "Pyramid with self-similar holes.")
+@_shape(None)
 def gen_pyrfrac(n: int, p: int = 3, seed=None) -> Dataset:
     """Sierpinski-style chaos game over the corner simplex of [0, 1]^p.
 
@@ -791,7 +794,7 @@ def _chaos_game(picks: np.ndarray, t0: np.ndarray) -> np.ndarray:
 # S-curve
 
 
-@_shape(3, "S-curve in 3-D.")
+@_shape(3)
 def gen_scurve(n: int, seed=None) -> Dataset:
     """S-shaped 3-D manifold, noise-free.
 
@@ -827,7 +830,7 @@ def _cycle(n: int, p: int, seed, base) -> Dataset:
     return _adopt(np.column_stack(cols))
 
 
-@_shape(None, "Circle with sinusoid extensions.")
+@_shape(None)
 def gen_circle(n: int, p: int = 4, seed=None) -> Dataset:
     """Unit circle in the first two dims with damped sinusoid extensions.
 
@@ -839,7 +842,7 @@ def gen_circle(n: int, p: int = 4, seed=None) -> Dataset:
     return _cycle(n, p, seed, lambda theta: [np.cos(theta), np.sin(theta)])
 
 
-@_shape(None, "Curvy closed cycle.")
+@_shape(None)
 def gen_curvycycle(n: int, p: int = 4, seed=None) -> Dataset:
     """Closed curve with a third-harmonic fold, plus sinusoid extensions.
 
@@ -860,7 +863,7 @@ def _sphere_surface(rng, n: int, r: float) -> np.ndarray:
     return np.column_stack([r * rad * np.cos(theta), r * rad * np.sin(theta), r * u])
 
 
-@_shape(3, "Uniform sphere surface in 3-D.")
+@_shape(3)
 def gen_unifsphere(n: int, r: float = 1.0, seed=None) -> Dataset:
     """n points uniform on the surface (not interior) of a 3-D sphere of radius r."""
     if r <= 0:
@@ -868,7 +871,7 @@ def gen_unifsphere(n: int, r: float = 1.0, seed=None) -> Dataset:
     return _adopt(_sphere_surface(as_stream(seed).rng, n, float(r)))
 
 
-@_shape(None, "Hollow sphere surface.")
+@_shape(None)
 def gen_hollowsphere(n: int, p: int = 4, seed=None) -> Dataset:
     """n points uniform on the unit (p-1)-sphere surface in R^p."""
     if p < 2:
@@ -876,7 +879,7 @@ def gen_hollowsphere(n: int, p: int = 4, seed=None) -> Dataset:
     return _adopt(_unit_directions(as_stream(seed).rng, n, p))
 
 
-@_shape(None, "Deterministic grid on a sphere surface.")
+@_shape(None)
 def gen_gridedsphere(n: int, p: int = 3, seed=None) -> Dataset:
     """Deterministic spherical-coordinate grid on the unit (p-1)-sphere.
 
@@ -902,7 +905,7 @@ def gen_gridedsphere(n: int, p: int = 3, seed=None) -> Dataset:
     return _adopt(pts)
 
 
-@_shape(3, "Small spheres inside a big sphere.")
+@_shape(3)
 def gen_clusteredspheres(
     n: int | None = None,
     k_small: int = 3,
@@ -944,7 +947,7 @@ def gen_clusteredspheres(
     return _adopt(np.vstack(parts), codes, names)
 
 
-@_shape(4, "Hemisphere of a 4-D sphere.")
+@_shape(4)
 def gen_hemisphere(n: int, p: int = 4, seed=None) -> Dataset:
     """Half of the unit 3-sphere in 4-D.
 
@@ -973,7 +976,7 @@ def gen_hemisphere(n: int, p: int = 4, seed=None) -> Dataset:
 # Swiss roll
 
 
-@_shape(3, "Swiss roll in 3-D.")
+@_shape(3)
 def gen_swissroll(n: int, w=(0.0, 10.0), seed=None) -> Dataset:
     """Rolled plane: X1 = t cos t, X2 = t sin t, X3 ~ U(w1, w2), t ~ U(0, 3 pi)."""
     w1, w2 = float(w[0]), float(w[1])
@@ -991,7 +994,7 @@ def gen_swissroll(n: int, w=(0.0, 10.0), seed=None) -> Dataset:
 _TREFOIL_BAND = 0.1  # half-width of the theta band around pi/4
 
 
-@_shape(4, "Trefoil knot band in 4-D.")
+@_shape(4)
 def gen_trefoil4d(n: int, steps: int = 8, seed=None) -> Dataset:
     """Trefoil-knot band on the unit 3-sphere in 4-D.
 
@@ -1021,7 +1024,7 @@ def gen_trefoil4d(n: int, steps: int = 8, seed=None) -> Dataset:
     )
 
 
-@_shape(3, "Stereographic trefoil in 3-D.")
+@_shape(3)
 def gen_trefoil3d(n: int, steps: int = 8, seed=None) -> Dataset:
     """Stereographic image of the 4-D trefoil band: X_i -> X_i / (1 - X4).
 
@@ -1038,7 +1041,7 @@ def gen_trefoil3d(n: int, steps: int = 8, seed=None) -> Dataset:
 # Trigonometric
 
 
-@_shape(2, "Crescent arc in 2-D.")
+@_shape(2)
 def gen_crescent(n: int, p: int = 2, seed=None) -> Dataset:
     """Crescent arc: n evenly spaced angles on [pi/6, 2 pi] mapped to the
     unit circle.
@@ -1050,7 +1053,7 @@ def gen_crescent(n: int, p: int = 2, seed=None) -> Dataset:
     return _adopt(np.column_stack([np.cos(theta), np.sin(theta)]))
 
 
-@_shape(4, "Cylinder with a curvy height dimension.")
+@_shape(4)
 def gen_curvycylinder(n: int, h: float = 10.0, p: int = 4, seed=None) -> Dataset:
     """Cylinder with a sinusoidal fourth dimension tied to height.
 
@@ -1065,7 +1068,7 @@ def gen_curvycylinder(n: int, h: float = 10.0, p: int = 4, seed=None) -> Dataset
     return _adopt(np.column_stack([np.cos(theta), np.sin(theta), z, np.sin(z)]))
 
 
-@_shape(4, "Spiral on a sphere surface.")
+@_shape(4)
 def gen_sphericalspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Dataset:
     """Spiral sweeping pole to pole over a unit sphere, plus path progress.
 
@@ -1089,7 +1092,7 @@ def gen_sphericalspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Datase
     )
 
 
-@_shape(4, "Helical spiral.")
+@_shape(4)
 def gen_helicalspiral(n: int, p: int = 4, seed=None) -> Dataset:
     """Partial helix with a jittered height and a periodic wobble.
 
@@ -1103,7 +1106,7 @@ def gen_helicalspiral(n: int, p: int = 4, seed=None) -> Dataset:
     )
 
 
-@_shape(4, "Conic spiral.")
+@_shape(4)
 def gen_conicspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Dataset:
     """Archimedean spiral fanning out like a conic helix.
 
@@ -1128,7 +1131,7 @@ def gen_conicspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Dataset:
     )
 
 
-@_shape(4, "Nonlinear hyperbola surface.")
+@_shape(4)
 def gen_nonlinear(n: int, hc: float = 1.0, non_fac: float = 1.0, p: int = 4, seed=None) -> Dataset:
     """Hyperbola-plus-sinusoid surface with a cosine fourth dimension.
 

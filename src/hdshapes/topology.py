@@ -87,13 +87,13 @@ HOLES: dict[str, ShapeInfo] = {}
 _hole = _registrar(HOLES, "hole kind", suffix="hole")
 
 
-@_hole(3, "S-curve with a spherical hole.")
+@_hole(3)
 def gen_scurvehole(n: int, r_hole: float = 0.3, seed=None) -> Dataset:
     """S-curve with a spherical hole at its mean; exactly n points."""
     return _holed_sample(lambda m, s: gen_scurve(m, seed=s), n, r_hole, as_stream(seed))
 
 
-@_hole(None, "Uniform cube with a central void.")
+@_hole(None)
 def gen_unifcubehole(n: int, p: int = 3, r_hole: float = 0.3, seed=None) -> Dataset:
     """Uniform cube with a central hyperspherical void; exactly n points."""
     return _holed_sample(lambda m, s: gen_unifcube(m, p=p, seed=s), n, r_hole, as_stream(seed))

@@ -231,16 +231,18 @@ def test_env_seed_fallback(tmp_path):
         (["generate", "--from-manifest", "bad.json"], {}, "manifest bad.json is not valid JSON"),
         (["generate", "--seed", "1"], {}, "generate needs a shape kind"),
         (["generate", "cone", "--seed", "1"], {}, "generate needs --n"),
+        # Path("") is the working directory: refused before any row is built.
+        (["generate", "cone", "--n", "200000", "--seed", "1", "--out", ""], {}, "--out must not be empty"),
     ],
     ids=["env-seed", "missing-config", "invalid-config", "missing-manifest", "invalid-manifest",
-         "no-shape", "no-n"],
+         "no-shape", "no-n", "empty-out"],
 )
 def test_documented_usage_errors_exit_2(argv, env, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     Path("bad.json").write_text('{"n": [1,')
-    assert main([*argv, "--out", "out.csv"]) == 2
+    assert main(argv if "--out" in argv else [*argv, "--out", "out.csv"]) == 2
     assert named in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json"]
 
@@ -265,7 +267,10 @@ def test_list_commands():
     assert "cone: n, p, h, ratio" in lines
     res = run_cli("list", "--presets")
     assert res.returncode == 0
-    assert len(res.stdout.splitlines()) == 13
+    lines = res.stdout.splitlines()
+    assert len(lines) == 13
+    # A preset's description is the first line of its builder's docstring.
+    assert "gaucircles: n, k, p  # Concentric rings with a central Gaussian." in lines
 
 
 @pytest.mark.parametrize(
@@ -427,9 +432,11 @@ def _manifest(tmp_path):
         (lambda m: {**m, "command": ["generate"]}, "unknown command ['generate']"),
         # null would have drawn a fresh seed, written the data, then failed.
         (lambda m: {**m, "seed": None}, "field 'seed' must be an integer, got None"),
-        (lambda m: {**m, "seed": "1"}, "seed must be an int, RandomStream, or None, got str"),
+        (lambda m: {**m, "seed": "1"}, "manifest field 'seed' must be an integer, got '1'"),
+        (lambda m: {**m, "seed": 1.0}, "manifest field 'seed' must be an integer, got 1.0"),
         (lambda m: {**m, "output_path": None}, "field 'output_path' must be a string, got None"),
         (lambda m: {**m, "output_path": 5}, "field 'output_path' must be a string, got 5"),
+        (lambda m: {**m, "output_path": ""}, "field 'output_path' must not be empty"),
     ],
 )
 def test_malformed_manifest_exits_2(corrupt, named, tmp_path, capsys):
@@ -560,7 +567,7 @@ def test_replayed_bool_seed_exits_2(tmp_path, capsys):
     capsys.readouterr()
     replay = tmp_path / "replay.csv"
     assert main(["generate", "--from-manifest", str(bad), "--out", str(replay)]) == 2
-    assert "seed must be an int" in capsys.readouterr().err
+    assert "manifest field 'seed' must be an integer, got True" in capsys.readouterr().err
     assert not replay.exists()
 
 

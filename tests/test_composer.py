@@ -385,6 +385,13 @@ def test_shuffle_flag():
     assert labels[500:] == ["unifcube"] * 500
 
 
+@pytest.mark.parametrize("shuffle", ["no", 0, None])
+def test_shuffle_must_be_a_bool(shuffle):
+    # A string was read as true, so "no" shuffled the rows.
+    with pytest.raises(ParameterError, match=f"shuffle must be true or false, got {shuffle!r}"):
+        gen_multicluster(usage_spec(), seed=1, shuffle=shuffle)
+
+
 # ---------------------------------------------------------------------------
 # simplex / presets
 
