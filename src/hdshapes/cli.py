@@ -6,7 +6,9 @@ hole (the two holed wrapper shapes), preset (named scenes), list. One
 parser, the fresh run and the replay. Every data-writing command emits
 `<out>.manifest.json` recording the tool and output versions, the numpy
 and python versions, the seed, and the fully resolved spec, so
-`generate --from-manifest` reproduces the data file byte for byte.
+`generate --from-manifest` reproduces the data file byte for byte. Each
+file is written beside its target under a temporary name and renamed into
+place, so a failed or interrupted run leaves no partial file.
 
 Exit codes: 0 success, 2 usage or spec error, 3 I/O failure.
 """
@@ -35,8 +37,8 @@ import numpy as np
 from . import OUTPUT_VERSION, __version__
 from .composer import PRESETS, MultiClusterSpec, gen_multicluster, make_preset, preset_info
 from .core import ParameterError, _cpu_count
-from .shapes import SHAPES, ShapeInfo, generate, shape_info
-from .topology import HOLES
+from .shapes import SHAPES, generate, shape_info
+from .topology import HOLES, hole_info
 
 __all__ = ["main"]
 
@@ -182,11 +184,33 @@ def write_manifest(out_path: Path, command: str, seed: int, spec: dict, fmt: str
         "warnings": warned,
         "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    man_path = Path(str(out_path) + ".manifest.json")
-    with open(man_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    man_path = _manifest_path(out_path)
+    text = json.dumps(manifest, indent=2) + "\n"
+    _write_whole(man_path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
     return man_path
+
+
+def _manifest_path(out_path) -> Path:
+    return Path(f"{out_path}.manifest.json")
+
+
+def _write_whole(path: Path, write, stale: Path | None = None) -> None:
+    """Write `path` whole or not at all: `write(tmp)` fills a new file beside
+    it under a random name, made by `open` so that the umask sets its mode,
+    then `stale`, if given, is removed and the file is renamed onto `path`.
+    On any exception, an interrupt included, the new file is removed."""
+    # Not named after `path`, so a long target name cannot push it past the
+    # file system's limit on name length.
+    tmp = path.parent / f".hdshapes-{secrets.token_hex(8)}.tmp"
+    open(tmp, "x").close()
+    try:
+        write(tmp)
+        if stale is not None:
+            stale.unlink(missing_ok=True)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +299,15 @@ def _field(obj: dict, key: str):
         raise ParameterError(f"manifest is missing field '{key}'") from None
 
 
-def _hole_info(kind) -> ShapeInfo:
-    if not isinstance(kind, str) or kind not in HOLES:
-        raise ParameterError(f"unknown hole kind '{kind}'; available kinds: {', '.join(HOLES)}")
-    return HOLES[kind]
-
-
 # command: (registry, its lookup, the spec fields beside `params` (the one
 # naming the target, which is also its positional argument, then any parameter
-# recorded on its own), the noun naming the target in messages, the default file
-# stem, and the call that builds the target and checks its parameters, looking
-# up `generate` and `make_preset` as it runs)
+# recorded on its own), the default file stem, and the call that builds the
+# target and checks its parameters, looking up `generate` and `make_preset` as
+# it runs)
 _TARGETS = {
-    "generate": (SHAPES, shape_info, ("kind", "n"), "shape", "{}", lambda kind, **params: generate(kind, **params)),
-    "hole": (HOLES, _hole_info, ("kind",), "hole kind", "{}hole", lambda kind, **params: HOLES[kind].func(**params)),
-    "preset": (PRESETS, preset_info, ("name",), "preset", "{}", lambda name, **params: make_preset(name, **params)),
+    "generate": (SHAPES, shape_info, ("kind", "n"), "{}", lambda kind, **params: generate(kind, **params)),
+    "hole": (HOLES, hole_info, ("kind",), "{}hole", lambda kind, **params: HOLES[kind].func(**params)),
+    "preset": (PRESETS, preset_info, ("name",), "{}", lambda name, **params: make_preset(name, **params)),
 }
 
 _SPEC_KEYS = {command: (*fields, "params") for command, (_, _, fields, *_) in _TARGETS.items()}
@@ -316,7 +334,7 @@ def _build(command: str, spec, seed):
     params = _field(spec, "params")
     if not isinstance(params, dict):
         raise ParameterError("manifest field 'spec.params' must be a JSON object")
-    _, lookup, fields, _, _, build = _TARGETS[command]
+    _, lookup, fields, _, build = _TARGETS[command]
     name = _field(spec, fields[0])
     info = lookup(name)
     for key in ("seed", *fields):
@@ -353,7 +371,9 @@ def _emit(man: dict, out: str | None) -> int:
     for message in warned:
         print(f"warning: {message}", file=sys.stderr)
     out = Path(out)
-    _WRITERS[fmt](ds, out)
+    # The old manifest goes just before the new data replaces the old, so no
+    # manifest ever sits beside bytes it does not describe.
+    _write_whole(out, partial(_WRITERS[fmt], ds), stale=_manifest_path(out))
     write_manifest(out, command, seed, spec, fmt, ds, warned)
     print(f"wrote {out} ({ds.n} rows x {ds.p} cols, seed={seed})")
     return 0
@@ -399,14 +419,14 @@ def cmd_target(args) -> int:
             return _emit(_replay(args), args.out)
         if not args.kind:
             raise ParameterError("generate needs a shape kind (or --from-manifest)")
-    _, lookup, fields, noun, stem, _ = _TARGETS[args.command]
+    _, lookup, fields, stem, _ = _TARGETS[args.command]
     name = getattr(args, fields[0])
     info = lookup(name)
     given = {key: getattr(args, key) for key in args.param_flags if getattr(args, key) is not None}
     bad = sorted(given.keys() - info.kinds.keys())
     if bad:
         flags = ", ".join(_flag(key) for key in info.kinds if key in args.param_flags)
-        raise ParameterError(f"flag(s) {', '.join(map(_flag, bad))} not valid for {noun} '{name}' (accepts: {flags})")
+        raise ParameterError(f"flag(s) {', '.join(map(_flag, bad))} not valid for {info.what} (accepts: {flags})")
     # Defaults are recorded too, so the manifest pins every value.
     params = {**info.defaults, **given}
     spec = {fields[0]: name, **{key: params.pop(key, None) for key in fields[1:]}}

@@ -19,6 +19,7 @@ import threading
 import warnings
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -85,6 +86,13 @@ def _rotation_matrix(rotation) -> np.ndarray:
     if not err <= 1e-8:
         raise ParameterError(f"rotation matrix is not orthogonal (max |R'R - I| = {err:.2e})")
     return mat
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of `arr`."""
+    out = arr.copy()
+    out.setflags(write=False)
+    return out
 
 
 def _entries(value, name: str, k: int) -> tuple:
@@ -161,9 +169,9 @@ def apply_transform(ds, scale: float, rotation=None, center=None) -> Dataset:
     return _adopt(out, ds.codes, ds.categories)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiClusterSpec:
-    """Declarative description of a multi-cluster scene.
+    """Declarative description of a multi-cluster scene; immutable once built.
 
     `n`, `scale`, `shape` and `rotation` hold one entry per cluster. `loc`
     is a k x p matrix of target centroids; a row of all NaN leaves that
@@ -171,10 +179,12 @@ class MultiClusterSpec:
     orthogonal matrix, a RotationPlan or its JSON form {"dim", "steps"},
     sized either to the cluster's generated dimension (applied before
     padding) or to the scene dimension (applied after); the spec holds
-    each realized matrix (or None). `extras` is a dict of shape parameters
-    applied to every cluster whose kind accepts them, or a per-cluster
-    list of dicts. A value of the wrong kind (a bool for a count, a string
-    for a number) is refused with a ParameterError, never converted.
+    each realized matrix (or None). `loc` and each matrix are read-only
+    copies, so changing the caller's arrays afterwards changes no scene.
+    `extras` is a dict of shape parameters applied to every cluster whose
+    kind accepts them, or a per-cluster list of dicts. A value of the wrong
+    kind (a bool for a count, a string for a number) is refused with a
+    ParameterError, never converted.
     """
 
     n: tuple[int, ...]
@@ -187,17 +197,18 @@ class MultiClusterSpec:
     extras: dict | tuple[dict, ...] | None = None
 
     def __post_init__(self):
-        self.k = _check_n(self.k, "k")
-        self.n = tuple(_check_n(v) for v in _entries(self.n, "n", self.k))
-        self.scale = _entries(self.scale, "scale", self.k)
-        self.shape = _entries(self.shape, "shape", self.k)
+        put = partial(object.__setattr__, self)  # frozen: each checked value is set once, here
+        put("k", _check_n(self.k, "k"))
+        put("n", tuple(_check_n(v) for v in _entries(self.n, "n", self.k)))
+        put("scale", _entries(self.scale, "scale", self.k))
+        put("shape", _entries(self.shape, "shape", self.k))
         if not all(_is_kind(v, float) and 0 < v < np.inf for v in self.scale):
             raise ParameterError(f"every scale must be positive and finite, got {self.scale!r}")
         for kind in self.shape:
             shape_info(kind)  # raises UnknownShapeError for unregistered kinds
         if not _is_kind(self.is_bkg, bool):
             raise ParameterError(f"is_bkg must be true or false, got {self.is_bkg!r}")
-        self.loc = _reals(self.loc, f"loc must be a {self.k} x p matrix of numbers")
+        put("loc", _read_only(_reals(self.loc, f"loc must be a {self.k} x p matrix of numbers")))
         if self.loc.ndim != 2 or self.loc.shape[0] != self.k:
             raise ParameterError(f"loc must be a {self.k} x p matrix, got shape {self.loc.shape}")
         nan_rows = np.isnan(self.loc)
@@ -207,8 +218,8 @@ class MultiClusterSpec:
             raise ParameterError(f"loc must be finite or a row of NaN, got {self.loc.tolist()!r}")
         if self.rotation is not None:
             rot = _entries(self.rotation, "rotation", self.k)
-            self.rotation = tuple(None if r is None else _rotation_matrix(r) for r in rot)
-        self.extras = self._normalized_extras()
+            put("rotation", tuple(None if r is None else _read_only(_rotation_matrix(r)) for r in rot))
+        put("extras", self._normalized_extras())
 
     @property
     def p(self) -> int:
@@ -240,7 +251,7 @@ class MultiClusterSpec:
                 raise ParameterError(f"extras entries must be objects (or null), got {ex!r}")
             if "n" in ex:
                 raise RejectedParameterError(f"extras cannot set n of shape '{kind}': the spec's n does")
-            check_params(shape_info(kind), ex, f"shape '{kind}'")
+            check_params(shape_info(kind), ex)
         return tuple(dict(ex) for ex in extras)
 
     @classmethod
@@ -377,7 +388,7 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
     for c, kind in enumerate(spec.shape):
         info = shape_info(kind)
         kwargs.append(spec.extras[c] if info.dim is not None else {"p": p, **spec.extras[c]})
-        check_params(info, kwargs[c], f"shape '{kind}'")
+        check_params(info, kwargs[c])
         width = info.dim if info.dim is not None else kwargs[c]["p"]
         if width > p:
             raise DimensionError(f"cluster {c} shape '{kind}' has {width} dims but the scene has {p}")
@@ -438,16 +449,10 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
 # Preset scenes
 
 PRESETS: dict[str, ShapeInfo] = {}
-_preset = _registrar(PRESETS, "preset", prefix="_preset_")(None)  # no fixed dimension
+_preset, preset_info = _registrar(PRESETS, "preset", prefix="_preset_")
 
 
-def _zeros_loc(k: int, p: int) -> np.ndarray:
-    if p < 2:  # before a preset indexes column 2; its shapes need 2 anyway
-        raise DimensionError(f"preset scenes need p >= 2, got p = {p}")
-    return np.zeros((k, p))
-
-
-@_preset
+@_preset(None)
 def _preset_mobiusgau(n=1000):
     """Mobius band beside a Gaussian blob."""
     return MultiClusterSpec(
@@ -460,7 +465,7 @@ def _preset_mobiusgau(n=1000):
     )
 
 
-@_preset
+@_preset(None)
 def _preset_multigau(n=1500, k=3, p=4):
     """Well-separated Gaussian clusters."""
     if k > p + 1:
@@ -474,10 +479,10 @@ def _preset_multigau(n=1500, k=3, p=4):
     )
 
 
-@_preset
+@_preset(None, 2)
 def _preset_curvygau(n=1000, p=4):
     """Curved band with a Gaussian cluster."""
-    loc = _zeros_loc(2, p)
+    loc = np.zeros((2, p))
     loc[1, 0], loc[1, 1] = 3.0, 1.0
     return MultiClusterSpec(
         n=gen_nsum(n, 2),
@@ -490,7 +495,7 @@ def _preset_curvygau(n=1000, p=4):
 
 def _ring_chain(n, k, shape, spacing, interlock):
     """Row of ring-like clusters along x1, optionally in alternating planes."""
-    loc = _zeros_loc(k, 3)
+    loc = np.zeros((k, 3))
     loc[:, 0] = spacing * np.arange(k)
     extras = ({"p": 2},) * k if shape == "circle" else None
     rotation = None
@@ -508,25 +513,25 @@ def _ring_chain(n, k, shape, spacing, interlock):
     )
 
 
-@_preset
+@_preset(None)
 def _preset_klink_circles(n=900, k=3):
     """Interlocked rings in alternating planes."""
     return _ring_chain(n, k, "circle", spacing=1.0, interlock=True)
 
 
-@_preset
+@_preset(None)
 def _preset_chain_circles(n=900, k=3):
     """Coplanar rings connected in a row."""
     return _ring_chain(n, k, "circle", spacing=1.8, interlock=False)
 
 
-@_preset
+@_preset(None)
 def _preset_klink_curvycycle(n=900, k=3):
     """Interlocked curvy cycles."""
     return _ring_chain(n, k, "curvycycle", spacing=1.0, interlock=True)
 
 
-@_preset
+@_preset(None)
 def _preset_chain_curvycycle(n=900, k=3):
     """Curvy cycles connected in a row."""
     return _ring_chain(n, k, "curvycycle", spacing=1.8, interlock=False)
@@ -538,26 +543,26 @@ def _concentric_gau(n, k, p, ring_shape):
     return MultiClusterSpec(
         n=gen_nsum(n, k + 1),
         k=k + 1,
-        loc=_zeros_loc(k + 1, p),
+        loc=np.zeros((k + 1, p)),
         scale=tuple(2.0 * (i + 1) for i in range(k)) + (0.5,),
         shape=(ring_shape,) * k + ("gaussian",),
         extras=tuple([dict(ring_extras)] * k + [{}]),
     )
 
 
-@_preset
+@_preset(None, 2)
 def _preset_gaucircles(n=2000, k=3, p=4):
     """Concentric rings with a central Gaussian."""
     return _concentric_gau(n, k, p, "circle")
 
 
-@_preset
+@_preset(None, 3)
 def _preset_gaucurvycycle(n=2000, k=3, p=4):
     """Concentric curvy cycles with a central Gaussian."""
     return _concentric_gau(n, k, p, "curvycycle")
 
 
-@_preset
+@_preset(None)
 def _preset_onegrid(n=400):
     """Single 2-D lattice."""
     return MultiClusterSpec(
@@ -565,7 +570,7 @@ def _preset_onegrid(n=400):
     )
 
 
-@_preset
+@_preset(None)
 def _preset_twogrid_overlap(n=800):
     """Two partially overlapping lattices."""
     return MultiClusterSpec(
@@ -577,7 +582,7 @@ def _preset_twogrid_overlap(n=800):
     )
 
 
-@_preset
+@_preset(None)
 def _preset_twogrid_shift(n=800):
     """Two lattices offset by half a cell."""
     m = gen_nproduct(gen_nsum(n, 2)[0], 2)[0]
@@ -591,10 +596,10 @@ def _preset_twogrid_shift(n=800):
     )
 
 
-@_preset
+@_preset(None, 2)
 def _preset_shape_para(n=1200, k=3, p=4):
     """Parallel copies of one curved shape."""
-    loc = _zeros_loc(k, p)
+    loc = np.zeros((k, p))
     loc[:, 1] = 2.0 * np.arange(k)
     return MultiClusterSpec(
         n=gen_nsum(n, k),
@@ -607,16 +612,6 @@ def _preset_shape_para(n=1200, k=3, p=4):
 
 def list_presets() -> tuple[str, ...]:
     return tuple(PRESETS)
-
-
-def preset_info(name: str) -> ShapeInfo:
-    """The registry record of a named preset."""
-    try:
-        return PRESETS[name]
-    except (KeyError, TypeError):
-        raise ParameterError(
-            f"unknown preset '{name}'; available presets: {', '.join(PRESETS)}"
-        ) from None
 
 
 def make_preset(name: str, seed=None, **params) -> Dataset:

@@ -6,10 +6,10 @@ equal (params, seed) pairs reproduce bit-identical output. Shapes with a
 fixed intrinsic dimension (mobius, scurve, the spirals, ...) emit exactly
 that many columns; callers lift them into higher dimensions by appending
 noise dims (see hdshapes.noise) or through the multicluster composer.
-Each generator registers in SHAPES where it is defined (`_shape`), and
-every call, direct or by name, takes the one parameter check. The holed
-shapes (`topology.HOLES`) and the preset scenes (`composer.PRESETS`)
-register the same way, through `_registrar`.
+Each generator registers in SHAPES where it is defined (`_shape`), with
+its dimension rule, and every call, direct or by name, takes the one
+parameter check. The holed shapes (`topology.HOLES`) and the preset scenes
+(`composer.PRESETS`) register the same way, through `_registrar`.
 """
 
 from __future__ import annotations
@@ -55,13 +55,7 @@ __all__ = [
 
 
 class UnknownShapeError(ParameterError):
-    """Requested shape kind is not registered."""
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        super().__init__(
-            f"unknown shape kind '{kind}'; available kinds: {', '.join(SHAPES)}"
-        )
+    """Requested shape kind, holed shape or preset is not registered."""
 
 
 class RejectedParameterError(ParameterError):
@@ -97,6 +91,8 @@ class ShapeInfo:
 
     func: Callable  # -> Dataset, or MultiClusterSpec for a preset
     dim: int | None  # output dim; None means "equals p", and for presets "not fixed"
+    min_p: int  # the smallest p the target takes (1: any)
+    what: str  # the target in messages: "shape 'cone'"
 
     @property
     def description(self) -> str:  # the first line of func's docstring
@@ -141,17 +137,19 @@ class ShapeInfo:
         return kinds
 
 
-def _registrar(table: dict, noun: str, prefix: str = "gen_", suffix: str = ""):
-    """The decorator `@registrar(dim)` that registers a function
-    in `table`, under its name less `prefix` and `suffix` and in definition
-    order, and runs `check_params` on every call, direct or through the
-    table, naming the target "<noun> '<name>'"; the body gets the checked
-    values (counts as ints), and the seed if it takes one."""
+def _registrar(table: dict, noun: str, prefix: str = "gen_", suffix: str = "", unknown: str | None = None):
+    """`(register, lookup)` for `table`. `@register(dim, min_p=1)` registers
+    a function in `table` with its dimension rule, under its name less
+    `prefix` and `suffix` and in definition order, and runs `check_params`
+    on every call, direct or through the table, naming the target
+    "<noun> '<name>'"; the body gets the checked values (counts as ints),
+    and the seed if it takes one. `lookup(name)` is the name's ShapeInfo,
+    or an UnknownShapeError that calls the name an `unknown` (default:
+    `noun`) and lists the table."""
 
-    def decorator(dim: int | None):
+    def decorator(dim: int | None, min_p: int = 1):
         def register(func):
             name = func.__name__.removeprefix(prefix).removesuffix(suffix)
-            what = f"{noun} '{name}'"
 
             @functools.wraps(func)
             def checked(*args, **kwargs):
@@ -160,46 +158,46 @@ def _registrar(table: dict, noun: str, prefix: str = "gen_", suffix: str = ""):
                 known = {key: value for key, value in kwargs.items() if key in sig.parameters}
                 params = {**sig.bind_partial(*args, **known).arguments, **kwargs}
                 seed = {"seed": params.pop("seed", None)} if "seed" in sig.parameters else {}
-                return func(**seed, **check_params(info, params, what))
+                return func(**seed, **check_params(info, params))
 
-            info = table[name] = ShapeInfo(checked, dim)
+            info = table[name] = ShapeInfo(checked, dim, min_p, f"{noun} '{name}'")
             return checked
 
         return register
 
-    return decorator
+    def lookup(name) -> ShapeInfo:
+        try:
+            return table[name]
+        except (KeyError, TypeError):
+            what = unknown or noun
+            raise UnknownShapeError(f"unknown {what} '{name}'; available {what}s: {', '.join(table)}") from None
+
+    return decorator, lookup
 
 
 SHAPES: dict[str, ShapeInfo] = {}
-_shape = _registrar(SHAPES, "shape")
+_shape, shape_info = _registrar(SHAPES, "shape", unknown="shape kind")
 
 
 def list_shapes() -> tuple[str, ...]:
     return tuple(SHAPES)
 
 
-def shape_info(kind: str) -> ShapeInfo:
-    try:
-        return SHAPES[kind]
-    except (KeyError, TypeError):
-        raise UnknownShapeError(kind) from None
-
-
-def check_params(info: ShapeInfo, params: dict, what: str) -> dict:
+def check_params(info: ShapeInfo, params: dict) -> dict:
     """`params` with each count as an int and gaussian's matrix `s` as a
     float64 array, after a ParameterError unless every key is a parameter
     of `info`'s target (n too, seed not; else RejectedParameterError) with
     a value of its kind (`ShapeInfo.kinds`): an int is a positive integer,
     a float a finite number, a bool true or false, a pair a list or tuple
     of that many; None only where it is the default. A fixed-dimension
-    target's `p` must equal `info.dim` (DimensionError). `what` names the
-    target ("shape 'cone'"). Generators check the rest of a domain
-    (`h > 0`)."""
+    target's `p` must equal `info.dim`, and any other's be at least
+    `info.min_p` (DimensionError). Messages name the target by `info.what`.
+    Generators check the rest of a domain (`h > 0`)."""
     kinds = info.kinds
     bad = sorted(set(params) - set(kinds))
     if bad:
         raise RejectedParameterError(
-            f"request for {what} has {', '.join(bad)}, not accepted (accepts: {', '.join(kinds)})"
+            f"request for {info.what} has {', '.join(bad)}, not accepted (accepts: {', '.join(kinds)})"
         )
     checked = {}
     for name, value in params.items():
@@ -221,10 +219,12 @@ def check_params(info: ShapeInfo, params: dict, what: str) -> dict:
                     raise ParameterError(f"{name} must be {must}, got {value!r}")
                 finite = all(-math.inf < v < math.inf for v in values)
             if not finite:
-                raise ParameterError(f"parameter {name} of {what} must be finite, got {value!r}")
+                raise ParameterError(f"parameter {name} of {info.what} must be finite, got {value!r}")
         checked[name] = value
     if info.dim is not None and checked.get("p", info.dim) != info.dim:
-        raise DimensionError(f"{info.func.__name__} is defined for p = {info.dim}, got p = {checked['p']}")
+        raise DimensionError(f"{info.what} is defined for p = {info.dim}, got p = {checked['p']}")
+    if checked.get("p", info.min_p) < info.min_p:
+        raise DimensionError(f"{info.what} needs p >= {info.min_p}, got p = {checked['p']}")
     return checked
 
 
@@ -387,8 +387,6 @@ def gen_curvybranches(n: int, k: int = 4, seed=None) -> Dataset:
 
 
 def _org_branches(n, p, k, allow_share, seed, curvy: bool) -> Dataset:
-    if p < 2:
-        raise DimensionError("origin branches need p >= 2")
     sizes = gen_nsum(n, k)
     rng = as_stream(seed).rng
     all_pairs = list(itertools.combinations(range(p), 2))
@@ -415,7 +413,7 @@ def _org_branches(n, p, k, allow_share, seed, curvy: bool) -> Dataset:
     return _adopt(np.vstack(pts_parts), np.concatenate(codes), names)
 
 
-@_shape(None)
+@_shape(None, 2)
 def gen_orglinearbranches(n: int, p: int = 4, k: int = 4, allow_share: bool = False, seed=None) -> Dataset:
     """k linear branches leaving the origin, each in its own 2-D subspace.
 
@@ -427,7 +425,7 @@ def gen_orglinearbranches(n: int, p: int = 4, k: int = 4, allow_share: bool = Fa
     return _org_branches(n, p, k, allow_share, seed, curvy=False)
 
 
-@_shape(None)
+@_shape(None, 2)
 def gen_orgcurvybranches(n: int, p: int = 4, k: int = 4, allow_share: bool = False, seed=None) -> Dataset:
     """Curvilinear variant of gen_orglinearbranches: X_i2 = -s_i X_i1^2 + eps."""
     return _org_branches(n, p, k, allow_share, seed, curvy=True)
@@ -437,7 +435,7 @@ def gen_orgcurvybranches(n: int, p: int = 4, k: int = 4, allow_share: bool = Fal
 # Cone
 
 
-@_shape(None)
+@_shape(None, 3)
 def gen_cone(n: int, p: int = 4, h: float = 1.0, ratio: float = 0.5, seed=None) -> Dataset:
     """Cone surface in p dims: heights denser toward X_p = 0.
 
@@ -447,8 +445,6 @@ def gen_cone(n: int, p: int = 4, h: float = 1.0, ratio: float = 0.5, seed=None) 
     cross-section is a sphere of that radius. ratio in [0, 1] blunts the
     narrow end (1 gives a cylinder).
     """
-    if p < 3:
-        raise DimensionError("gen_cone needs p >= 3")
     if h <= 0:
         raise ParameterError("h must be positive")
     if not 0.0 <= ratio <= 1.0:
@@ -610,7 +606,7 @@ def _pyramid(rng, p: int, base: list, z: np.ndarray) -> Dataset:
     return _adopt(np.column_stack([*base, noise, z]))
 
 
-@_shape(None)
+@_shape(None, 4)
 def gen_pyrrect(n: int, p: int = 4, h: float = 1.0, l_vec=(1.0, 1.0), rt: float = 0.0, seed=None) -> Dataset:
     """Rectangular-base pyramid; cross-section shrinks linearly toward X_p = 0.
 
@@ -619,8 +615,6 @@ def gen_pyrrect(n: int, p: int = 4, h: float = 1.0, l_vec=(1.0, 1.0), rt: float 
     uniform within +/- r_x(z), X2 within +/- r_y(z). Dims 4..p-1 are
     N(0, 0.2^2) noise, dim p is the height.
     """
-    if p < 4:
-        raise DimensionError("gen_pyrrect needs p >= 4 (three base coords plus height)")
     lx, ly = float(l_vec[0]), float(l_vec[1])
     if h <= 0 or lx <= 0 or ly <= 0:
         raise ParameterError("h and base half-widths must be positive")
@@ -633,7 +627,7 @@ def gen_pyrrect(n: int, p: int = 4, h: float = 1.0, l_vec=(1.0, 1.0), rt: float 
     return _pyramid(rng, p, [rng.uniform(-rx, rx), rng.uniform(-ry, ry), rng.uniform(-rx, rx)], z)
 
 
-@_shape(None)
+@_shape(None, 4)
 def gen_pyrtri(n: int, p: int = 4, h: float = 1.0, l: float = 1.0, rt: float = 0.0, seed=None) -> Dataset:
     """Triangular-base pyramid sampled with barycentric coordinates.
 
@@ -642,8 +636,6 @@ def gen_pyrtri(n: int, p: int = 4, h: float = 1.0, l: float = 1.0, rt: float = 0
     u + v = 1 give X1 = r (1 - u - v), X2 = r u, X3 = r v. Dims 4..p-1
     are noise, dim p is the height.
     """
-    if p < 4:
-        raise DimensionError("gen_pyrtri needs p >= 4 (three base coords plus height)")
     if h <= 0 or l <= 0:
         raise ParameterError("h and l must be positive")
     if rt < 0 or rt > l:
@@ -658,7 +650,7 @@ def gen_pyrtri(n: int, p: int = 4, h: float = 1.0, l: float = 1.0, rt: float = 0
     return _pyramid(rng, p, [r * (1.0 - u - v), r * u, r * v], z)
 
 
-@_shape(None)
+@_shape(None, 3)
 def gen_pyrstar(n: int, p: int = 4, h: float = 1.0, rb: float = 1.0, seed=None) -> Dataset:
     """Six-pointed star pyramid: spokes at hexagon sector angles.
 
@@ -667,8 +659,6 @@ def gen_pyrstar(n: int, p: int = 4, h: float = 1.0, rb: float = 1.0, seed=None) 
     {0, pi/3, ..., 5 pi/3} and a radial factor sqrt(U(0, 1)). Dims
     3..p-1 are noise, dim p is the height.
     """
-    if p < 3:
-        raise DimensionError("gen_pyrstar needs p >= 3 (two base coords plus height)")
     if h <= 0 or rb <= 0:
         raise ParameterError("h and rb must be positive")
     rng = as_stream(seed).rng
@@ -679,7 +669,7 @@ def gen_pyrstar(n: int, p: int = 4, h: float = 1.0, rb: float = 1.0, seed=None) 
     return _pyramid(rng, p, [r * rp * np.cos(theta), r * rp * np.sin(theta)], z)
 
 
-@_shape(None)
+@_shape(None, 2)
 def gen_pyrfrac(n: int, p: int = 3, seed=None) -> Dataset:
     """Sierpinski-style chaos game over the corner simplex of [0, 1]^p.
 
@@ -687,8 +677,6 @@ def gen_pyrfrac(n: int, p: int = 3, seed=None) -> Dataset:
     random vertex of the simplex {0, e_1, ..., e_p}; the n iterates
     T_1..T_n are returned (early ones may sit slightly off the attractor).
     """
-    if p < 2:
-        raise DimensionError("gen_pyrfrac needs p >= 2")
     rng = as_stream(seed).rng
     picks = rng.integers(0, p + 1, n)
     return _adopt(_chaos_game(picks, rng.random(p)))
@@ -830,27 +818,23 @@ def _cycle(n: int, p: int, seed, base) -> Dataset:
     return _adopt(np.column_stack(cols))
 
 
-@_shape(None)
+@_shape(None, 2)
 def gen_circle(n: int, p: int = 4, seed=None) -> Dataset:
     """Unit circle in the first two dims with damped sinusoid extensions.
 
     X1 = cos(theta), X2 = sin(theta); dimension j >= 3 adds
     sqrt(0.5^(j-2)) sin(theta + (j - 2) pi / (2 p)).
     """
-    if p < 2:
-        raise DimensionError("gen_circle needs p >= 2")
     return _cycle(n, p, seed, lambda theta: [np.cos(theta), np.sin(theta)])
 
 
-@_shape(None)
+@_shape(None, 3)
 def gen_curvycycle(n: int, p: int = 4, seed=None) -> Dataset:
     """Closed curve with a third-harmonic fold, plus sinusoid extensions.
 
     X1 = cos(theta), X2 = sqrt(3)/3 + sin(theta), X3 = cos(3 theta) / 3;
     dimension j >= 4 adds sqrt(0.5^(j-3)) sin(theta + (j - 2) pi / (2 p)).
     """
-    if p < 3:
-        raise DimensionError("gen_curvycycle needs p >= 3")
     return _cycle(
         n, p, seed, lambda theta: [np.cos(theta), math.sqrt(3.0) / 3.0 + np.sin(theta), np.cos(3.0 * theta) / 3.0]
     )
@@ -871,15 +855,13 @@ def gen_unifsphere(n: int, r: float = 1.0, seed=None) -> Dataset:
     return _adopt(_sphere_surface(as_stream(seed).rng, n, float(r)))
 
 
-@_shape(None)
+@_shape(None, 2)
 def gen_hollowsphere(n: int, p: int = 4, seed=None) -> Dataset:
     """n points uniform on the unit (p-1)-sphere surface in R^p."""
-    if p < 2:
-        raise DimensionError("gen_hollowsphere needs p >= 2")
     return _adopt(_unit_directions(as_stream(seed).rng, n, p))
 
 
-@_shape(None)
+@_shape(None, 2)
 def gen_gridedsphere(n: int, p: int = 3, seed=None) -> Dataset:
     """Deterministic spherical-coordinate grid on the unit (p-1)-sphere.
 
@@ -888,8 +870,6 @@ def gen_gridedsphere(n: int, p: int = 3, seed=None) -> Dataset:
     realized point count is their product, and a LatticeSizeWarning says
     when it exceeds n.
     """
-    if p < 2:
-        raise DimensionError("gen_gridedsphere needs p >= 2")
     factors = gen_nproduct(n, p - 1)
     _warn_lattice_size("gridedsphere", math.prod(factors), n)
     axes = [np.linspace(0.0, np.pi, m) for m in factors[:-1]]
@@ -1028,12 +1008,11 @@ def gen_trefoil4d(n: int, steps: int = 8, seed=None) -> Dataset:
 def gen_trefoil3d(n: int, steps: int = 8, seed=None) -> Dataset:
     """Stereographic image of the 4-D trefoil band: X_i -> X_i / (1 - X4).
 
-    Rows with X4 = 1 (the projection pole) are dropped; the default band
-    never reaches the pole, so all n rows survive.
+    The band's theta stays within pi/4 +/- 0.1, so |X4| <= sin(pi/4 + 0.1)
+    < 0.78 whatever `steps` is: the projection never meets its pole
+    (X4 = 1), and all n rows come back.
     """
     d4 = gen_trefoil4d(n, steps=steps, seed=seed).points
-    keep = d4[:, 3] != 1.0
-    d4 = d4[keep]
     return _adopt(d4[:, :3] / (1.0 - d4[:, 3])[:, None])
 
 

@@ -10,7 +10,7 @@ from .core import Dataset, ParameterError, _number, _reals, as_dataset, as_strea
 from .shapes import ShapeInfo, _registrar, gen_scurve, gen_unifcube
 
 # The registered wrappers join __all__ after the last registration.
-__all__ = ["HOLES", "DegenerateHoleError", "HoleRetentionWarning", "gen_hole"]
+__all__ = ["HOLES", "DegenerateHoleError", "HoleRetentionWarning", "gen_hole", "hole_info"]
 
 
 class DegenerateHoleError(ParameterError):
@@ -84,7 +84,7 @@ def _holed_sample(make, n: int, r_hole, stream) -> Dataset:
 
 
 HOLES: dict[str, ShapeInfo] = {}
-_hole = _registrar(HOLES, "hole kind", suffix="hole")
+_hole, hole_info = _registrar(HOLES, "hole kind", suffix="hole")
 
 
 @_hole(3)

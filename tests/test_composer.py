@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import os
 import sys
 import threading
@@ -309,6 +310,39 @@ def test_spec_holds_each_realized_rotation():
     assert spec.rotation[1] is None
     assert np.array_equal(spec.rotation[0], gen_rotation(plan))
     assert np.array_equal(spec.rotation[2], gen_rotation(plan))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("scale", (-1.0, 2.0, 1.0)),  # was sampled with a negative scale
+    ("is_bkg", "no"),  # added background rows
+    ("k", 5),  # ended in an IndexError traceback
+    ("n", (20, "x", 20)),  # ended in a TypeError traceback
+    ("loc", np.zeros((3, 4))),
+    ("rotation", None),
+    ("extras", ({"p": 2}, {}, {})),
+])
+def test_a_spec_is_immutable(field, value):
+    spec = usage_spec()
+    before = gen_multicluster(spec, seed=3).points.tobytes()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(spec, field, value)
+    assert gen_multicluster(spec, seed=3).points.tobytes() == before
+
+
+def test_a_spec_holds_read_only_copies_of_loc_and_rotations():
+    loc = np.array([[0, 0, 0], [5, 5, 5]], dtype=float)
+    flip = np.eye(3)
+    spec = MultiClusterSpec(
+        n=(50, 50), k=2, loc=loc, scale=(1.0, 1.0), shape=("gaussian", "scurve"), rotation=(None, flip),
+    )
+    before = gen_multicluster(spec, seed=4).points.tobytes()
+    flip[0, 0] = 7.0  # made gen_multicluster apply a non-orthogonal rotation
+    loc[1] = 9.0
+    assert gen_multicluster(spec, seed=4).points.tobytes() == before
+    assert np.array_equal(spec.rotation[1], np.eye(3)) and spec.loc[1].tolist() == [5.0, 5.0, 5.0]
+    for arr in (spec.loc, spec.rotation[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("name", list_presets())

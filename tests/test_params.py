@@ -8,6 +8,7 @@ parameter; the CLI exits 2, names it and writes no data file.
 """
 
 import json
+import os
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from hdshapes import (
     PRESETS,
     SHAPES,
     Dataset,
+    DimensionError,
     MultiClusterSpec,
     ParameterError,
     gen_multicluster,
@@ -207,6 +209,63 @@ def test_a_direct_call_refuses_a_wrong_kind_as_generate_does(what, name, params)
         DIRECT[what](name, params)
     assert type(direct.value) is type(registry.value)
     assert str(direct.value) == str(registry.value)
+
+
+# ---------------------------------------------------------------------------
+# A target's smallest p, stated in its registration, holds at every entry
+# point and is checked before anything is sampled
+
+MINIMUMS = [
+    pytest.param(what, name, id=f"{what}-{name}") for what, name in TARGETS if REGISTRIES[what][name].min_p > 1
+]
+CLI_P = {
+    "shape": lambda name, p: ["generate", name, "--n", "20", "--p", str(p)],
+    "hole": lambda name, p: ["hole", name, "--n", "20", "--p", str(p)],
+    "preset": lambda name, p: ["preset", name, "--p", str(p)],
+}
+
+
+def test_every_default_p_is_at_least_its_minimum():
+    assert len(MINIMUMS) == 15
+    for what, name in TARGETS:
+        info = REGISTRIES[what][name]
+        assert info.defaults.get("p", info.min_p) >= info.min_p, info.what
+
+
+def _scene_of(name, p):
+    return MultiClusterSpec(
+        n=(20, 20, 20), k=3, loc=np.zeros((3, p)), scale=(1, 1, 1), shape=("gaussian", "unifcube", name),
+    )
+
+
+@pytest.mark.parametrize("what, name", MINIMUMS)
+def test_p_below_the_minimum_is_refused_everywhere_before_sampling(what, name, tmp_path, capsys, monkeypatch):
+    from hdshapes import composer
+
+    info = REGISTRIES[what][name]
+    low = info.min_p - 1
+    refusal = re.escape(f"{info.what} needs p >= {info.min_p}, got p = {low}")
+    calls = []
+    sample = composer.generate
+    monkeypatch.setattr(composer, "generate", lambda *a, **kw: calls.append(a) or sample(*a, **kw))
+    for build in (BY_NAME[what], DIRECT[what]):
+        with pytest.raises(DimensionError, match=refusal):
+            build(name, {"n": 20, "p": low})
+    capsys.readouterr()
+    assert main([*CLI_P[what](name, low), "--seed", "1", "--out", str(tmp_path / "low.csv")]) == 2
+    assert re.search(refusal, capsys.readouterr().err)
+    assert os.listdir(tmp_path) == []
+    if what == "shape":
+        with pytest.raises(DimensionError, match=refusal):
+            gen_multicluster(_scene_of(name, low), seed=1)
+    assert calls == []
+
+    # At the minimum, every entry point builds.
+    for build in (BY_NAME[what], DIRECT[what]):
+        build(name, {"n": 20, "p": info.min_p})
+    assert main([*CLI_P[what](name, info.min_p), "--seed", "1", "--out", str(tmp_path / "ok.csv")]) == 0
+    if what == "shape":
+        assert gen_multicluster(_scene_of(name, info.min_p), seed=1).p == info.min_p
 
 
 # ---------------------------------------------------------------------------

@@ -714,6 +714,14 @@ def test_trefoil3d_is_stereographic_image():
     assert np.abs(d3 - mapped).max() < 1e-12
 
 
+@pytest.mark.parametrize("steps", [1, 2, 3, 8, 1000, 100_000])
+def test_trefoil_band_stays_off_the_projection_pole(steps):
+    n = max(steps, 500)
+    x4 = gen_trefoil4d(n, steps=steps, seed=1).points[:, 3]
+    assert np.abs(x4).max() <= np.sin(np.pi / 4 + 0.1) < 0.78
+    assert gen_trefoil3d(n, steps=steps, seed=1).n == n
+
+
 def test_trefoil_closure_frequency():
     # the 1.5-frequency pair returns to its start only after phi moves 4 pi
     theta = np.pi / 4

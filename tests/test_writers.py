@@ -169,13 +169,13 @@ def test_without_fork_the_writers_run_in_one_process(tmp_path, monkeypatch):
         assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes(), fmt
 
 
-def _fail_in_rows(monkeypatch, fails) -> None:
-    """Make formatting raise for the shares of rows `fails` picks."""
+def _fail_in_rows(monkeypatch, fails, error=OSError) -> None:
+    """Make formatting raise `error` for the shares of rows `fails` picks."""
     real = cli._format_rows
 
     def format_rows(fh, ds, template, tails, rows):
         if fails(rows):
-            raise OSError(f"no space left for rows {rows.start}-{rows.stop}")
+            raise error(f"no space left for rows {rows.start}-{rows.stop}")
         real(fh, ds, template, tails, rows)
 
     monkeypatch.setattr(cli, "_format_rows", format_rows)
@@ -198,8 +198,9 @@ def test_a_failing_child_makes_the_cli_exit_3(tmp_path, monkeypatch, capfd):
     captured = capfd.readouterr()
     assert "wrote" not in captured.out
     assert "I/O error: the process formatting rows" in captured.err and "no space left" in captured.err
-    # No manifest and no temporary file: the child exits without returning.
-    assert os.listdir(tmp_path) == ["scene.csv"]
+    # No data file, no manifest and no temporary file: the child exits
+    # without returning, and the parent removes the file it was writing.
+    assert os.listdir(tmp_path) == []
     assert _no_children_left()
 
 
@@ -213,5 +214,31 @@ def test_a_failing_parent_kills_and_reaps_its_children(tmp_path, monkeypatch, ca
     captured = capfd.readouterr()
     assert "wrote" not in captured.out
     assert "I/O error: no space left for rows 0-" in captured.err
-    assert os.listdir(tmp_path) == ["scene.ndjson"]
+    assert os.listdir(tmp_path) == []
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("how", ["fails", "interrupted"])
+@pytest.mark.parametrize("fmt", sorted(WRITERS))
+def test_a_failed_rewrite_leaves_the_old_file_and_manifest(tmp_path, monkeypatch, capfd, fmt, how):
+    _cpus(monkeypatch, 2)
+    out = tmp_path / f"scene.{fmt}"
+    man = tmp_path / f"scene.{fmt}.manifest.json"
+    argv = ["preset", "gaucircles", "--n", str(3 * _CHUNK_ROWS), "--format", fmt, "--out", str(out)]
+    assert main(argv + ["--seed", "1"]) == 0
+    data, manifest = out.read_bytes(), man.read_bytes()
+    reference = tmp_path / "reference"
+    open(reference, "x").close()
+    assert os.stat(out).st_mode == os.stat(reference).st_mode  # the umask's mode, not mkstemp's 0600
+    os.remove(reference)
+    if how == "fails":
+        _fail_in_rows(monkeypatch, lambda rows: rows.start > 0)
+        assert main(argv + ["--seed", "2"]) == 3
+    else:
+        _fail_in_rows(monkeypatch, lambda rows: rows.start == 0, KeyboardInterrupt)  # as SIGINT raises it
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + ["--seed", "2"])
+    capfd.readouterr()
+    assert out.read_bytes() == data and man.read_bytes() == manifest
+    assert sorted(os.listdir(tmp_path)) == sorted([out.name, man.name])
     assert _no_children_left()
