@@ -18,8 +18,10 @@ import itertools
 import threading
 import warnings
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -182,7 +184,8 @@ class MultiClusterSpec:
     each realized matrix (or None). `loc` and each matrix are read-only
     copies, so changing the caller's arrays afterwards changes no scene.
     `extras` is a dict of shape parameters applied to every cluster whose
-    kind accepts them, or a per-cluster list of dicts. A value of the wrong
+    kind accepts them, or a per-cluster list of dicts; the spec holds a
+    read-only mapping per cluster. A value of the wrong
     kind (a bool for a count, a string for a number) is refused with a
     ParameterError, never converted.
     """
@@ -194,7 +197,7 @@ class MultiClusterSpec:
     shape: tuple[str, ...]
     rotation: tuple | None = None
     is_bkg: bool = False
-    extras: dict | tuple[dict, ...] | None = None
+    extras: dict | tuple[Mapping, ...] | None = None
 
     def __post_init__(self):
         put = partial(object.__setattr__, self)  # frozen: each checked value is set once, here
@@ -221,22 +224,29 @@ class MultiClusterSpec:
             put("rotation", tuple(None if r is None else _read_only(_rotation_matrix(r)) for r in rot))
         put("extras", self._normalized_extras())
 
+    def __reduce__(self):
+        # A mappingproxy does not pickle, so pickle and deepcopy rebuild the
+        # spec from plain dicts.
+        extras = tuple(dict(ex) for ex in self.extras)
+        return type(self), (self.n, self.k, self.loc, self.scale, self.shape, self.rotation, self.is_bkg, extras)
+
     @property
     def p(self) -> int:
         return self.loc.shape[1]
 
-    def _normalized_extras(self) -> tuple[dict, ...]:
-        """One dict of extras per cluster. A per-cluster list is checked here;
-        the values of scene-wide extras, which go to every cluster whose shape
-        takes the key, are checked per cluster by gen_multicluster."""
+    def _normalized_extras(self) -> tuple[MappingProxyType, ...]:
+        """One read-only mapping of extras per cluster. A per-cluster list is
+        checked here; the values of scene-wide extras, which go to every
+        cluster whose shape takes the key, are checked per cluster by
+        gen_multicluster."""
         if self.extras is None:
-            return tuple({} for _ in range(self.k))
+            return tuple(MappingProxyType({}) for _ in range(self.k))
         if isinstance(self.extras, dict):
             accepted_anywhere = set()
             per_cluster = []
             for kind in self.shape:
                 ok = set(shape_info(kind).params)
-                per_cluster.append({k: v for k, v in self.extras.items() if k in ok})
+                per_cluster.append(MappingProxyType({k: v for k, v in self.extras.items() if k in ok}))
                 accepted_anywhere |= ok & set(self.extras)
             rejected = sorted(set(self.extras) - accepted_anywhere)
             if rejected:
@@ -247,12 +257,12 @@ class MultiClusterSpec:
             return tuple(per_cluster)
         extras = tuple({} if e is None else e for e in _entries(self.extras, "extras", self.k))
         for kind, ex in zip(self.shape, extras):
-            if not isinstance(ex, dict):
+            if not isinstance(ex, Mapping):
                 raise ParameterError(f"extras entries must be objects (or null), got {ex!r}")
             if "n" in ex:
                 raise RejectedParameterError(f"extras cannot set n of shape '{kind}': the spec's n does")
             check_params(shape_info(kind), ex)
-        return tuple(dict(ex) for ex in extras)
+        return tuple(MappingProxyType(dict(ex)) for ex in extras)
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "MultiClusterSpec":

@@ -682,99 +682,52 @@ def gen_pyrfrac(n: int, p: int = 3, seed=None) -> Dataset:
     return _adopt(_chaos_game(picks, rng.random(p)))
 
 
-# 2^-k for k up to _chaos_game's largest block (p = 2); 0 from k = 1075.
-_POW2 = np.ldexp(1.0, -np.arange(2049))
+# 2^-k for k <= 1075; 2^-1075 rounds to 0, as does every smaller power.
+_POW2 = np.ldexp(1.0, -np.arange(1076))
 
 
 def _chaos_game(picks: np.ndarray, t0: np.ndarray) -> np.ndarray:
-    """The iterates of `t = 0.5 * (t + vertices[picks[i]])` from `t = t0`,
-    where vertex 0 is the origin and vertex c + 1 is e_c, bit for bit as
-    that loop computes them, without a Python step per row.
+    """The iterates of `t = 0.5 * (t + vertices[picks[i]])` from `t = t0`
+    (vertex 0 the origin, vertex c + 1 e_c), bit for bit as that loop
+    computes them, one column at a time.
 
-    In column c, a step that picks c + 1 (a "hit") sets the value to
-    0.5 * (t + 1.0), which rounds; every other step halves it, which is
-    exact while the result is at least 2^-1022. So a hit's value is
-    0.5 * (prev * 2^-g + 1.0), g being the halvings since the column's
-    previous hit (or since t0): a product below 2^-1022 is smaller than
-    2^-53 and leaves 1.0 unchanged, however many times it was rounded.
-    One Python pass over the hits, column by column, gives their values
-    (2^-g is 0 for g > 1074, which that argument also covers). A cell is
-    then its segment's start value times 2^-k, k steps after it, from
-    exact powers of two.
-
-    The fill goes in row blocks: the whole block is the row before it times
-    2^-k, then each hit rewrites its own column up to the column's next hit
-    or the block's end. Where a segment falls below 2^-1022 the fill no
-    longer matches repeated halving, so those cells are redone one halving
-    at a time from the last exact cell. Within 54 halvings the loop's value
-    is 0, and within 56 the fill's is too (each block carries at most
-    4/3 of half the least subnormal), so 64 halvings cover the difference.
+    In column c a step that picks c + 1 (a "hit") sets t to 0.5 * (t + 1.0),
+    which rounds; every other step halves t, exactly while t is at least
+    2^-1022. So a hit's value is 0.5 * (prev * 2^-g + 1.0), g the halvings
+    since the previous hit (or t0): a prev below 2^-1022 is below 2^-53 and
+    leaves 1.0 as it is, however it was rounded. Every other cell is its
+    run's start value times 2^-k. Below 2^-1022 that product can differ
+    from repeated halving, so those cells are redone one halving at a time
+    from the last exact cell; within 54 halvings both are 0.
     """
     n, p = len(picks), len(t0)
     out = np.empty((n, p))
-    # Segments: each column's run from t0 (start row -1), then one run per
-    # hit. Sorting them by column, stably, lists each column's runs in row
-    # order after its t0 run.
-    hit = np.flatnonzero(picks)
-    start = np.concatenate((np.full(p, -1), hit))
-    col = np.concatenate((np.arange(p), picks[hit] - 1))
-    order = np.argsort(col, kind="stable")
-    start_s, col_s = start[order], col[order]
-    same = col_s[1:] == col_s[:-1]
-    end_s = np.full(len(start), n)
-    end_s[:-1][same] = start_s[1:][same]
-    end = np.empty_like(end_s)
-    end[order] = end_s
-    gap = np.minimum(np.diff(start_s, prepend=-1) - 1, 1075)
-
-    value_s = np.empty(len(start))
-    bounds = np.flatnonzero(np.diff(col_s, prepend=-1, append=p)).tolist()
-    for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        v = float(t0[c])
-        values = [v]
-        for f in _POW2[gap[lo + 1 : hi]].tolist():
-            v = 0.5 * (v * f + 1.0)
-            values.append(v)
-        value_s[lo:hi] = values
-    value = np.empty_like(value_s)
-    value[order] = value_s
-
-    # The fill, in spans of whole blocks that hold ~2^16 cells, so that each
-    # hit's cells in its own block (flat indices and values) stay small.
-    block = min(n, max(32, 4096 // p))
-    span = block * max(1, 2**16 // (block * p))
-    hit_col, hit_value, hit_end = col[p:], value[p:], end[p:]
-    edges = np.searchsorted(hit, np.arange(0, n + span, span)).tolist()
-    cells = out.reshape(-1)
-    carry = t0
-    for r0, j0, j1 in zip(range(0, n, span), edges, edges[1:]):
-        h = hit[j0:j1]
-        length = np.minimum(hit_end[j0:j1], (h // block + 1) * block) - h
-        stop = np.cumsum(length)
-        off = np.arange(stop[-1] if len(stop) else 0) - np.repeat(stop - length, length)
-        flat = np.repeat(h * p + hit_col[j0:j1], length) + off * p
-        fix = np.repeat(hit_value[j0:j1], length) * _POW2[off]
-        rows = np.arange(r0, min(r0 + span, n), block)
-        cut = np.concatenate(([0], stop))[np.searchsorted(h, rows)].tolist() + [len(off)]
-        for b, lo, hi in zip(rows.tolist(), cut, cut[1:]):
-            e = min(b + block, n)
-            np.multiply(_POW2[1 : e - b + 1, None], carry, out=out[b:e])
-            cells[flat[lo:hi]] = fix[lo:hi]
-            carry = out[e - 1]
-
-    # Cells below 2^-1022: a segment starting at w = m * 2^E (0.5 <= m < 1)
-    # is exact for k <= E + 1021 halvings.
-    k0 = np.maximum(np.frexp(value)[1] + 1021, 0)
-    row = start + k0
-    low = row + 1 < end
-    if low.any():
-        row, c, e = row[low], col[low], end[low]
-        x = np.ldexp(value[low], -k0[low])
+    rows = np.arange(n)
+    redo = []
+    for c in range(p):
+        hit = picks == c + 1
+        start = np.concatenate(([-1], np.flatnonzero(hit)))
+        values = [float(t0[c])]
+        for f in _POW2[np.minimum(np.diff(start) - 1, 1075)].tolist():
+            values.append(0.5 * (values[-1] * f + 1.0))
+        values = np.array(values)
+        run = np.cumsum(hit)
+        k = np.minimum(rows - start[run], 1075)
+        np.multiply(values[run], _POW2[k], out=out[:, c])
+        # A run from w = m * 2^E (0.5 <= m < 1) is exact for k <= E + 1021.
+        k0 = np.maximum(np.frexp(values)[1] + 1021, 0)
+        end = np.append(start[1:], n)
+        low = start + k0 + 1 < end
+        if low.any():
+            x = np.ldexp(values[low], -k0[low])
+            redo.append((start[low] + k0[low], np.full(len(x), c), end[low], x))
+    if redo:
+        row, col, end, x = map(np.concatenate, zip(*redo))
         for _ in range(64):
             x = 0.5 * x
             row = row + 1
-            keep = row < e
-            out[row[keep], c[keep]] = x[keep]
+            keep = row < end
+            out[row[keep], col[keep]] = x[keep]
     return out
 
 
@@ -898,8 +851,9 @@ def gen_clusteredspheres(
 
     The big sphere (radius r_vec[0]) is centered at the origin; each small
     sphere (radius r_vec[1]) is centered at a draw from N(0, spe^2 I_3).
-    Sizes come from n_vec = (n_big, n_each_small); when only a total n is
-    given, each small sphere gets n // (2 k_small) points and the big one
+    Sizes come from n_vec = (n_big, n_each_small), and an n given beside it
+    must equal its total n_big + k_small * n_each_small; when only a total n
+    is given, each small sphere gets n // (2 k_small) points and the big one
     the remainder. Rows are labeled "big" and "small_1".."small_k".
     """
     r1, r2 = float(r_vec[0]), float(r_vec[1])
@@ -909,6 +863,11 @@ def gen_clusteredspheres(
         raise ParameterError("spe must be positive")
     if n_vec is not None:
         n1, n2 = _check_n(n_vec[0], "n_vec"), _check_n(n_vec[1], "n_vec")
+        if n is not None and n != n1 + k_small * n2:
+            raise ParameterError(
+                f"n = {n} differs from the total of n_vec = ({n1}, {n2}) with "
+                f"k_small = {k_small}: {n1} + {k_small} * {n2} = {n1 + k_small * n2}"
+            )
     elif n is not None:
         n2 = max(1, n // (2 * k_small))
         n1 = n - k_small * n2

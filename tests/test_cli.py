@@ -233,9 +233,11 @@ def test_env_seed_fallback(tmp_path):
         (["generate", "cone", "--seed", "1"], {}, "generate needs --n"),
         # Path("") is the working directory: refused before any row is built.
         (["generate", "cone", "--n", "200000", "--seed", "1", "--out", ""], {}, "--out must not be empty"),
+        (["generate", "clusteredspheres", "--n", "40", "--n-vec", "30", "10", "--seed", "1"], {},
+         "n = 40 differs from the total of n_vec = (30, 10) with k_small = 3: 30 + 3 * 10 = 60"),
     ],
     ids=["env-seed", "missing-config", "invalid-config", "missing-manifest", "invalid-manifest",
-         "no-shape", "no-n", "empty-out"],
+         "no-shape", "no-n", "empty-out", "n-beside-n-vec"],
 )
 def test_documented_usage_errors_exit_2(argv, env, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -471,13 +473,15 @@ def test_malformed_manifest_exits_2(corrupt, named, tmp_path, capsys):
         (lambda m: {**m, "command": "preset", "spec": {"name": "multigau", "params": {"n": 2.5}}}, "n must be a positive integer, got 2.5"),
         (lambda m: {**m, "spec": {"kind": "quadratic", "n": 5, "params": {"range": [0, 1, 2]}}}, "range must be a list of 2 numbers"),
         (lambda m: {**m, "spec": {"kind": "clusteredspheres", "n": None, "params": {"n_vec": [9, "3"]}}}, "n_vec must be a list of 2 integers"),
+        (lambda m: {**m, "spec": {"kind": "clusteredspheres", "n": 60, "params": {"k_small": 2, "n_vec": [30, 10]}}},
+         "n = 60 differs from the total of n_vec = (30, 10) with k_small = 2: 30 + 2 * 10 = 50"),
         (lambda m: {**m, "spec": {"kind": "orglinearbranches", "n": 9, "params": {"allow_share": 1}}}, "allow_share must be true or false"),
         (lambda m: {**m, "command": "multicluster", "spec": {"config": USAGE_CONFIG, "shuffle": "no"}}, "shuffle must be true or false"),
     ],
     ids=["unknown-hole-param", "generate-seed", "preset-seed", "generate-kind", "generate-n", "preset-name",
          "hole-kind", "infinite-r-hole", "string-r-hole", "hole-without-n", "string-h",
          "list-p", "bool-p", "string-n", "string-preset-n", "fractional-preset-n", "long-pair", "string-in-pair",
-         "number-for-flag", "string-shuffle"],
+         "n-beside-n-vec", "number-for-flag", "string-shuffle"],
 )
 def test_hand_edited_params_exit_2(corrupt, named, tmp_path, capsys):
     man = tmp_path / "bad.manifest.json"

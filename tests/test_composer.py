@@ -1,6 +1,8 @@
 import collections
+import copy
 import dataclasses
 import os
+import pickle
 import sys
 import threading
 import time
@@ -327,6 +329,39 @@ def test_a_spec_is_immutable(field, value):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(spec, field, value)
     assert gen_multicluster(spec, seed=3).points.tobytes() == before
+
+
+def test_a_spec_holds_read_only_extras():
+    spec = usage_spec(extras=({}, {"h": 2.0}, {}))
+    before = gen_multicluster(spec, seed=3).points.tobytes()
+    with pytest.raises(TypeError):
+        spec.extras[1]["h"] = 5.0  # changed the next scene's bytes
+    with pytest.raises(TypeError):
+        spec.extras[0]["p"] = 2
+    assert gen_multicluster(spec, seed=3).points.tobytes() == before
+    copies = (
+        pickle.loads(pickle.dumps(spec)),
+        copy.deepcopy(spec),
+        dataclasses.replace(spec, is_bkg=False),
+        usage_spec(extras=spec.extras),
+    )
+    for other in copies:
+        assert other.extras == spec.extras
+        with pytest.raises(TypeError):
+            other.extras[1]["h"] = 5.0
+        assert gen_multicluster(other, seed=3).points.tobytes() == before
+
+
+def test_a_clusteredspheres_cluster_count_must_equal_its_n_vec_total():
+    spec = MultiClusterSpec(
+        n=(40, 50), k=2, loc=np.zeros((2, 3)), scale=(1.0, 1.0), shape=("gaussian", "clusteredspheres"),
+        extras=({}, {"n_vec": (30, 10)}),
+    )
+    # The cluster had 60 rows, not the 50 the spec asks for.
+    with pytest.raises(ParameterError, match=r"n = 50 differs .* = 60"):
+        gen_multicluster(spec, seed=1)
+    scene = gen_multicluster(dataclasses.replace(spec, n=(40, 60)), seed=1)
+    assert collections.Counter(scene.labels.tolist()) == {"gaussian": 40, "clusteredspheres": 60}
 
 
 def test_a_spec_holds_read_only_copies_of_loc_and_rotations():

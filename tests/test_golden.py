@@ -197,7 +197,7 @@ CLI_CASES = {
     "generate/cone.ndjson": ["generate", "cone", "--n", "40", "--seed", "9", "--format", "ndjson"],
     "generate/swissroll.csv": ["generate", "swissroll", "--n", "30", "--w", "1", "5", "--seed", "8"],
     "generate/clusteredspheres.csv": [
-        "generate", "clusteredspheres", "--n", "60", "--k-small", "2", "--n-vec", "30", "10",
+        "generate", "clusteredspheres", "--n", "50", "--k-small", "2", "--n-vec", "30", "10",
         "--r-vec", "5", "1", "--seed", "7",
     ],
     "generate/orglinearbranches.ndjson": [

@@ -7,9 +7,11 @@ a replayed manifest. The library raises a ParameterError naming the
 parameter; the CLI exits 2, names it and writes no data file.
 """
 
+import itertools
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from hdshapes import (
     SHAPES,
     Dataset,
     DimensionError,
+    LatticeSizeWarning,
     MultiClusterSpec,
     ParameterError,
     gen_multicluster,
@@ -266,6 +269,52 @@ def test_p_below_the_minimum_is_refused_everywhere_before_sampling(what, name, t
     assert main([*CLI_P[what](name, info.min_p), "--seed", "1", "--out", str(tmp_path / "ok.csv")]) == 0
     if what == "shape":
         assert gen_multicluster(_scene_of(name, info.min_p), seed=1).p == info.min_p
+
+
+# ---------------------------------------------------------------------------
+# No accepted parameter is ignored, alone or beside another
+
+N = 30  # the n of a target whose n has no default
+SPD = np.eye(4) + 0.5  # gaussian's covariance s at its default p = 4
+
+
+def _away(info, param):
+    """A value of `param` other than its default (for a required n, other than N)."""
+    kind, nargs = info.kinds[param]
+    value = info.defaults.get(param, N)
+    if kind is None:
+        return SPD
+    if value is None:
+        return N if nargs is None else (N,) * nargs
+    if kind is bool:
+        return not value
+    step = (N if param == "n" else 1) if kind is int else 0.25
+    return value + step if nargs is None else tuple(v + step for v in value)
+
+
+def _output(what, name, params):
+    """The bytes and labels a build gives, or None if it is refused."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LatticeSizeWarning)
+            ds = BY_NAME[what](name, params)
+    except ParameterError:
+        return None
+    return ds.points.tobytes(), None if ds.codes is None else ds.codes.tobytes(), ds.categories
+
+
+@pytest.mark.parametrize("what, name", [pytest.param(*target, id="-".join(target)) for target in TARGETS])
+def test_no_parameter_is_inert_alone_or_beside_another(what, name):
+    info = REGISTRIES[what][name]
+    base = {"n": info.defaults.get("n", N)}
+    away = {param: _away(info, param) for param in info.kinds}
+    alone = {param: _output(what, name, {**base, param: value}) for param, value in away.items()}
+    inert = [param for param, out in alone.items() if out is not None and out == _output(what, name, base)]
+    for first, second in itertools.permutations(away, 2):
+        both = _output(what, name, {**base, first: away[first], second: away[second]})
+        if both is not None and both == alone[first]:
+            inert.append(f"{second} beside {first}")
+    assert inert == [], f"{info.what} ignores {', '.join(inert)}"
 
 
 # ---------------------------------------------------------------------------

@@ -597,6 +597,16 @@ def _picks(*runs):
     return np.array([c for count, c in runs for _ in range(count)], dtype=np.int64)
 
 
+# Runs of 1073-1076 non-hits, after t0 and after hits of 0.5, 0.75 and 0.875:
+# where the fill's clip at 2^-1075 (which is 0) meets the halvings redone
+# below 2^-1022.
+_BOUNDARY_GAPS = (1073, 1074, 1075, 1076)
+
+
+def _gap_picks(gap):
+    return _picks((gap, 0), (1, 1), (1, 2), (1, 2), (1, 3), (1, 3), (1, 3), (gap, 0), (1, 1), (1, 2), (1, 3), (2, 0))
+
+
 @pytest.mark.parametrize(
     "picks, t0",
     [
@@ -606,8 +616,12 @@ def _picks(*runs):
         (_picks((1300, 0)), [0.4, 1.0]),
         (np.random.default_rng(3).choice(4, 20000, p=[0.998, 0.001, 0.001, 0.0]), [0.0, 1.0, _SUBNORMAL]),
         (np.random.default_rng(4).choice(3, 5000, p=[0.0005, 0.0005, 0.999]), [1e-300, 2.0**-1022]),
+        *((_gap_picks(gap), [2.0**-1022, 5e-324, 0.0]) for gap in _BOUNDARY_GAPS),
     ],
-    ids=["long-gaps", "special-t0", "subnormal-t0-hit-first", "never-hit", "sparse-hits", "one-column-hit"],
+    ids=[
+        "long-gaps", "special-t0", "subnormal-t0-hit-first", "never-hit", "sparse-hits", "one-column-hit",
+        *(f"gap-{gap}" for gap in _BOUNDARY_GAPS),
+    ],
 )
 def test_chaos_game_matches_row_loop_on_hand_built_picks(picks, t0):
     got = _chaos_game(picks, np.array(t0))
@@ -677,6 +691,17 @@ def test_clusteredspheres_structure():
 def test_clusteredspheres_total_n():
     ds = gen_clusteredspheres(800, seed=38)
     assert ds.n == 800
+
+
+def test_clusteredspheres_n_must_equal_the_n_vec_total():
+    # n = 40 and n = 99 were ignored beside n_vec: both gave the same 60 rows.
+    for n in (40, 99):
+        with pytest.raises(ParameterError, match=rf"n = {n} differs .* n_vec = \(30, 10\) .* 30 \+ 3 \* 10 = 60"):
+            gen_clusteredspheres(n, n_vec=(30, 10), seed=1)
+    with pytest.raises(ParameterError, match=r"n = 60 differs .* 30 \+ 2 \* 10 = 50"):
+        generate("clusteredspheres", 60, k_small=2, n_vec=(30, 10), seed=1)
+    want = gen_clusteredspheres(n_vec=(30, 10), seed=1).points.tobytes()
+    assert generate("clusteredspheres", 60, n_vec=(30, 10), seed=1).points.tobytes() == want
 
 
 def test_hemisphere_structure():
