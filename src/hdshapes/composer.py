@@ -14,6 +14,7 @@ depend on the number of threads or on which thread took which cluster.
 from __future__ import annotations
 
 import contextvars
+import copy
 import itertools
 import threading
 import warnings
@@ -207,8 +208,6 @@ class MultiClusterSpec:
         put("shape", _entries(self.shape, "shape", self.k))
         if not all(_is_kind(v, float) and 0 < v < np.inf for v in self.scale):
             raise ParameterError(f"every scale must be positive and finite, got {self.scale!r}")
-        for kind in self.shape:
-            shape_info(kind)  # raises UnknownShapeError for unregistered kinds
         if not _is_kind(self.is_bkg, bool):
             raise ParameterError(f"is_bkg must be true or false, got {self.is_bkg!r}")
         put("loc", _read_only(_reals(self.loc, f"loc must be a {self.k} x p matrix of numbers")))
@@ -235,34 +234,36 @@ class MultiClusterSpec:
         return self.loc.shape[1]
 
     def _normalized_extras(self) -> tuple[MappingProxyType, ...]:
-        """One read-only mapping of extras per cluster. A per-cluster list is
-        checked here; the values of scene-wide extras, which go to every
-        cluster whose shape takes the key, are checked per cluster by
-        gen_multicluster."""
-        if self.extras is None:
-            return tuple(MappingProxyType({}) for _ in range(self.k))
-        if isinstance(self.extras, dict):
-            accepted_anywhere = set()
-            per_cluster = []
-            for kind in self.shape:
-                ok = set(shape_info(kind).params)
-                per_cluster.append(MappingProxyType({k: v for k, v in self.extras.items() if k in ok}))
-                accepted_anywhere |= ok & set(self.extras)
-            rejected = sorted(set(self.extras) - accepted_anywhere)
+        """One read-only mapping per cluster, holding copies of the values:
+        an array as a read-only copy, anything else deep-copied. A
+        scene-wide dict (None: the empty dict) goes to every cluster whose
+        shape takes the key, and a key no cluster takes is refused. Only the
+        structure is checked here; gen_multicluster checks every value, with
+        the scene's p, before any cluster is sampled."""
+        if self.extras is None or isinstance(self.extras, dict):
+            scene = self.extras or {}
+            extras = [{key: v for key, v in scene.items() if key in shape_info(kind).params} for kind in self.shape]
+            rejected = sorted(set(scene).difference(*extras))
             if rejected:
                 raise RejectedParameterError(
                     f"extras parameter(s) {', '.join(rejected)} not accepted by any "
                     f"cluster shape in {sorted(set(self.shape))}"
                 )
-            return tuple(per_cluster)
-        extras = tuple({} if e is None else e for e in _entries(self.extras, "extras", self.k))
+        else:
+            extras = [{} if e is None else e for e in _entries(self.extras, "extras", self.k)]
         for kind, ex in zip(self.shape, extras):
+            params = shape_info(kind).params  # raises UnknownShapeError for unregistered kinds
             if not isinstance(ex, Mapping):
                 raise ParameterError(f"extras entries must be objects (or null), got {ex!r}")
             if "n" in ex:
                 raise RejectedParameterError(f"extras cannot set n of shape '{kind}': the spec's n does")
-            check_params(shape_info(kind), ex)
-        return tuple(MappingProxyType(dict(ex)) for ex in extras)
+            rejected = sorted(set(ex).difference(params))
+            if rejected:
+                raise RejectedParameterError(f"extras parameter(s) {', '.join(rejected)} not accepted by shape '{kind}'")
+        return tuple(
+            MappingProxyType({key: _read_only(v) if isinstance(v, np.ndarray) else copy.deepcopy(v) for key, v in ex.items()})
+            for ex in extras
+        )
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "MultiClusterSpec":
@@ -376,9 +377,11 @@ def _cluster_labels(shapes: tuple[str, ...]) -> list[str]:
 def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) -> Dataset:
     """Compose a labeled multi-cluster dataset from `spec`.
 
-    Per cluster: generate -> scale -> rotate -> pad -> translate, each
-    cluster on one thread (see `_each_cluster`), straight into its block of
-    the scene array; the bytes do not depend on the number of threads. Shapes
+    Every cluster's parameters are checked, with the scene's p, before any
+    is sampled. Then each cluster is one job (see `_each_cluster`): generate
+    -> scale -> rotate -> pad -> translate -> check, straight into its block
+    of the scene array, or into a block of its own for a lattice with more
+    rows than n; the bytes do not depend on the number of threads. Shapes
     that take a dimension argument receive the scene dimension unless the
     cluster's extras override it; lower-dimensional shapes are padded with
     N(mu, 0.2^2) columns (mu = mean of that cluster's coordinates). With
@@ -413,31 +416,20 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
     n_bkg = max(1, round(0.1 * sum(spec.n))) if spec.is_bkg else 0
     scene = np.empty((guess[-1] + n_bkg, p))
 
-    def place(c: int, ds: Dataset, into: np.ndarray, starts: list) -> None:
-        block = into[starts[c] : starts[c + 1]]
+    def sample_and_place(c: int) -> np.ndarray:
+        ds = generate(spec.shape[c], n=spec.n[c], seed=stream.derive(c).derive(0), **kwargs[c])
+        # A lattice with more rows than n gets a block of its own.
+        block = scene[guess[c] : guess[c + 1]] if ds.n == spec.n[c] else np.empty((ds.n, p))
         target = None if np.isnan(spec.loc[c]).all() else spec.loc[c]
         _place(block, ds.points, spec.scale[c], rotations[c], stream.derive(c).derive(1), target)
         _check_finite(block)  # before the background, which is drawn from the clusters' spread
+        return block
 
-    def sample_and_place(c: int) -> Dataset | None:
-        ds = generate(spec.shape[c], n=spec.n[c], seed=stream.derive(c).derive(0), **kwargs[c])
-        if ds.n != spec.n[c]:
-            return ds  # a lattice with more points than n: placed once every count is known
-        place(c, ds, scene, guess)
-        return None
-
-    unplaced = _each_cluster(spec.k, sample_and_place)
-    counts = [spec.n[c] if ds is None else ds.n for c, ds in enumerate(unplaced)]
-    if counts != list(spec.n):
-        # Move the placed blocks to their offsets, then place the lattices.
-        starts = np.cumsum([0, *counts]).tolist()
-        placed, scene = scene, np.empty((starts[-1] + n_bkg, p))
-        for c, ds in enumerate(unplaced):
-            if ds is None:
-                scene[starts[c] : starts[c + 1]] = placed[guess[c] : guess[c + 1]]
-            else:
-                place(c, ds, scene, starts)
-        del placed
+    blocks = _each_cluster(spec.k, sample_and_place)
+    counts = [len(block) for block in blocks]
+    if counts != list(spec.n):  # a lattice had more rows: every block moves to its offset
+        scene = np.concatenate([*blocks, scene[guess[-1] :]])
+    del blocks
     n_rows = sum(counts)
     names = _cluster_labels(spec.shape)
     if spec.is_bkg:

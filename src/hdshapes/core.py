@@ -110,6 +110,15 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _stream_int(value, name: str) -> int:
+    """`value` as an int if it is a Python or numpy integer (not a bool) in
+    [0, 2**64); anything else is a ParameterError."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (ok and 0 <= int(value) <= _MASK64):
+        raise ParameterError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return int(value)
+
+
 class RandomStream:
     """Seeded random source with deterministic substream derivation.
 
@@ -117,27 +126,25 @@ class RandomStream:
     derivation indices; equal (seed, path) pairs always produce
     bit-identical draws, and distinct paths give statistically independent
     sequences. Typical paths encode a cluster index, then a stage or
-    column index.
+    column index. The seed and every index must be a Python or numpy
+    integer in [0, 2**64); anything else is refused, never coerced.
     """
 
     __slots__ = ("seed", "path", "_rng")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        seed = int(seed)
-        if not 0 <= seed <= _MASK64:
-            raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed}")
-        self.seed = seed
-        self.path = tuple(int(ix) for ix in path)
+        self.seed = _stream_int(seed, "seed")
+        self.path = tuple(_stream_int(ix, "stream index") for ix in path)
         self._rng = None
 
     def derive(self, index: int) -> "RandomStream":
         """Child stream for `index`, independent of this stream's draws."""
-        return RandomStream(self.seed, self.path + (int(index),))
+        return RandomStream(self.seed, (*self.path, index))
 
     def _mixed_seed(self) -> int:
         state = _splitmix64(self.seed)
         for ix in self.path:
-            state = _splitmix64(state ^ _splitmix64(ix & _MASK64))
+            state = _splitmix64(state ^ _splitmix64(ix))
         return state
 
     @property

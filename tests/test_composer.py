@@ -185,6 +185,24 @@ def test_spec_per_cluster_extras_strict():
         )
 
 
+def test_list_extras_values_are_checked_before_sampling_as_dict_extras_are(monkeypatch):
+    """A spec checks the structure of its extras; gen_multicluster checks
+    every value, in either form, before any cluster is sampled."""
+    from hdshapes import composer
+
+    with pytest.raises(ParameterError) as direct:
+        generate("cone", n=10, p=4, ratio="x", seed=1)
+    listed = usage_spec(extras=({}, {"ratio": "x"}, {}))  # builds: the value is not checked yet
+    scene_wide = usage_spec(extras={"ratio": "x"})
+    calls = []
+    monkeypatch.setattr(composer, "generate", lambda *a, **kw: calls.append(a))
+    for spec in (listed, scene_wide):
+        with pytest.raises(ParameterError) as raised:
+            gen_multicluster(spec, seed=1)
+        assert type(raised.value) is type(direct.value) and str(raised.value) == str(direct.value)
+    assert calls == []
+
+
 def test_spec_from_dict_diagnostics():
     cfg = dict(n=[10, 10], k=2, loc=[[0, 0], [1, 1]], scale=[1, 1], shape=["gaussian", "gaussian"])
     assert MultiClusterSpec.from_dict(cfg).k == 2
@@ -349,6 +367,21 @@ def test_a_spec_holds_read_only_extras():
         assert other.extras == spec.extras
         with pytest.raises(TypeError):
             other.extras[1]["h"] = 5.0
+        assert gen_multicluster(other, seed=3).points.tobytes() == before
+    # The spec holds copies of the values: the caller's list and array
+    # changed the next scene's bytes.
+    r_vec, s = [10.0, 1.0], np.eye(4)
+    spec = MultiClusterSpec(
+        n=(40, 60), k=2, loc=np.zeros((2, 4)), scale=(1.0, 1.0), shape=("gaussian", "clusteredspheres"),
+        extras=({"s": s}, {"r_vec": r_vec}),
+    )
+    before = gen_multicluster(spec, seed=3).points.tobytes()
+    r_vec[0], s[0, 0] = 7.0, 4.0
+    assert gen_multicluster(spec, seed=3).points.tobytes() == before
+    assert type(spec.extras[1]["r_vec"]) is list
+    assert not spec.extras[0]["s"].flags.writeable
+    copies = (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), dataclasses.replace(spec, is_bkg=False))
+    for other in copies:
         assert gen_multicluster(other, seed=3).points.tobytes() == before
 
 
@@ -675,6 +708,24 @@ def test_an_interrupt_in_any_cluster_wins_over_an_error(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         gen_multicluster(usage_spec(), seed=4)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_a_lattice_error_is_raised_before_a_later_clusters_error(monkeypatch, cpus):
+    """Cluster 0 is a lattice with more rows than n whose scaled points
+    overflow; cluster 1's generator fails too. The lattice is placed and
+    checked in its own job, so its error is the one a loop meets first."""
+    _cpus(monkeypatch, cpus)
+    spec = MultiClusterSpec(
+        n=(10, 50), k=2, loc=np.full((2, 3), np.nan), scale=(1e308, 1.0), shape=("gridcube", "cone"),
+        extras=({"p": 2}, {"h": -1.0}),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParameterError, match="points must be finite"):
+            gen_multicluster(spec, seed=1)
+    assert [w.category for w in caught] == [LatticeSizeWarning, RuntimeWarning]
+    assert "overflow" in str(caught[1].message)
 
 
 def _two_grids() -> MultiClusterSpec:

@@ -79,6 +79,29 @@ def test_seed_range_is_64_bit():
             as_stream(bad)
 
 
+@pytest.mark.parametrize("bad", [True, False, np.True_, 3.9, 3.0, -1, 2**64, 2**64 + 5, "3", None], ids=repr)
+def test_a_seed_or_index_is_refused_not_coerced(bad):
+    """`make_stream(True)` seeded 1 and `make_stream(3.9)` seeded 3;
+    `derive(s, -1)` drew what `derive(s, 2**64 - 1)` draws, and
+    `derive(s, 2**64 + 5)`, `derive(s, 3.9)` and `derive(s, True)` drew
+    what indices 5, 3 and 1 draw."""
+    with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        make_stream(bad)
+    with pytest.raises(ParameterError, match=r"stream index must be an integer in \[0, 2\*\*64\)"):
+        derive(make_stream(1), bad)
+    with pytest.raises(ParameterError, match=r"stream index must be an integer in \[0, 2\*\*64\)"):
+        RandomStream(1, (0, bad))
+
+
+def test_a_numpy_integer_seed_or_index_is_its_int():
+    top = 2**64 - 1
+    for value, same in ((np.uint64(top), top), (np.int64(5), 5), (np.uint8(0), 0)):
+        assert make_stream(value).rng.random(4).tobytes() == make_stream(same).rng.random(4).tobytes()
+        child = derive(make_stream(1), value)
+        assert child.path == (same,) and type(child.path[0]) is int
+        assert child.rng.random(4).tobytes() == derive(make_stream(1), same).rng.random(4).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Dataset
 
