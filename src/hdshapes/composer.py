@@ -34,6 +34,7 @@ from .core import (
     _adopt,
     _check_finite,
     _check_n,
+    _column_mean_sd,
     _cpu_count,
     _is_kind,
     _number,
@@ -433,12 +434,11 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
     n_rows = sum(counts)
     names = _cluster_labels(spec.shape)
     if spec.is_bkg:
-        clusters = scene[:n_rows]
-        sd = clusters.std(axis=0, ddof=1)
+        mean, sd = _column_mean_sd(scene[:n_rows])
         if not np.isfinite(sd).all():
             raise ParameterError(f"background sd (the clusters' spread) must be finite, got {sd!r}")
         sd[sd == 0] = 1e-9
-        bkg = gen_bkgnoise(n_bkg, p, clusters.mean(axis=0), sd, seed=stream.derive(spec.k))
+        bkg = gen_bkgnoise(n_bkg, p, mean, sd, seed=stream.derive(spec.k))
         scene[n_rows:] = bkg.points
         counts.append(n_bkg)
         names.append("background")

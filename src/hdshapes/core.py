@@ -426,6 +426,79 @@ def gen_nsum(target: int, k: int) -> tuple[int, ...]:
     return (q + 1,) * r + (q,) * (k - r)
 
 
+# Rows per block of the row reductions below: their one scratch buffer holds
+# this many rows (320 KB at p = 10), however many rows the input has.
+_BLOCK_ROWS = 4096
+
+
+def _row_norms(x: np.ndarray, center=None) -> np.ndarray:
+    """Euclidean norm of each row of `x` or, given `center`, of `x - center`.
+
+    The same bits as ``np.linalg.norm(x - center, axis=1)``, without its two
+    temporaries the size of `x` (the difference and its square): each block
+    of `_BLOCK_ROWS` rows is subtracted and squared into one scratch buffer
+    and summed row by row into the result, whose square root is taken in
+    place. The buffer has the layout of `x`, so every row is summed in
+    numpy's order for that layout (pairwise along a C-contiguous row) at any
+    block size.
+    """
+    n = x.shape[0]
+    dist = np.empty(n)
+    buf = np.empty_like(x[:_BLOCK_ROWS])
+    # Near-equal blocks: a last block of one row, after longer ones, would be
+    # summed pairwise where numpy sums a row of a Fortran-order x in order.
+    blocks = -(-n // _BLOCK_ROWS)
+    edges = [n * i // blocks for i in range(blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        block = buf[: hi - lo]
+        rows = x[lo:hi]
+        np.square(rows if center is None else np.subtract(rows, center, out=block), out=block)
+        np.add.reduce(block, axis=1, out=dist[lo:hi])
+    return np.sqrt(dist, out=dist)
+
+
+def _column_mean_sd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and sample (ddof=1) standard deviations of the n x p
+    matrix `x`.
+
+    The same bits as ``x.mean(axis=0)`` and ``x.std(axis=0, ddof=1)``, in
+    two blocked passes over `x` (the sums, then the squared deviations from
+    the mean) and one scratch buffer of `_BLOCK_ROWS` + 1 rows, instead of a
+    temporary the size of `x` and a third pass. numpy sums the rows of a
+    C-contiguous matrix with p >= 2 one after another, so each block is
+    summed with the running sum carried in the buffer's row 0, and the
+    order of additions is numpy's. A single column is summed pairwise
+    instead, which blocks would change, and fewer than 2 rows leave no
+    degree of freedom: in both cases numpy's own calls give the result (and
+    its warnings), and a single column holds no large temporary.
+    """
+    n, p = x.shape
+    if p == 1 or n < 2:
+        return x.mean(axis=0), x.std(axis=0, ddof=1)
+    buf = np.empty((min(n, _BLOCK_ROWS) + 1, p))
+
+    def column_sum(center):
+        # numpy starts a sum from +0.0, so a running sum that does too adds
+        # nothing new: 0.0 + 0.0 + x is 0.0 + x, for x = -0.0 as well.
+        total = np.zeros(p)
+        for lo in range(0, n, _BLOCK_ROWS):
+            rows = x[lo : lo + _BLOCK_ROWS]
+            block = buf[1 : 1 + len(rows)]
+            if center is None:
+                block[...] = rows
+            else:
+                np.square(np.subtract(rows, center, out=block), out=block)
+            buf[0] = total
+            np.add.reduce(buf[: 1 + len(rows)], axis=0, out=total)
+        return total
+
+    mean = column_sum(None)
+    mean /= n
+    sd = column_sum(mean)
+    sd /= n - 1
+    return mean, np.sqrt(sd, out=sd)
+
+
 def normalize_data(ds) -> Dataset:
     """Rescale each column to [0, 1] via (x - min) / (max - min).
 

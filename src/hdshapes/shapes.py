@@ -35,6 +35,7 @@ from .core import (
     _check_n,
     _is_kind,
     _reals,
+    _row_norms,
     as_stream,
     gen_nproduct,
     gen_nsum,
@@ -238,7 +239,7 @@ def generate(kind: str, n: int, seed=None, **params) -> Dataset:
 def _unit_directions(rng, n: int, d: int) -> np.ndarray:
     """n directions uniform on the unit (d-1)-sphere (normalized Gaussians)."""
     v = rng.standard_normal((n, d))
-    norms = np.linalg.norm(v, axis=1)
+    norms = _row_norms(v)
     norms[norms == 0] = 1.0
     v /= norms[:, None]
     return v
@@ -489,6 +490,8 @@ def gen_gridcube(n: int, p: int = 4, seed=None) -> Dataset:
 def gen_unifcube(n: int, p: int = 4, seed=None) -> Dataset:
     """n points uniform in [0, 1]^p, with exact 0/1 vertices filtered out."""
     pts = as_stream(seed).rng.random((n, p))
+    if pts.min() > 0.0:  # `Generator.random` draws from [0, 1): no row is at a vertex
+        return _adopt(pts)
     at_vertex = ((pts == 0.0) | (pts == 1.0)).all(axis=1)
     return _adopt(pts[~at_vertex] if at_vertex.any() else pts)
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .core import Dataset, ParameterError, _number, _reals, as_dataset, as_stream
+from .core import Dataset, ParameterError, _number, _reals, _row_norms, as_dataset, as_stream
 from .shapes import ShapeInfo, _registrar, gen_scurve, gen_unifcube
 
 # The registered wrappers join __all__ after the last registration.
@@ -28,6 +28,10 @@ def gen_hole(ds, r: float, anchor=None) -> Dataset:
     are untouched and labels travel with their rows. The anchor defaults
     to the per-column means. Raises DegenerateHoleError when nothing
     survives and warns when fewer than 10% of rows do.
+
+    The distances are taken one block of rows at a time (`core._row_norms`,
+    the bits of ``np.linalg.norm``), so a call holds the input, the output
+    and one block of rows, not two more copies of the input.
     """
     ds = as_dataset(ds)
     if ds.n == 0:
@@ -39,8 +43,7 @@ def gen_hole(ds, r: float, anchor=None) -> Dataset:
     anchor = _reals(anchor, "anchor must be a vector of numbers", "anchor").ravel()
     if anchor.shape[0] != ds.p:
         raise ParameterError(f"anchor has length {anchor.shape[0]}, dataset has {ds.p} columns")
-    dist = np.linalg.norm(ds.points - anchor, axis=1)
-    keep = dist > r
+    keep = _row_norms(ds.points, anchor) > r
     kept = int(keep.sum())
     if kept == 0:
         raise DegenerateHoleError(f"hole of radius {r} removed all {ds.n} points")

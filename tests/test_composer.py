@@ -471,6 +471,20 @@ def test_a_background_whose_spread_overflows_is_refused():
             gen_multicluster(huge, seed=17)
 
 
+def test_a_one_row_background_scene_is_refused_after_numpys_warnings():
+    """One cluster row leaves the sd no degree of freedom. numpy's own std
+    runs for it, warns as it always has, and gives NaN, which is refused."""
+    spec = MultiClusterSpec(n=(1,), k=1, loc=np.zeros((1, 3)), scale=(1.0,), shape=("gaussian",), is_bkg=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParameterError, match=r"background sd \(the clusters' spread\) must be finite"):
+            gen_multicluster(spec, seed=1)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, "Degrees of freedom <= 0 for slice"),
+        (RuntimeWarning, "invalid value encountered in divide"),
+    ]
+
+
 def test_pipeline_deterministic_including_shuffle():
     a = gen_multicluster(usage_spec(), seed=18)
     b = gen_multicluster(usage_spec(), seed=18)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hdshapes import core
 from hdshapes.core import (
     Dataset,
     ParameterError,
@@ -542,3 +543,53 @@ def test_bkgnoise_counts_must_be_integral(name):
         gen_bkgnoise(**{**args, name: 2.5}, seed=1)
     ref = gen_bkgnoise(**{**args, name: 3}, seed=1).points.tobytes()
     assert gen_bkgnoise(**{**args, name: 3.0}, seed=1).points.tobytes() == ref
+
+
+# ---------------------------------------------------------------------------
+# Row reductions in blocks: the same bits as numpy's whole-array calls
+
+_B = core._BLOCK_ROWS
+_SCALES = pytest.mark.parametrize("scale", [2.0**-30, 1.0, 2.0**30], ids=["2^-30", "1", "2^30"])
+
+
+def _reduction_input(n, p, scale):
+    """n x p values at `scale` around column offsets of a few `scale`s, with
+    scattered +0.0 and -0.0 entries."""
+    rng = np.random.default_rng([n, p])
+    x = scale * (rng.standard_normal((n, p)) + rng.integers(-3, 4, p))
+    x[rng.random((n, p)) < 0.02] = -0.0
+    x[rng.random((n, p)) < 0.02] = 0.0
+    return x
+
+
+@_SCALES
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 8, 9, 10, 16, 17, 129])
+def test_row_norms_match_numpy_bit_for_bit(p, scale):
+    """numpy's pairwise row sum unrolls by 8 and recurses past 128 columns.
+    n is 1 and either side of each block boundary; one row equals the
+    center and one is all -0.0. A Fortran-order input, whose rows numpy
+    sums in order, gives numpy's bits too."""
+    for n in (1, 2, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1):
+        x = _reduction_input(n, p, scale)
+        x[-1] = -0.0
+        center = x[n // 2].copy()
+        for data in (x, np.asfortranarray(x)):
+            got = core._row_norms(data, center)
+            assert got.tobytes() == np.linalg.norm(data - center, axis=1).tobytes(), (n, data.flags.f_contiguous)
+            assert got[n // 2] == 0.0
+            got = core._row_norms(data)
+            assert got.tobytes() == np.linalg.norm(data, axis=1).tobytes(), (n, data.flags.f_contiguous)
+
+
+@_SCALES
+@pytest.mark.parametrize("p", [1, 2, 3, 20])
+def test_column_mean_sd_match_numpy_bit_for_bit(p, scale):
+    """The sums run across 1, 2 and 3 blocks, with n either side of each
+    boundary; a column of -0.0 checks where the sums start."""
+    for n in (2, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1, 3 * _B - 1, 3 * _B, 3 * _B + 1):
+        x = _reduction_input(n, p, scale)
+        if p > 1:
+            x[:, -1] = -0.0
+        mean, sd = core._column_mean_sd(x)
+        assert mean.tobytes() == x.mean(axis=0).tobytes(), n
+        assert sd.tobytes() == x.std(axis=0, ddof=1).tobytes(), n

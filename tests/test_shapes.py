@@ -7,7 +7,7 @@ import pytest
 
 from helpers import ks_stat, trunc_exp_cdf
 
-from hdshapes.core import DimensionError, ParameterError, as_stream, gen_nproduct
+from hdshapes.core import DimensionError, ParameterError, RandomStream, as_stream, gen_nproduct
 from hdshapes.shapes import (
     SHAPES,
     LatticeSizeWarning,
@@ -369,6 +369,29 @@ def test_unifcube_interior():
     assert (ds.points >= 0).all() and (ds.points < 1).all()
     at_vertex = ((ds.points == 0) | (ds.points == 1)).all(axis=1)
     assert not at_vertex.any()
+
+
+def test_unifcube_drops_exactly_the_vertex_rows(monkeypatch):
+    """Given a draw with an exact 0.0, the vertex filter runs: it drops the
+    rows whose coordinates are all 0 or 1, and only those, keeping order."""
+    draw = np.array([
+        [0.25, 0.5, 0.75],
+        [0.0, 0.0, 0.0],
+        [0.0, 0.5, 0.3],
+        [0.6, 0.1, 0.9],
+        [0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0],
+        [0.4, 0.0, 0.0],
+    ])
+
+    class FakeRng:
+        def random(self, size):
+            assert size == draw.shape
+            return draw.copy()
+
+    monkeypatch.setattr(RandomStream, "rng", property(lambda self: FakeRng()))
+    ds = gen_unifcube(7, p=3, seed=1)
+    assert ds.points.tobytes() == draw[[0, 2, 3, 6]].tobytes()
 
 
 def test_unifcube_quadrant_counts():
