@@ -63,7 +63,7 @@ def _shares(n: int) -> list[range]:
 
 
 def _format_rows(fh, ds, template: str, tails: tuple[str, ...], rows: range) -> None:
-    """Write ``template % row + tails[code]`` for each row in `rows`, in chunks.
+    """Write ``template % row + tails[code]`` for each row in `rows` to `fh`, as UTF-8 bytes, in chunks.
 
     `template` holds one ``%r`` per column; ``%r`` of a Python float is its
     shortest round-trip form. `tails` ends the row and holds the formatted
@@ -74,16 +74,16 @@ def _format_rows(fh, ds, template: str, tails: tuple[str, ...], rows: range) -> 
         stop = min(start + _CHUNK_ROWS, rows.stop)
         points = ds.points[start:stop].tolist()
         codes = repeat(0) if ds.codes is None else ds.codes[start:stop].tolist()
-        fh.write("".join([template % tuple(row) + tails[c] for row, c in zip(points, codes)]))
+        fh.write("".join([template % tuple(row) + tails[c] for row, c in zip(points, codes)]).encode())
 
 
-def _format_in_child(open_text, tmp, ds, template, tails, rows: range) -> typing.NoReturn:
+def _format_in_child(tmp, ds, template, tails, rows: range) -> typing.NoReturn:
     """Format `rows` into the temporary file `tmp`, then end the forked
     child: it never returns into the code that forked it."""
     code = 1
     try:
-        with open_text(tmp.fileno(), closefd=False) as out:
-            _format_rows(out, ds, template, tails, rows)
+        _format_rows(tmp, ds, template, tails, rows)
+        tmp.flush()
         code = 0
     except BaseException as exc:
         os.write(2, f"error formatting rows {rows.start} to {rows.stop - 1}: {exc!r}\n".encode())
@@ -91,8 +91,8 @@ def _format_in_child(open_text, tmp, ds, template, tails, rows: range) -> typing
         os._exit(code)
 
 
-def _write_rows(path, head: str, ds, template: str, tails: tuple[str, ...], newline: str | None) -> None:
-    """Write `head`, then every row of `ds`, to `path`, on every CPU available.
+def _write_rows(path, head: str, ds, template: str, tails: tuple[str, ...]) -> None:
+    """Write `head`, then every row of `ds`, to `path` as UTF-8 bytes, on every CPU available.
 
     The parent formats the first share of rows (see `_shares`) straight into
     the file. It forks one child per later share, which formats its rows
@@ -101,23 +101,21 @@ def _write_rows(path, head: str, ds, template: str, tails: tuple[str, ...], newl
     same way whichever process formats it, so the bytes do not depend on
     the number of processes. A child that fails makes the write raise
     OSError; if the parent fails, it kills and reaps its children first.
-    Forking is safe because the CLI runs a single thread.
+    Forking is safe because the CLI runs a single thread; a child ends by
+    `os._exit`, so it never flushes what the parent had buffered.
     """
-    open_text = partial(open, mode="w", encoding="utf-8", newline=newline)
     first, *rest = _shares(ds.n)
     children = []  # (pid, temporary file, rows) not yet reaped, in row order
-    with open_text(path) as fh:
-        fh.write(head)
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
         try:
             for rows in rest:
                 tmp = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
-                fh.flush()  # nothing buffered for the child to inherit
                 pid = os.fork()
                 if pid == 0:
-                    _format_in_child(open_text, tmp, ds, template, tails, rows)
+                    _format_in_child(tmp, ds, template, tails, rows)
                 children.append((pid, tmp, rows))
             _format_rows(fh, ds, template, tails, first)
-            fh.flush()  # the children's bytes go to fh.buffer after it
             while children:
                 pid, tmp, rows = children[0]
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -127,7 +125,7 @@ def _write_rows(path, head: str, ds, template: str, tails: tuple[str, ...], newl
                         what = f"the process formatting rows {rows.start} to {rows.stop - 1}"
                         raise OSError(f"{what} exited with code {code}")
                     tmp.seek(0)
-                    shutil.copyfileobj(tmp, fh.buffer)
+                    shutil.copyfileobj(tmp, fh)
         except BaseException:
             import signal  # only a failed write needs it; start-up does not pay for it
 
@@ -152,7 +150,7 @@ def write_csv(ds, path) -> None:
     else:
         header += ",cluster"
         tails = tuple(_csv_tail(name) for name in ds.categories)
-    _write_rows(path, header + "\r\n", ds, ",".join(["%r"] * ds.p), tails, newline="")
+    _write_rows(path, header + "\r\n", ds, ",".join(["%r"] * ds.p), tails)
 
 
 def write_ndjson(ds, path) -> None:
@@ -161,15 +159,14 @@ def write_ndjson(ds, path) -> None:
         tails = ("}\n",)
     else:
         tails = tuple(f',"cluster":{json.dumps(name)}}}\n' for name in ds.categories)
-    _write_rows(path, "", ds, template, tails, newline=None)
+    _write_rows(path, "", ds, template, tails)
 
 
 _WRITERS = {"csv": write_csv, "ndjson": write_ndjson}
 
 
-def write_manifest(out_path: Path, command: str, seed: int, spec: dict, fmt: str, ds,
-                   warned: list) -> Path:
-    manifest = {
+def write_manifest(out_path: Path, command: str, seed: int, spec: dict, fmt: str, ds, warned: list) -> None:
+    text = json.dumps({
         "tool_version": __version__,
         "output_version": OUTPUT_VERSION,
         "numpy_version": np.__version__,
@@ -183,11 +180,8 @@ def write_manifest(out_path: Path, command: str, seed: int, spec: dict, fmt: str
         "col_count": ds.p,
         "warnings": warned,
         "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
-    man_path = _manifest_path(out_path)
-    text = json.dumps(manifest, indent=2) + "\n"
-    _write_whole(man_path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
-    return man_path
+    }, indent=2)
+    _write_whole(_manifest_path(out_path), lambda tmp: tmp.write_bytes(f"{text}\n".encode()))
 
 
 def _manifest_path(out_path) -> Path:
@@ -198,19 +192,24 @@ def _write_whole(path: Path, write, stale: Path | None = None) -> None:
     """Write `path` whole or not at all: `write(tmp)` fills a new file beside
     it under a random name, made by `open` so that the umask sets its mode,
     then `stale`, if given, is removed and the file is renamed onto `path`.
-    On any exception, an interrupt included, the new file is removed."""
+    On any exception, an interrupt included, the new file is removed; an OSError names `path` instead."""
     # Not named after `path`, so a long target name cannot push it past the
     # file system's limit on name length.
     tmp = path.parent / f".hdshapes-{secrets.token_hex(8)}.tmp"
-    open(tmp, "x").close()
     try:
-        write(tmp)
-        if stale is not None:
-            stale.unlink(missing_ok=True)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        open(tmp, "x").close()
+        try:
+            write(tmp)
+            if stale is not None:
+                stale.unlink(missing_ok=True)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        if exc.filename != str(tmp):
+            raise
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
-from types import MappingProxyType
 
 import numpy as np
 
@@ -97,6 +96,30 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     out = arr.copy()
     out.setflags(write=False)
     return out
+
+
+class _Extras(Mapping):
+    """One cluster's extras, read-only: a lookup hands out a deep copy of the
+    stored value (an array is stored read-only and handed out as it is), so
+    changing what it returns changes no later scene."""
+
+    def __init__(self, values: dict):
+        self._values = {
+            key: _read_only(v) if isinstance(v, np.ndarray) else copy.deepcopy(v) for key, v in values.items()
+        }
+
+    def __getitem__(self, key):
+        value = self._values[key]
+        return value if isinstance(value, np.ndarray) else copy.deepcopy(value)
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:
+        return f"_Extras({self._values!r})"
 
 
 def _entries(value, name: str, k: int) -> tuple:
@@ -225,18 +248,17 @@ class MultiClusterSpec:
         put("extras", self._normalized_extras())
 
     def __reduce__(self):
-        # A mappingproxy does not pickle, so pickle and deepcopy rebuild the
-        # spec from plain dicts.
-        extras = tuple(dict(ex) for ex in self.extras)
-        return type(self), (self.n, self.k, self.loc, self.scale, self.shape, self.rotation, self.is_bkg, extras)
+        # pickle and deepcopy rebuild the spec through its checks, so `loc`
+        # and the rotation matrices come back read-only.
+        return type(self), (self.n, self.k, self.loc, self.scale, self.shape, self.rotation, self.is_bkg, self.extras)
 
     @property
     def p(self) -> int:
         return self.loc.shape[1]
 
-    def _normalized_extras(self) -> tuple[MappingProxyType, ...]:
-        """One read-only mapping per cluster, holding copies of the values:
-        an array as a read-only copy, anything else deep-copied. A
+    def _normalized_extras(self) -> tuple[_Extras, ...]:
+        """One read-only mapping per cluster, holding copies of the values
+        and handing out copies (see `_Extras`). A
         scene-wide dict (None: the empty dict) goes to every cluster whose
         shape takes the key, and a key no cluster takes is refused. Only the
         structure is checked here; gen_multicluster checks every value, with
@@ -261,10 +283,7 @@ class MultiClusterSpec:
             rejected = sorted(set(ex).difference(params))
             if rejected:
                 raise RejectedParameterError(f"extras parameter(s) {', '.join(rejected)} not accepted by shape '{kind}'")
-        return tuple(
-            MappingProxyType({key: _read_only(v) if isinstance(v, np.ndarray) else copy.deepcopy(v) for key, v in ex.items()})
-            for ex in extras
-        )
+        return tuple(_Extras(ex) for ex in extras)
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "MultiClusterSpec":
@@ -401,7 +420,7 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
     kwargs = []
     for c, kind in enumerate(spec.shape):
         info = shape_info(kind)
-        kwargs.append(spec.extras[c] if info.dim is not None else {"p": p, **spec.extras[c]})
+        kwargs.append({**spec.extras[c]} if info.dim is not None else {"p": p, **spec.extras[c]})
         check_params(info, kwargs[c])
         width = info.dim if info.dim is not None else kwargs[c]["p"]
         if width > p:

@@ -9,9 +9,10 @@ import json
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
+import pytest
 
 from helpers import ks_stat, trunc_exp_cdf, pairwise_distances
 
@@ -20,6 +21,7 @@ from hdshapes.core import RotationPlan, gen_rotation
 from hdshapes.noise import gen_noisedims
 from hdshapes.shapes import (
     SHAPES,
+    LatticeSizeWarning,
     gen_cone,
     gen_crescent,
     gen_curvycylinder,
@@ -93,7 +95,8 @@ def test_exact_manifold_suite():
         n = 2000
         pts = gen_unifsphere(n, r=2.0, seed=1).points
         assert np.abs(np.linalg.norm(pts, axis=1) - 2.0).max() < 1e-9
-        pts = gen_gridedsphere(n, p=3).points
+        with pytest.warns(LatticeSizeWarning, match="2025 points, more than n = 2000"):
+            pts = gen_gridedsphere(n, p=3).points
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12
         pts = gen_trefoil4d(n, seed=2).points
         assert np.abs((pts**2).sum(axis=1) - 1.0).max() < 1e-12
@@ -189,8 +192,11 @@ def test_determinism_suite(tmp_path):
     with criterion("determinism suite"):
         t0 = time.perf_counter()
         for kind in SHAPES:
-            a = generate(kind, 200, seed=99)
-            b = generate(kind, 200, seed=99)
+            # Both lattices have more points than n = 200 (256 and 210).
+            lattice = kind in ("gridcube", "gridedsphere")
+            with pytest.warns(LatticeSizeWarning, match="more than n = 200") if lattice else nullcontext():
+                a = generate(kind, 200, seed=99)
+                b = generate(kind, 200, seed=99)
             assert a.points.tobytes() == b.points.tobytes(), kind
             if a.labels is not None:
                 assert a.labels.tolist() == b.labels.tolist(), kind

@@ -380,8 +380,17 @@ def test_a_spec_holds_read_only_extras():
     assert gen_multicluster(spec, seed=3).points.tobytes() == before
     assert type(spec.extras[1]["r_vec"]) is list
     assert not spec.extras[0]["s"].flags.writeable
+    # A lookup hands out a copy: changing the spec's own nested list in
+    # place changed the next scene's bytes.
+    spec.extras[1]["r_vec"][1] = 2.5
+    spec.extras[1]["r_vec"].append(3.0)
+    assert spec.extras[1]["r_vec"] == [10.0, 1.0]
+    assert gen_multicluster(spec, seed=3).points.tobytes() == before
     copies = (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), dataclasses.replace(spec, is_bkg=False))
     for other in copies:
+        assert type(other.extras[1]["r_vec"]) is list
+        assert not other.loc.flags.writeable and not other.extras[0]["s"].flags.writeable
+        other.extras[1]["r_vec"][0] = 7.0
         assert gen_multicluster(other, seed=3).points.tobytes() == before
 
 

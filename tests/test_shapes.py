@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import re
 import warnings
 
@@ -124,12 +125,14 @@ def test_each_registered_function_is_exported_under_its_name():
 
 @pytest.mark.parametrize("kind", sorted(DEFAULT_DIMS))
 def test_default_signature_row_count_and_dim(kind):
-    ds = generate(kind, 120, seed=3)
-    if kind in ("gridcube", "gridedsphere"):  # lattices return ~n points
+    if kind in ("gridcube", "gridedsphere"):  # lattices return ~n points: here 144 and 121
+        with pytest.warns(LatticeSizeWarning, match="more than n = 120"):
+            ds = generate(kind, 120, seed=3)
         p = DEFAULT_DIMS[kind]
         factors = gen_nproduct(120, p if kind == "gridcube" else p - 1)
         assert ds.n == int(np.prod(factors))
     else:
+        ds = generate(kind, 120, seed=3)
         assert ds.n == 120
     assert ds.p == DEFAULT_DIMS[kind]
     assert np.isfinite(ds.points).all()
@@ -137,8 +140,10 @@ def test_default_signature_row_count_and_dim(kind):
 
 @pytest.mark.parametrize("kind", sorted(DEFAULT_DIMS))
 def test_every_kind_is_deterministic(kind):
-    a = generate(kind, 90, seed=517)
-    b = generate(kind, 90, seed=517)
+    # gridcube's lattice has 108 points for n = 90; gridedsphere's has 90.
+    with pytest.warns(LatticeSizeWarning, match="108 points") if kind == "gridcube" else contextlib.nullcontext():
+        a = generate(kind, 90, seed=517)
+        b = generate(kind, 90, seed=517)
     assert a.points.tobytes() == b.points.tobytes()
     if a.labels is not None:
         assert a.labels.tolist() == b.labels.tolist()
@@ -190,11 +195,15 @@ def test_n_must_be_integral():
         assert gen_cone(n, seed=1).points.tobytes() == ref
 
 
+# gridcube's lattice for n = 10 at p = 3 has 12 points.
+_gridcube_p = lambda v: generate("gridcube", 10, p=v)  # noqa: E731
+
+
 @pytest.mark.parametrize(
     "make, name",
     [
         (lambda v: generate("cone", 10, seed=1, p=v), "p"),
-        (lambda v: generate("gridcube", 10, p=v), "p"),
+        (_gridcube_p, "p"),
         (lambda v: generate("linearbranches", 10, seed=1, k=v), "k"),
         (lambda v: generate("orgcurvybranches", 10, seed=1, k=v), "k"),
         (lambda v: generate("clusteredspheres", 60, seed=1, k_small=v), "k_small"),
@@ -208,9 +217,10 @@ def test_counts_and_dimensions_must_be_integral(make, name):
     must = "a list of 2 integers, got (10, 2.5)" if name == "n_vec" else "a positive integer, got 2.5"
     with pytest.raises(ParameterError, match=re.escape(f"{name} must be {must}")):
         make(2.5)
-    ref = make(3).points.tobytes()
-    for value in (3.0, np.int64(3)):
-        assert make(value).points.tobytes() == ref
+    with pytest.warns(LatticeSizeWarning, match="12 points") if make is _gridcube_p else contextlib.nullcontext():
+        ref = make(3).points.tobytes()
+        for value in (3.0, np.int64(3)):
+            assert make(value).points.tobytes() == ref
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +365,12 @@ def test_exact_lattice_does_not_warn():
 
 
 def test_lattices_beyond_64_dims():
-    cube = gen_gridcube(10, p=70).points
+    with pytest.warns(LatticeSizeWarning, match="16 points, more than n = 10"):
+        cube = gen_gridcube(10, p=70).points
     assert cube.shape == (16, 70)
     assert np.array_equal(np.unique(cube, axis=0), cube)  # 16 distinct rows, lexicographic
-    sphere = gen_gridedsphere(10, p=70).points
+    with pytest.warns(LatticeSizeWarning, match="16 points, more than n = 10"):
+        sphere = gen_gridedsphere(10, p=70).points
     assert sphere.shape == (16, 70)
     assert np.abs(np.linalg.norm(sphere, axis=1) - 1.0).max() < 1e-12
 
@@ -693,7 +705,8 @@ def test_hollowsphere_surface():
 
 
 def test_gridedsphere_grid():
-    ds = gen_gridedsphere(1000, p=3)
+    with pytest.warns(LatticeSizeWarning, match="1024 points, more than n = 1000"):
+        ds = gen_gridedsphere(1000, p=3)
     factors = gen_nproduct(1000, 2)
     assert ds.n == int(np.prod(factors))
     assert np.abs(np.linalg.norm(ds.points, axis=1) - 1.0).max() < 1e-12

@@ -218,6 +218,18 @@ def test_a_failing_parent_kills_and_reaps_its_children(tmp_path, monkeypatch, ca
     assert _no_children_left()
 
 
+@pytest.mark.parametrize("target", ["nodir/c.csv", "d.csv"], ids=["missing-directory", "directory"])
+def test_a_failed_write_names_the_users_file(tmp_path, monkeypatch, capfd, target):
+    """A missing directory, and an --out that is a directory: the error
+    names the path the user gave, not the temporary file beside it."""
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("d.csv")
+    assert main(["generate", "cone", "--n", "50", "--seed", "1", "--out", target]) == 3
+    err = capfd.readouterr().err
+    assert err.startswith("I/O error: ") and f"'{target}'" in err and ".hdshapes-" not in err
+    assert os.listdir(tmp_path) == ["d.csv"] and os.listdir("d.csv") == []
+
+
 @pytest.mark.parametrize("how", ["fails", "interrupted"])
 @pytest.mark.parametrize("fmt", sorted(WRITERS))
 def test_a_failed_rewrite_leaves_the_old_file_and_manifest(tmp_path, monkeypatch, capfd, fmt, how):
