@@ -8,16 +8,17 @@ noise, and shuffles rows. Clusters run concurrently: the calling thread and
 one helper thread per further CPU in the process's affinity mask share them
 out, and each samples a cluster and writes it straight into its block of the
 scene array. Each cluster draws from its own substream, so the bytes do not
-depend on the number of threads or on which thread took which cluster.
+depend on the number of threads or on which thread took which cluster. Each
+cluster's warnings are held, and the calling thread issues them in cluster order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import copy
 import itertools
 import threading
-import warnings
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
@@ -35,9 +36,11 @@ from .core import (
     _check_n,
     _column_mean_sd,
     _cpu_count,
+    _holding,
     _is_kind,
     _number,
     _reals,
+    _warn,
     as_dataset,
     as_stream,
     gen_bkgnoise,
@@ -301,37 +304,6 @@ class MultiClusterSpec:
         return cls(**cfg)
 
 
-# Warnings raised by a thread running `_each_cluster` jobs are held, then
-# shown in cluster order. A filter still decides, when a warning is raised,
-# whether it is shown, ignored or raised as an error; only showing it waits.
-_held = threading.local()  # .warnings: the list the current job's warnings go to
-_hold_lock = threading.Lock()
-_hold_users = 0  # calls of _each_cluster running, in any thread
-_show = None  # warnings._showwarnmsg while the hold is installed
-
-
-def _hold_or_show(msg) -> None:
-    held = getattr(_held, "warnings", None)
-    if held is None:
-        _show(msg)
-    else:
-        held.append(msg)
-
-
-def _set_hold(on: bool) -> None:
-    """Install the hold for the first running `_each_cluster`, remove it
-    after the last. `warnings._showwarnmsg` is the one function every shown
-    warning passes through, whether printed, recorded or sent to a
-    replaced `warnings.showwarning`."""
-    global _hold_users, _show
-    with _hold_lock:
-        if on and _hold_users == 0:
-            _show, warnings._showwarnmsg = warnings._showwarnmsg, _hold_or_show
-        _hold_users += 1 if on else -1
-        if not on and _hold_users == 0:
-            warnings._showwarnmsg = _show
-
-
 def _each_cluster(k: int, job) -> list:
     """[job(0), ..., job(k - 1)], run by the calling thread and one helper
     thread per further CPU in the affinity mask, at most one thread per
@@ -339,31 +311,38 @@ def _each_cluster(k: int, job) -> list:
 
     Threads take clusters in increasing order, and none is taken after one
     fails, so every cluster before the first failed one has run: its
-    exception is raised, as a loop over the clusters would raise it, after
-    the warnings of the clusters up to it are shown in cluster order. An
+    exception is raised, as a loop over the clusters would raise it. An
     interrupt (an exception that is not an `Exception`) is raised first.
     Helpers run in copies of the caller's context, so `np.errstate` holds
     in them too.
+
+    Each job holds its warnings in a list of its own (`core._holding`), and
+    numpy's floating-point errors too ("overflow encountered in cluster c")
+    for each kind whose mode is "warn" while no `np.seterrcall` callback is
+    set. After the join, the calling thread issues them cluster by cluster
+    up to the first failed cluster, so warning filters decide in one thread.
     """
     results, errors, held = [None] * k, [None] * k, [[] for _ in range(k)]
     taken = itertools.count()  # next() on it is one call under the interpreter lock
     failed = threading.Event()
+    fp_held = {kind: "call" for kind, mode in np.geterr().items() if mode == "warn" and np.geterrcall() is None}
+
+    def run(c: int):
+        def hold_fp(err: str, flag: int) -> None:
+            held[c].append((f"{err} encountered in cluster {c}", RuntimeWarning))
+
+        with _holding(held[c]), np.errstate(call=hold_fp, **fp_held) if fp_held else contextlib.nullcontext():
+            return job(c)
 
     def work() -> None:
-        outer = getattr(_held, "warnings", None)
-        try:
-            while not failed.is_set() and (c := next(taken)) < k:
-                _held.warnings = held[c]
-                try:
-                    results[c] = job(c)
-                except BaseException as exc:
-                    errors[c] = exc
-                    failed.set()
-        finally:
-            _held.warnings = outer
+        while not failed.is_set() and (c := next(taken)) < k:
+            try:
+                results[c] = run(c)
+            except BaseException as exc:
+                errors[c] = exc
+                failed.set()
 
     helpers = []
-    _set_hold(True)
     try:
         for _ in range(min(k, _cpu_count()) - 1):
             helpers.append(threading.Thread(target=contextvars.copy_context().run, args=(work,)))
@@ -373,13 +352,12 @@ def _each_cluster(k: int, job) -> list:
         failed.set()  # if the calling thread was interrupted, helpers take no more clusters
         for thread in helpers:
             thread.join()
-        _set_hold(False)
     for exc in errors:
         if exc is not None and not isinstance(exc, Exception):
             raise exc
     last = next((c for c, exc in enumerate(errors) if exc is not None), k - 1)
-    for msg in itertools.chain.from_iterable(held[: last + 1]):
-        warnings._showwarnmsg(msg)
+    for message, category in itertools.chain.from_iterable(held[: last + 1]):
+        _warn(message, category, 3)  # the caller of gen_multicluster
     if errors[last] is not None:
         raise errors[last]
     return results

@@ -9,10 +9,13 @@ shuffling, cluster relocation, background noise).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import numbers
 import os
 import secrets
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +48,30 @@ class ParameterError(ValueError):
 
 class DimensionError(ParameterError):
     """A dimension argument is incompatible with a shape or dataset."""
+
+
+_held = contextvars.ContextVar("hdshapes_held_warnings", default=None)
+
+
+def _warn(message: str, category: type[Warning], stacklevel: int) -> None:
+    """Append (message, category) to the list `_holding` set in this context,
+    or else `warnings.warn` it, `stacklevel` counted as `warnings.warn` counts."""
+    held = _held.get()
+    if held is None:
+        warnings.warn(message, category, stacklevel=stacklevel + 1)
+    else:
+        held.append((message, category))
+
+
+@contextlib.contextmanager
+def _holding(events: list):
+    """Within the block, `_warn` appends to `events`. A context variable holds
+    the list, so no other thread's warnings join it and nothing process-wide changes."""
+    token = _held.set(events)
+    try:
+        yield
+    finally:
+        _held.reset(token)
 
 
 def _check_n(value, name: str = "n") -> int:

@@ -20,7 +20,6 @@ import itertools
 import math
 import types
 import typing
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -36,6 +35,7 @@ from .core import (
     _is_kind,
     _reals,
     _row_norms,
+    _warn,
     as_stream,
     gen_nproduct,
     gen_nsum,
@@ -69,8 +69,7 @@ class LatticeSizeWarning(UserWarning):
 
 def _warn_lattice_size(kind: str, count: int, n: int) -> None:
     if count > n:
-        message = f"{kind} lattice has {count} points, more than n = {n}"
-        warnings.warn(message, LatticeSizeWarning, stacklevel=4)
+        _warn(f"{kind} lattice has {count} points, more than n = {n}", LatticeSizeWarning, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .core import Dataset, ParameterError, _number, _reals, _row_norms, as_dataset, as_stream
+from .core import Dataset, ParameterError, _holding, _number, _reals, _row_norms, _warn, as_dataset, as_stream
 from .shapes import ShapeInfo, _registrar, gen_scurve, gen_unifcube
 
 # The registered wrappers join __all__ after the last registration.
@@ -27,7 +25,8 @@ def gen_hole(ds, r: float, anchor=None) -> Dataset:
     Only rows strictly farther than r survive; coordinates and row order
     are untouched and labels travel with their rows. The anchor defaults
     to the per-column means. Raises DegenerateHoleError when nothing
-    survives and warns when fewer than 10% of rows do.
+    survives and warns (`core._warn`: held within `core._holding`) when
+    fewer than 10% of rows do.
 
     The distances are taken one block of rows at a time (`core._row_norms`,
     the bits of ``np.linalg.norm``), so a call holds the input, the output
@@ -48,11 +47,7 @@ def gen_hole(ds, r: float, anchor=None) -> Dataset:
     if kept == 0:
         raise DegenerateHoleError(f"hole of radius {r} removed all {ds.n} points")
     if kept < 0.1 * ds.n:
-        warnings.warn(
-            f"hole retained only {kept}/{ds.n} points ({kept / ds.n:.1%})",
-            HoleRetentionWarning,
-            stacklevel=2,
-        )
+        _warn(f"hole retained only {kept}/{ds.n} points ({kept / ds.n:.1%})", HoleRetentionWarning, 2)
     return ds.take(keep)
 
 
@@ -61,14 +56,13 @@ def _holed_sample(make, n: int, r_hole, stream) -> Dataset:
 
     The removed fraction is estimated from a pilot of size n, then the
     sample is oversampled by 1 / (1 - fraction) plus 10%, doubling up to
-    four more times if too few points survive.
+    four more times if too few points survive. Low retention in the pilot
+    or a draw only sizes the next draw and the sample has n points, so their
+    warnings are held in a list that is dropped, in this context only.
     """
     if not r_hole > 0:  # a finite number: the wrapper's registration checked it
         raise ParameterError(f"hole radius r_hole must be positive, got {r_hole!r}")
-    # Low retention in the pilot or a draw only sizes the next draw; the
-    # returned sample always has n points, so nothing here warns.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HoleRetentionWarning)
+    with _holding([]):
         pilot = make(n, stream.derive(0))
         removed = n - gen_hole(pilot, r_hole).n
         frac = min(removed / n, 0.95)

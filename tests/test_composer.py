@@ -748,7 +748,7 @@ def test_a_lattice_error_is_raised_before_a_later_clusters_error(monkeypatch, cp
         with pytest.raises(ParameterError, match="points must be finite"):
             gen_multicluster(spec, seed=1)
     assert [w.category for w in caught] == [LatticeSizeWarning, RuntimeWarning]
-    assert "overflow" in str(caught[1].message)
+    assert str(caught[1].message) == "overflow encountered in cluster 0"
 
 
 def _two_grids() -> MultiClusterSpec:
@@ -777,10 +777,11 @@ def test_warnings_are_shown_in_cluster_order(monkeypatch, cpus):
     monkeypatch.setattr(composer, "generate", late_first_cluster)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        show, filters, saved = warnings._showwarnmsg, warnings.filters, list(warnings.filters)
         gen_multicluster(_two_grids(), seed=5)
+        assert warnings._showwarnmsg is show and warnings.filters is filters and filters == saved
     assert [str(w.message) for w in caught] == GRID_WARNINGS
     assert {w.category for w in caught} == {LatticeSizeWarning}
-    assert warnings._showwarnmsg is composer._show  # the hold is removed
 
 
 @pytest.mark.parametrize("cpus", [1, 8])
@@ -824,6 +825,32 @@ def test_errstate_holds_in_every_thread(monkeypatch, cpus):
         with pytest.raises(ParameterError, match="points must be finite"):
             gen_multicluster(huge, seed=6)
     assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_a_callers_floating_point_handler_gets_every_clusters_errors(monkeypatch, cpus):
+    """Only the "warn" mode is held for the calling thread; a "call" or
+    "log" handler the caller set gets the overflow from any thread."""
+    _cpus(monkeypatch, cpus)
+    huge = usage_spec(scale=(1.0, 1.0, 1e308))
+    called = []
+    with np.errstate(over="call", call=lambda err, flag: called.append(err)):
+        with pytest.raises(ParameterError, match="points must be finite"):
+            gen_multicluster(huge, seed=6)
+    assert "overflow" in called
+
+    class Log:
+        def __init__(self):
+            self.lines = []
+
+        def write(self, text):
+            self.lines.append(text)
+
+    log = Log()
+    with np.errstate(over="log", call=log):
+        with pytest.raises(ParameterError, match="points must be finite"):
+            gen_multicluster(huge, seed=6)
+    assert any(line.startswith("Warning: overflow encountered in") for line in log.lines)
 
 
 @pytest.mark.parametrize("cpus", [1, 8])

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -110,6 +112,39 @@ def test_holed_wrapper_does_not_warn_for_its_pilot():
     # The same bytes as when the pilot's warning escaped.
     digest = "89a6d32102f1559c2d67fb00f65d28d17b9673b27ce16d347f20a802c4bd4ec2"
     assert hashlib.sha256(ds.points.tobytes()).hexdigest() == digest
+
+
+def test_holed_wrappers_in_many_threads_leave_the_warning_filters_alone():
+    """Threads sampling holed shapes at once change no process-wide warning
+    state, so a later hole that keeps 9 of 1000 rows still warns."""
+    filters, saved = warnings.filters, list(warnings.filters)
+    failures = []
+
+    def draw(t: int) -> None:
+        try:
+            for i in range(200):
+                gen_scurvehole(40, seed=1000 * t + i)
+                gen_unifcubehole(40, p=2, seed=1000 * t + i)
+        except Exception as exc:
+            failures.append(exc)
+
+    threads = [threading.Thread(target=draw, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and failures == []
+    assert warnings.filters is filters and warnings.filters == saved
+    with warnings.catch_warnings(record=True) as caught:  # the filters as they are, no "always"
+        gen_hole(gen_unifcube(1000, p=2, seed=1), 0.66)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (HoleRetentionWarning, "hole retained only 9/1000 points (0.9%)")
+    ]
 
 
 @pytest.mark.parametrize("holed", [gen_scurvehole, gen_unifcubehole])
