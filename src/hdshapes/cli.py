@@ -29,7 +29,6 @@ import typing
 import warnings
 from datetime import datetime, timezone
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +46,13 @@ __all__ = ["main"]
 # Output writers
 
 
-# Rows formatted per write: bounds each process's memory whatever n is.
-# Rows are shared out among processes in whole chunks.
+# Rows are shared out among processes in whole chunks (see `_shares`).
 _CHUNK_ROWS = 1024
+
+# Rows are formatted and written in blocks of about this many bytes before
+# their padding is dropped: bounds each process's memory whatever n, p and
+# the labels are.
+_BLOCK_BYTES = 1 << 18
 
 
 def _shares(n: int) -> list[range]:
@@ -62,27 +65,57 @@ def _shares(n: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _format_rows(fh, ds, template: str, tails: tuple[str, ...], rows: range) -> None:
-    """Write ``template % row + tails[code]`` for each row in `rows` to `fh`, as UTF-8 bytes, in chunks.
+def _padded(texts) -> tuple[np.ndarray, np.ndarray]:
+    """`texts` as UTF-8 bytes, one row each, NUL-padded to the longest, and
+    a mask of the bytes that are theirs."""
+    encoded = [text.encode() for text in texts]
+    width = max(map(len, encoded), default=0)
+    padded = np.frombuffer(b"".join(b.ljust(width, b"\0") for b in encoded), dtype=np.uint8)
+    lengths = np.array([len(b) for b in encoded])
+    return padded.reshape(len(encoded), width), np.arange(width) < lengths[:, None]
 
-    `template` holds one ``%r`` per column; ``%r`` of a Python float is its
-    shortest round-trip form. `tails` ends the row and holds the formatted
-    label of each category, so a label is formatted once, not once per row.
-    An unlabeled dataset passes a single tail.
+
+def _format_rows(fh, ds, heads: tuple[str, ...], tails: tuple[str, ...], rows: range) -> None:
+    """Write each row in `rows` to `fh` as UTF-8 bytes, a block of rows at a time:
+    ``heads[j]`` before column j's value, then ``tails[code]``.
+
+    Each value is written as its repr, the shortest round-trip form, from
+    `_shortest.fields`. `tails` ends the row and holds the formatted label
+    of each category, so a label is formatted once, not once per row. An
+    unlabeled dataset passes a single tail.
+
+    Heads, values and tails are laid side by side in one NUL-padded array
+    per block, and the padding is dropped. Heads hold no NUL byte (a comma,
+    or a column name through `json.dumps`, which escapes it), so their
+    padding goes with the values'. A tail's padding is found by its length
+    instead, so a NUL byte in a label is written as it is.
     """
-    for start in range(rows.start, rows.stop, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, rows.stop)
-        points = ds.points[start:stop].tolist()
-        codes = repeat(0) if ds.codes is None else ds.codes[start:stop].tolist()
-        fh.write("".join([template % tuple(row) + tails[c] for row, c in zip(points, codes)]).encode())
+    from ._shortest import WIDTH, fields  # only writing needs it; start-up does not pay for it
+
+    head, _ = _padded(heads)
+    tail, tail_kept = _padded(tails)
+    cell = head.shape[1] + WIDTH
+    width = ds.p * cell + tail.shape[1]
+    block = max(1, _BLOCK_BYTES // width)
+    for start in range(rows.start, rows.stop, block):
+        stop = min(start + block, rows.stop)
+        line = np.empty((stop - start, width), dtype=np.uint8)
+        cells = line[:, : ds.p * cell].reshape(stop - start, ds.p, cell)
+        cells[:, :, : head.shape[1]] = head
+        cells[:, :, head.shape[1] :] = fields(ds.points[start:stop]).reshape(stop - start, ds.p, WIDTH)
+        codes = 0 if ds.codes is None else ds.codes[start:stop]
+        line[:, ds.p * cell :] = tail[codes]
+        kept = line != 0
+        kept[:, ds.p * cell :] = tail_kept[codes]
+        fh.write(line[kept].tobytes())
 
 
-def _format_in_child(tmp, ds, template, tails, rows: range) -> typing.NoReturn:
+def _format_in_child(tmp, ds, heads, tails, rows: range) -> typing.NoReturn:
     """Format `rows` into the temporary file `tmp`, then end the forked
     child: it never returns into the code that forked it."""
     code = 1
     try:
-        _format_rows(tmp, ds, template, tails, rows)
+        _format_rows(tmp, ds, heads, tails, rows)
         tmp.flush()
         code = 0
     except BaseException as exc:
@@ -91,7 +124,7 @@ def _format_in_child(tmp, ds, template, tails, rows: range) -> typing.NoReturn:
         os._exit(code)
 
 
-def _write_rows(path, head: str, ds, template: str, tails: tuple[str, ...]) -> None:
+def _write_rows(path, head: str, ds, heads: tuple[str, ...], tails: tuple[str, ...]) -> None:
     """Write `head`, then every row of `ds`, to `path` as UTF-8 bytes, on every CPU available.
 
     The parent formats the first share of rows (see `_shares`) straight into
@@ -113,9 +146,9 @@ def _write_rows(path, head: str, ds, template: str, tails: tuple[str, ...]) -> N
                 tmp = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
                 pid = os.fork()
                 if pid == 0:
-                    _format_in_child(tmp, ds, template, tails, rows)
+                    _format_in_child(tmp, ds, heads, tails, rows)
                 children.append((pid, tmp, rows))
-            _format_rows(fh, ds, template, tails, first)
+            _format_rows(fh, ds, heads, tails, first)
             while children:
                 pid, tmp, rows = children[0]
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -150,16 +183,18 @@ def write_csv(ds, path) -> None:
     else:
         header += ",cluster"
         tails = tuple(_csv_tail(name) for name in ds.categories)
-    _write_rows(path, header + "\r\n", ds, ",".join(["%r"] * ds.p), tails)
+    _write_rows(path, header + "\r\n", ds, ("",) + (",",) * (ds.p - 1), tails)
 
 
 def write_ndjson(ds, path) -> None:
-    template = "{" + ",".join(f"{json.dumps(name)}:%r" for name in ds.column_names)
+    heads = tuple(("," if j else "{") + f"{json.dumps(name)}:" for j, name in enumerate(ds.column_names))
     if ds.codes is None:
         tails = ("}\n",)
     else:
         tails = tuple(f',"cluster":{json.dumps(name)}}}\n' for name in ds.categories)
-    _write_rows(path, "", ds, template, tails)
+    if not heads:  # no columns: each tail opens its row
+        tails = tuple("{" + tail for tail in tails)
+    _write_rows(path, "", ds, heads, tails)
 
 
 _WRITERS = {"csv": write_csv, "ndjson": write_ndjson}

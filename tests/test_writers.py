@@ -45,8 +45,12 @@ def reference_ndjson(ds, path) -> None:
 
 WRITERS = {"csv": (write_csv, reference_csv), "ndjson": (write_ndjson, reference_ndjson)}
 
-SPECIAL_VALUES = [-0.0, 0.0, 1e-05, 1e16, 5e-324, -1.5, 0.1, 123456789.0, 2.0**-1074 * 3]
-AWKWARD_LABELS = ["a,b", 'say "hi"', "two\nlines", "", "café ☃", "plain", "cr\r", " pad "]
+# Zeros, subnormals, and both sides of where repr switches to an exponent.
+SPECIAL_VALUES = [
+    -0.0, 0.0, 1e-05, 1e16, 5e-324, -1.5, 0.1, 123456789.0, 2.0**-1074 * 3,
+    1e-4, 9.999999999999999e-05, 9999999999999998.0, -1e16, 2.0**53 + 2,
+]
+AWKWARD_LABELS = ["a,b", 'say "hi"', "two\nlines", "", "café ☃", "plain", "cr\r", " pad ", "nul\0byte"]
 
 
 def _points(n: int, p: int) -> np.ndarray:
@@ -63,6 +67,7 @@ def _cases() -> dict:
         cases[f"labeled/n={n}"] = (n, 3, True)
     cases["unlabeled/p=1"] = (40, 1, False)
     cases["labeled/p=1"] = (40, 1, True)
+    cases["unlabeled/p=0"] = (40, 0, False)
     return cases
 
 
