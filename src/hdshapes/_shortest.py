@@ -13,6 +13,11 @@ same double and, among those, the one closest to it. Every other value
 (subnormals, the magnitudes written with an exponent, non-finite values) is
 formatted by repr itself.
 
+Schubfach's exponent tables come from the paper's closed forms:
+floor(q·log10(2)) = q·661971961083 >> 41 (flog10pow2) for |q| <= 6432162, and
+floor(e·log2(10)) = e·913124641741 >> 38 (flog2pow10) for |e| <= 1838394. Both
+ranges hold every exponent a double can have; the kernel's q lie in [-66, 1].
+
 Every step is integer arithmetic on values, never on their bytes, so nothing
 depends on byte order.
 """
@@ -42,37 +47,22 @@ _DOT, _ZERO, _MINUS = ord("."), ord("0"), ord("-")
 _PLACES = 20
 
 
-def _floor_log(num: int, den: int, base: int) -> int:
-    """The largest integer k with base**k <= num / den, exactly."""
-    bits = num.bit_length() - den.bit_length()
-    k = bits * 3 // 10 if base == 10 else bits  # a first guess, stepped to the answer
-
-    def at_most(k):
-        return base**k * den <= num if k >= 0 else den <= num * base**-k
-
-    while not at_most(k):
-        k -= 1
-    while at_most(k + 1):
-        k += 1
-    return k
-
-
 def _tables() -> tuple[np.ndarray, np.ndarray]:
     """Schubfach's constants for every exponent q in range, in column q - _Q_LOW.
 
     k = floor(log10(2**q)); 10**-k = beta * 2**r with 2**125 <= beta < 2**126,
-    and g = floor(beta) + 1 is split into g1 = g >> 63 and its low 63 bits
-    g0. `limbs` holds the 32-bit halves of g1 and g0, `shifts` holds k and
-    h = q + r + 127.
+    so r = floor(log2(10**-k)) - 125: both from the closed forms above. g =
+    floor(beta) + 1, exact in Python integers, is split into g1 = g >> 63 and
+    its low 63 bits g0. `limbs` holds the 32-bit halves of g1 and g0,
+    `shifts` holds k and h = q + r + 127.
     """
     qs = range(_Q_LOW, _Q_HIGH + 1)
     limbs = np.empty((4, len(qs)), dtype=np.uint64)
     shifts = np.empty((2, len(qs)), dtype=np.int64)
     for i, q in enumerate(qs):
-        k = _floor_log(1 << max(q, 0), 1 << max(-q, 0), 10)
-        num, den = 10 ** max(-k, 0), 10 ** max(k, 0)  # 10**-k
-        r = _floor_log(num, den, 2) - 125
-        g = (num << max(-r, 0)) // (den << max(r, 0)) + 1
+        k = q * 661971961083 >> 41  # flog10pow2(q)
+        r = (-k * 913124641741 >> 38) - 125  # flog2pow10(-k) - 125
+        g = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
         g1, g0 = g >> 63, g & (2**63 - 1)
         limbs[:, i] = (g1 >> 32, g1 & (2**32 - 1), g0 >> 32, g0 & (2**32 - 1))
         shifts[:, i] = (k, q + r + 127)

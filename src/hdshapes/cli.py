@@ -169,32 +169,37 @@ def _write_rows(path, head: str, ds, heads: tuple[str, ...], tails: tuple[str, .
             raise
 
 
-def _csv_tail(name: str) -> str:
-    """`,name` plus the line end, quoted as csv quotes a field of a longer row."""
+def _write_table(ds, path, header: str, opener: str, keys: tuple[str, ...], label, closer: str) -> None:
+    """Write `header`, then each row of `ds`: `opener`, its fields joined by
+    ",", then `closer`. Column j's field is ``keys[j]`` and its value. The
+    label, if any, is one more field, `label(name)`: after the columns' ","
+    when there is a column, after the opener when there is none."""
+    heads = tuple(("," if j else opener) + key for j, key in enumerate(keys))
+    if ds.codes is None:
+        tails = (closer if heads else opener + closer,)
+    else:
+        lead = "," if heads else opener
+        tails = tuple(lead + label(name) + closer for name in ds.categories)
+    _write_rows(path, header, ds, heads, tails)
+
+
+def _csv_field(name: str, lone: bool) -> str:
+    """`name` quoted as csv quotes the last field of a row: a lone empty
+    field is written as ``""``, so its row is not blank."""
     buf = io.StringIO()
-    csv.writer(buf).writerow(["", name])
-    return buf.getvalue()
+    csv.writer(buf).writerow([name] if lone else ["", name])
+    return buf.getvalue()[not lone : -2]  # less the "," before it and the "\r\n" after
 
 
 def write_csv(ds, path) -> None:
-    header = ",".join(ds.column_names)
-    if ds.codes is None:
-        tails = ("\r\n",)
-    else:
-        header += ",cluster"
-        tails = tuple(_csv_tail(name) for name in ds.categories)
-    _write_rows(path, header + "\r\n", ds, ("",) + (",",) * (ds.p - 1), tails)
+    names = ds.column_names if ds.codes is None else (*ds.column_names, "cluster")
+    header = ",".join(names)
+    _write_table(ds, path, header + "\r\n", "", ("",) * ds.p, partial(_csv_field, lone=not ds.p), "\r\n")
 
 
 def write_ndjson(ds, path) -> None:
-    heads = tuple(("," if j else "{") + f"{json.dumps(name)}:" for j, name in enumerate(ds.column_names))
-    if ds.codes is None:
-        tails = ("}\n",)
-    else:
-        tails = tuple(f',"cluster":{json.dumps(name)}}}\n' for name in ds.categories)
-    if not heads:  # no columns: each tail opens its row
-        tails = tuple("{" + tail for tail in tails)
-    _write_rows(path, "", ds, heads, tails)
+    keys = tuple(f"{json.dumps(name)}:" for name in ds.column_names)
+    _write_table(ds, path, "", "{", keys, lambda name: f'"cluster":{json.dumps(name)}', "}\n")
 
 
 _WRITERS = {"csv": write_csv, "ndjson": write_ndjson}

@@ -34,9 +34,10 @@ from hdshapes import (
 )
 from hdshapes.cli import _build, main
 from hdshapes.composer import apply_transform
-from hdshapes.core import relocate_clusters
+from hdshapes.core import RotationPlan, relocate_clusters
 from hdshapes.noise import gen_wavydims1, gen_wavydims2, gen_wavydims3
-from hdshapes.topology import gen_hole
+from hdshapes.shapes import gen_clusteredspheres, gen_nonlinear, gen_pyrrect
+from hdshapes.topology import gen_hole, gen_scurvehole, gen_unifcubehole
 
 NAN = float("nan")
 INF = float("inf")
@@ -485,3 +486,54 @@ def test_the_transforms_and_noise_keep_numbers_of_every_numeric_kind():
     assert gen_wavydims2(3, 2, [0.0, 1.0, 2.0], noise=0, seed=1).n == 3
     assert gen_wavydims3(3, 4, _base(), perturb=0, noise=np.int64(1), seed=1).p == 4
     assert relocate_clusters(ds, np.array([[0, 0], [1, 1]])).n == 3
+
+
+# Each domain check with the message it gives, so a refusal cannot turn into
+# a numpy error or a silent result unnoticed.
+DOMAIN_REFUSALS = {
+    "scurvehole-r_hole-0": (
+        lambda: gen_scurvehole(50, r_hole=0.0, seed=1), "hole radius r_hole must be positive, got 0.0"),
+    "unifcubehole-r_hole-negative": (
+        lambda: gen_unifcubehole(50, r_hole=-0.5, seed=1), "hole radius r_hole must be positive, got -0.5"),
+    "apply_transform-scale-0": (lambda: apply_transform(_ds(), 0.0), "scale must be positive"),
+    "apply_transform-rotation-size": (
+        lambda: apply_transform(_ds(), 1.0, rotation=np.eye(3)), "rotation is 3-dimensional, dataset has 2"),
+    "apply_transform-center-length": (
+        lambda: apply_transform(_ds(), 1.0, center=[0.0, 0.0, 0.0]), "center has length 3, dataset has 2"),
+    "wavydims1-sigma-0": (lambda: gen_wavydims1(3, 2, [0.0, 1.0, 2.0], sigma=0, seed=1), "sigma must be positive"),
+    "wavydims2-noise-negative": (
+        lambda: gen_wavydims2(3, 2, [0.0, 1.0, 2.0], noise=-0.1, seed=1), "noise amplitude must be non-negative"),
+    "wavydims2-powers-length": (
+        lambda: gen_wavydims2(3, 2, [0.0, 1.0, 2.0], powers=[2, 3, 4], seed=1),
+        "powers and scales must have length p"),
+    "wavydims3-p-below-3": (
+        lambda: gen_wavydims3(3, 2, _base(), seed=1), "p must be at least 3 (the perturbed base columns)"),
+    "wavydims3-perturb-negative": (
+        lambda: gen_wavydims3(3, 4, _base(), perturb=-0.1, seed=1),
+        "perturb and noise amplitudes must be non-negative"),
+    "pyrrect-l_vec-0": (lambda: gen_pyrrect(10, l_vec=(1.0, 0.0), seed=1), "h and base half-widths must be positive"),
+    "clusteredspheres-radius-negative": (
+        lambda: gen_clusteredspheres(40, r_vec=(10.0, -1.0), seed=1), "radii must be positive"),
+    "clusteredspheres-spe-0": (lambda: gen_clusteredspheres(40, spe=0, seed=1), "spe must be positive"),
+    "clusteredspheres-n-too-small": (
+        lambda: gen_clusteredspheres(3, k_small=3, seed=1),
+        "sphere sizes must be positive (n too small for k_small)"),
+    "nonlinear-non_fac-negative": (lambda: gen_nonlinear(10, non_fac=-1.0, seed=1), "non_fac must be non-negative"),
+    "take-2d-indices": (lambda: _ds().take(np.zeros((2, 2), dtype=int)), "row indices must be 1-D, got ndim=2"),
+    "rotation-angle-inf": (lambda: RotationPlan(3, [(1, 2, INF)]), "rotation angle must be finite"),
+    "relocate-loc-1d": (lambda: relocate_clusters(_ds(), [0.0, 1.0]), "loc must be a k x p matrix"),
+    "relocate-loc-columns": (
+        lambda: relocate_clusters(_ds(), [[0.0, 1.0, 2.0], [1.0, 1.0, 1.0]]), "loc has 3 columns but dataset has 2"),
+    "multigau-k-above-p+1": (
+        lambda: make_preset("multigau", k=6, p=4, seed=1),
+        "multigau places clusters on simplex vertices; needs k <= p + 1"),
+    "spec-loc-1d": (
+        lambda: MultiClusterSpec(n=(20, 20), k=2, loc=[0.0, 5.0], scale=(1, 1), shape=("gaussian", "gaussian")),
+        "loc must be a 2 x p matrix, got shape (2,)"),
+}
+
+
+@pytest.mark.parametrize("call, message", DOMAIN_REFUSALS.values(), ids=DOMAIN_REFUSALS)
+def test_a_value_outside_its_domain_is_refused_with_its_message(call, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call()

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdshapes import _shortest
 from hdshapes._shortest import WIDTH, fields
 
 
@@ -74,6 +75,42 @@ def test_fields_accepts_any_shape_and_dtype():
     _assert_repr(x.astype(np.float64))
     assert fields(x).shape == (6, WIDTH)
     assert fields(np.empty(0)).shape == (0, WIDTH)
+
+
+# ---------------------------------------------------------------------------
+# The exponent tables against an exact derivation
+
+
+def _floor_log(num: int, den: int, base: int) -> int:
+    """The largest integer k with base**k <= num / den, found by stepping
+    from a guess with exact integer comparisons."""
+    bits = num.bit_length() - den.bit_length()
+    k = bits * 3 // 10 if base == 10 else bits  # a first guess, stepped to the answer
+
+    def at_most(k):
+        return base**k * den <= num if k >= 0 else den <= num * base**-k
+
+    while not at_most(k):
+        k -= 1
+    while at_most(k + 1):
+        k += 1
+    return k
+
+
+def test_tables_match_an_exact_derivation():
+    """k = floor(log10(2**q)), r = floor(log2(10**-k)) - 125 and g =
+    floor(10**-k / 2**r) + 1, from exact rationals, for every q in range."""
+    for i, q in enumerate(range(_shortest._Q_LOW, _shortest._Q_HIGH + 1)):
+        k = _floor_log(1 << max(q, 0), 1 << max(-q, 0), 10)
+        num, den = 10 ** max(-k, 0), 10 ** max(k, 0)  # 10**-k
+        r = _floor_log(num, den, 2) - 125
+        g = (num << max(-r, 0)) // (den << max(r, 0)) + 1
+        assert 2**125 < g <= 2**126
+        g1, g0 = g >> 63, g % 2**63
+        limbs = [g1 >> 32, g1 % 2**32, g0 >> 32, g0 % 2**32]
+        assert _shortest._LIMBS[:, i].tolist() == limbs, q
+        assert _shortest._SHIFTS[:, i].tolist() == [k, q + r + 127], q
+    assert _shortest._LIMBS.shape == (4, _shortest._Q_HIGH - _shortest._Q_LOW + 1)
 
 
 # Bit patterns from each finite class: subnormal, the kernel's range, and

@@ -68,6 +68,7 @@ def _cases() -> dict:
     cases["unlabeled/p=1"] = (40, 1, False)
     cases["labeled/p=1"] = (40, 1, True)
     cases["unlabeled/p=0"] = (40, 0, False)
+    cases["labeled/p=0"] = (40, 0, True)
     return cases
 
 
