@@ -117,6 +117,11 @@ class ShapeInfo:
         }
 
     @cached_property
+    def _hints(self) -> dict:
+        """func's annotations, evaluated once: only `kinds` reads them."""
+        return typing.get_type_hints(self.func)
+
+    @cached_property
     def kinds(self) -> dict[str, tuple]:
         """(type, nargs) of every parameter but seed, n included, read from
         its default (bool, int, float, or a pair: its element type and
@@ -128,7 +133,7 @@ class ShapeInfo:
                 continue
             value = self.defaults.get(name)
             if value is None:
-                hint = typing.get_type_hints(self.func).get(name)
+                hint = self._hints.get(name)
                 hint = typing.get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
                 elems = typing.get_args(hint)
                 kinds[name] = (elems[0], len(elems)) if elems else (hint, None)

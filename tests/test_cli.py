@@ -1,11 +1,15 @@
 import argparse
+import gc
+import importlib
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from hdshapes import cli
 from hdshapes.cli import build_parser, main, write_csv
 from hdshapes.composer import PRESETS
 from hdshapes.shapes import SHAPES, gen_clusteredspheres
@@ -609,3 +613,40 @@ def test_replay_rejects_unknown_spec_keys(argv, extra, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"manifest spec has {next(iter(extra))}, not accepted by {argv[0]}" in err
     assert not replay.exists()
+
+
+# ---------------------------------------------------------------------------
+# The process entry: the one place that freezes the import-time heap
+
+
+def test_the_process_entry_freezes_once_before_parsing(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))  # this process stays unfrozen
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **kw: calls.append("parse") or parse_args(self, *a, **kw))
+    monkeypatch.setattr(sys, "argv", ["hdshapes", "list"])
+    assert cli.run() == 0
+    assert calls == ["freeze", "parse"]
+    assert "cone: n, p, h, ratio" in capsys.readouterr().out.splitlines()
+
+
+def test_main_in_process_does_not_freeze(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["list"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_python_dash_m_hdshapes_enters_through_run(monkeypatch):
+    entered = []
+    monkeypatch.setattr(cli, "run", lambda: entered.append("run") or 0)
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("hdshapes", run_name="__main__")
+    assert exited.value.code == 0 and entered == ["run"]
+
+
+def test_the_console_script_is_the_same_entry():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is in the standard library from Python 3.11")
+    pyproject = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = pyproject["project"]["scripts"]["hdshapes"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
