@@ -114,6 +114,14 @@ def _number(value, name: str):
     return value
 
 
+def _check_span(low, high, name: str, value) -> None:
+    """A ParameterError naming `name` (given as `value`) unless high - low,
+    the width of a uniform draw over [low, high], is a finite double: numpy
+    refuses a wider one with an OverflowError."""
+    if not math.isfinite(float(high) - float(low)):
+        raise ParameterError(f"{name} gives a span wider than the largest double, got {value!r}")
+
+
 def _reals(value, what: str, name: str | None = None) -> np.ndarray:
     """`value`, a number, a nested list of numbers or a numeric array, as a
     float64 array. A bool, string or None entry, or a ragged nesting, is

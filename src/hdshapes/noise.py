@@ -4,7 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, ParameterError, _adopt, _check_n, _gaussian_cols, _number, _reals, as_dataset, as_stream
+from .core import (
+    Dataset,
+    ParameterError,
+    _adopt,
+    _check_n,
+    _check_span,
+    _gaussian_cols,
+    _number,
+    _reals,
+    as_dataset,
+    as_stream,
+)
 
 __all__ = [
     "gen_noisedims",
@@ -66,6 +77,7 @@ def gen_wavydims2(n: int, p: int, x1, powers=None, scales=None, noise: float = 0
         raise ParameterError(f"x1 has length {x1.shape[0]}, expected {n}")
     if _number(noise, "noise") < 0:
         raise ParameterError("noise amplitude must be non-negative")
+    _check_span(-noise, noise, "noise", noise)
     rng = as_stream(seed).rng
     k = rng.integers(2, 5, p) if powers is None else _reals(powers, "powers must be a list of integers")
     if (k % 1).any():
@@ -102,6 +114,8 @@ def gen_wavydims3(n: int, p: int, base, perturb: float = 0.05, noise: float = 0.
         raise ParameterError("p must be at least 3 (the perturbed base columns)")
     if _number(perturb, "perturb") < 0 or _number(noise, "noise") < 0:
         raise ParameterError("perturb and noise amplitudes must be non-negative")
+    _check_span(-perturb, perturb, "perturb", perturb)
+    _check_span(-noise, noise, "noise", noise)
     rng = as_stream(seed).rng
     x1, x2, x3 = base.points[:, 0], base.points[:, 1], base.points[:, 2]
     pts = np.empty((n, p))

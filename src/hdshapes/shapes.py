@@ -12,8 +12,6 @@ parameter check. The holed shapes (`topology.HOLES`) and the preset scenes
 (`composer.PRESETS`) register the same way, through `_registrar`.
 """
 
-from __future__ import annotations
-
 import functools
 import inspect
 import itertools
@@ -32,6 +30,7 @@ from .core import (
     ParameterError,
     _adopt,
     _check_n,
+    _check_span,
     _is_kind,
     _reals,
     _row_norms,
@@ -117,23 +116,20 @@ class ShapeInfo:
         }
 
     @cached_property
-    def _hints(self) -> dict:
-        """func's annotations, evaluated once: only `kinds` reads them."""
-        return typing.get_type_hints(self.func)
-
-    @cached_property
     def kinds(self) -> dict[str, tuple]:
         """(type, nargs) of every parameter but seed, n included, read from
         its default (bool, int, float, or a pair: its element type and
         length) or, if that is missing or None, its annotation (`X | None`
-        as X); type None if neither tells (gaussian's matrix `s`)."""
+        as X); type None if neither tells (gaussian's matrix `s`). The
+        modules that register annotated functions do not defer annotations,
+        so the signature holds the objects and no string is evaluated."""
         kinds = {}
-        for name in self._signature.parameters:
+        for name, param in self._signature.parameters.items():
             if name == "seed":
                 continue
             value = self.defaults.get(name)
             if value is None:
-                hint = self._hints.get(name)
+                hint = None if param.annotation is param.empty else param.annotation
                 hint = typing.get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
                 elems = typing.get_args(hint)
                 kinds[name] = (elems[0], len(elems)) if elems else (hint, None)
@@ -580,6 +576,7 @@ def _curve(n: int, range, seed, f) -> Dataset:
     a, b = float(range[0]), float(range[1])
     if a >= b:
         raise ParameterError("range must satisfy a < b")
+    _check_span(a, b, "range", range)
     rng = as_stream(seed).rng
     x1 = rng.uniform(a, b, n)
     return _adopt(np.column_stack([x1, f(x1) + rng.uniform(0.0, 0.5, n)]))
@@ -627,6 +624,9 @@ def gen_pyrrect(n: int, p: int = 4, h: float = 1.0, l_vec=(1.0, 1.0), rt: float 
         raise ParameterError("h and base half-widths must be positive")
     if rt < 0 or rt > lx or rt > ly:
         raise ParameterError("tip radius rt must lie in [0, min(l_vec)]")
+    for half in (lx, ly):  # its half-width at the largest height, z = h
+        top = float(rt) + (half - float(rt)) * float(h) / float(h)
+        _check_span(-top, top, "l_vec", l_vec)
     rng = as_stream(seed).rng
     z = _clamped_exp_heights(rng, n, h)
     rx = rt + (lx - rt) * z / h
@@ -928,6 +928,7 @@ def gen_swissroll(n: int, w=(0.0, 10.0), seed=None) -> Dataset:
     w1, w2 = float(w[0]), float(w[1])
     if w1 >= w2:
         raise ParameterError("w must satisfy w1 < w2")
+    _check_span(w1, w2, "w", w)
     rng = as_stream(seed).rng
     t = rng.uniform(0.0, 3.0 * np.pi, n)
     return _adopt(np.column_stack([t * np.cos(t), t * np.sin(t), rng.uniform(w1, w2, n)]))

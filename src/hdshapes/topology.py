@@ -1,7 +1,5 @@
 """Hyperspherical hole punching and its two wrapper shapes."""
 
-from __future__ import annotations
-
 import numpy as np
 
 from .core import Dataset, ParameterError, _holding, _number, _reals, _row_norms, _warn, as_dataset, as_stream

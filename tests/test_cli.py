@@ -253,6 +253,29 @@ def test_documented_usage_errors_exit_2(argv, env, named, tmp_path, monkeypatch,
     assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json"]
 
 
+SPAN_CONFIG = {
+    "n": [20, 20], "k": 2, "loc": [[0, 0, 0], [5, 5, 5]], "scale": [1, 1],
+    "shape": ["swissroll", "gaussian"], "extras": [{"w": [-1e308, 1e308]}, {}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["generate", "pyrrect", "--n", "20", "--l-vec", "1e308", "1e308", "--seed", "1"], "l_vec"),
+        (["multicluster", "span.json", "--seed", "1"], "w"),
+    ],
+    ids=["pyrrect-l_vec", "multicluster-swissroll-w"],
+)
+def test_a_span_wider_than_the_largest_double_exits_2(argv, named, tmp_path, monkeypatch, capsys):
+    # numpy would refuse the uniform draw with an OverflowError; the parameters are refused first.
+    monkeypatch.chdir(tmp_path)
+    Path("span.json").write_text(json.dumps(SPAN_CONFIG))
+    assert main([*argv, "--out", "out.csv"]) == 2
+    assert f"{named} gives a span wider than the largest double" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["span.json"]
+
+
 def test_auto_seed_is_printed_and_recorded(tmp_path):
     import os
 

@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -36,7 +37,7 @@ from hdshapes.cli import _build, main
 from hdshapes.composer import apply_transform
 from hdshapes.core import RotationPlan, relocate_clusters
 from hdshapes.noise import gen_wavydims1, gen_wavydims2, gen_wavydims3
-from hdshapes.shapes import gen_clusteredspheres, gen_nonlinear, gen_pyrrect
+from hdshapes.shapes import gen_clusteredspheres, gen_cubic, gen_nonlinear, gen_pyrrect, gen_quadratic, gen_swissroll
 from hdshapes.topology import gen_hole, gen_scurvehole, gen_unifcubehole
 
 NAN = float("nan")
@@ -188,6 +189,14 @@ DIRECT = {
 }
 
 
+def test_every_kind_is_a_class_or_none():
+    # Kinds come from the signature's annotations as they are: a registering
+    # module that deferred its annotations would hand them over as strings.
+    for what, name in TARGETS:
+        for param, (kind, _) in REGISTRIES[what][name].kinds.items():
+            assert kind is None or isinstance(kind, type), f"{what} '{name}': {param} is {kind!r}"
+
+
 def _wrong_kinds():
     values = {"string": "x", "bool": True, "fraction": 2.5, "none": None, "inf": INF}
     for what, name in TARGETS:
@@ -322,13 +331,15 @@ def test_no_parameter_is_inert_alone_or_beside_another(what, name):
 # Property: any drawn parameters build a Dataset or raise ParameterError
 
 EDGES = st.sampled_from([0, NAN, float("inf"), float("-inf"), "x", True, False, None, (), (1.0,), (1, 2, 3)])
+# The widest finite doubles, whose spans overflow, and the smallest subnormal.
+FLOATS = st.sampled_from([sys.float_info.max, -sys.float_info.max, 5e-324]) | st.floats(-3, 3)
 
 
 def _values(kind, nargs):
     if nargs is not None:
-        elem = st.integers(-1, 6) if kind is int else st.floats(-3, 3)
+        elem = st.integers(-1, 6) if kind is int else FLOATS
         return st.tuples(*[elem] * nargs) | st.lists(elem, max_size=3) | EDGES
-    own = {int: st.integers(-1, 6), float: st.floats(-3, 3), bool: st.booleans()}[kind]
+    own = {int: st.integers(-1, 6), float: FLOATS, bool: st.booleans()}[kind]
     return own | EDGES
 
 
@@ -527,6 +538,31 @@ DOMAIN_REFUSALS = {
     "multigau-k-above-p+1": (
         lambda: make_preset("multigau", k=6, p=4, seed=1),
         "multigau places clusters on simplex vertices; needs k <= p + 1"),
+    # A span wider than the largest double ended in numpy's OverflowError.
+    "quadratic-range-span": (
+        lambda: gen_quadratic(20, range=(-1e308, 1e308), seed=1),
+        "range gives a span wider than the largest double, got (-1e+308, 1e+308)"),
+    "cubic-range-span": (
+        lambda: gen_cubic(20, range=(-1e308, 1e308), seed=1),
+        "range gives a span wider than the largest double, got (-1e+308, 1e+308)"),
+    "swissroll-w-span": (
+        lambda: gen_swissroll(20, w=(-1e308, 1e308), seed=1),
+        "w gives a span wider than the largest double, got (-1e+308, 1e+308)"),
+    "pyrrect-l_vec-span": (
+        lambda: gen_pyrrect(20, l_vec=(1e308, 1e308), seed=1),
+        "l_vec gives a span wider than the largest double, got (1e+308, 1e+308)"),
+    "pyrrect-l_vec-span-at-height-h": (
+        lambda: gen_pyrrect(20, h=1e300, l_vec=(1e10, 1e10), seed=1),
+        "l_vec gives a span wider than the largest double, got (10000000000.0, 10000000000.0)"),
+    "wavydims2-noise-span": (
+        lambda: gen_wavydims2(3, 2, [0.0, 1.0, 2.0], noise=1e308, seed=1),
+        "noise gives a span wider than the largest double, got 1e+308"),
+    "wavydims3-perturb-span": (
+        lambda: gen_wavydims3(3, 4, _base(), perturb=1e308, seed=1),
+        "perturb gives a span wider than the largest double, got 1e+308"),
+    "wavydims3-noise-span": (
+        lambda: gen_wavydims3(3, 4, _base(), noise=1e308, seed=1),
+        "noise gives a span wider than the largest double, got 1e+308"),
     "spec-loc-1d": (
         lambda: MultiClusterSpec(n=(20, 20), k=2, loc=[0.0, 5.0], scale=(1, 1), shape=("gaussian", "gaussian")),
         "loc must be a 2 x p matrix, got shape (2,)"),
