@@ -19,31 +19,43 @@ Exit codes: 0 success, 2 usage or spec error, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
-import json
 import os
-import platform
-import secrets
-import shutil
 import sys
-import tempfile
 import typing
 import warnings
-from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import OUTPUT_VERSION, __version__
-from .composer import PRESETS, MultiClusterSpec, gen_multicluster, make_preset, preset_info
 from .core import ParameterError, _cpu_count
-from .shapes import SHAPES, generate, shape_info
-from .topology import HOLES, hole_info
+from .shapes import SHAPES
 
 __all__ = ["main", "run"]
+
+
+# Start-up imports only core and shapes. Each command imports the rest of what
+# it runs (composer for preset and multicluster, topology for hole, the
+# writers' standard modules and `_shortest` for a data file) where it uses it.
+
+
+def _load(name: str):
+    """The hdshapes submodule `name`, which the package imports on first use."""
+    return getattr(sys.modules[__package__], name)
+
+
+# Names read on this module from outside it (bench/tracer.py wraps them here)
+# -> the submodule that defines them. This module's own code reads them from
+# that submodule as it runs.
+_ELSEWHERE = {"generate": "shapes", "gen_multicluster": "composer", "make_preset": "composer"}
+
+
+def __getattr__(name: str):
+    if name in _ELSEWHERE:
+        return getattr(_load(_ELSEWHERE[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +153,9 @@ def _write_rows(path, head: str, ds, heads: tuple[str, ...], tails: tuple[str, .
     Forking is safe because the CLI runs a single thread; a child ends by
     `os._exit`, so it never flushes what the parent had buffered.
     """
+    import shutil
+    import tempfile
+
     first, *rest = _shares(ds.n)
     children = []  # (pid, temporary file, rows) not yet reaped, in row order
     with open(path, "wb") as fh:
@@ -190,6 +205,9 @@ def _write_table(ds, path, header: str, opener: str, keys: tuple[str, ...], labe
 def _csv_field(name: str, lone: bool) -> str:
     """`name` quoted as csv quotes the last field of a row: a lone empty
     field is written as ``""``, so its row is not blank."""
+    import csv
+    import io
+
     buf = io.StringIO()
     csv.writer(buf).writerow([name] if lone else ["", name])
     return buf.getvalue()[not lone : -2]  # less the "," before it and the "\r\n" after
@@ -202,6 +220,8 @@ def write_csv(ds, path) -> None:
 
 
 def write_ndjson(ds, path) -> None:
+    import json
+
     keys = tuple(f"{json.dumps(name)}:" for name in ds.column_names)
     _write_table(ds, path, "", "{", keys, lambda name: f'"cluster":{json.dumps(name)}', "}\n")
 
@@ -210,6 +230,10 @@ _WRITERS = {"csv": write_csv, "ndjson": write_ndjson}
 
 
 def write_manifest(out_path: Path, command: str, seed: int, spec: dict, fmt: str, ds, warned: list) -> None:
+    import json
+    import platform
+    from datetime import datetime, timezone
+
     text = json.dumps({
         "tool_version": __version__,
         "output_version": OUTPUT_VERSION,
@@ -237,6 +261,8 @@ def _write_whole(path: Path, write, stale: Path | None = None) -> None:
     it under a random name, made by `open` so that the umask sets its mode,
     then `stale`, if given, is removed and the file is renamed onto `path`.
     On any exception, an interrupt included, the new file is removed; an OSError names `path` instead."""
+    import secrets
+
     # Not named after `path`, so a long target name cannot push it past the
     # file system's limit on name length.
     tmp = path.parent / f".hdshapes-{secrets.token_hex(8)}.tmp"
@@ -269,6 +295,8 @@ def _resolve_seed(args) -> int:
             return int(env)
         except ValueError:
             raise ParameterError(f"HDSHAPES_SEED must be an integer, got {env!r}") from None
+    import secrets
+
     seed = secrets.randbits(63)
     print(f"seed: {seed} (generated; recorded in the manifest)")
     return seed
@@ -278,7 +306,12 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the parameter flags of the target
+    command `command` (generate, hole or preset) and of no other: each comes
+    from its module's registry, and a process imports only the modules its
+    own command runs. `main` passes the command it is given."""
+    target = _target(command) if command in _TARGETS else None
     parser = argparse.ArgumentParser(
         prog="hdshapes",
         description="Generate high-dimensional geometric benchmark datasets.",
@@ -303,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_multi.set_defaults(handler=cmd_multicluster)
 
     p_hole = sub.add_parser("hole", parents=[common], help="generate a shape with a hyperspherical hole")
-    p_hole.add_argument("kind", choices=tuple(HOLES), help="holed wrapper shape")
+    # Its choices, the registry's names, are read where hole is the command.
+    p_hole.add_argument("kind", choices=tuple(target[0]) if command == "hole" else None, help="holed wrapper shape")
 
     p_preset = sub.add_parser("preset", parents=[common], help="generate a named preset scene")
     p_preset.add_argument("name", help="preset name (see `hdshapes list --presets`)")
@@ -311,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     # A flag, typed by `ShapeInfo.kinds`, per registry parameter that is not a
     # spec field (generate's n). Flags default to None, so only values the user
     # sets are passed on; one without a default is required.
-    for command, sub_parser in (("generate", p_gen), ("hole", p_hole), ("preset", p_preset)):
-        registry, _, fields, *_ = _TARGETS[command]
+    if target is not None:
+        sub_parser = {"generate": p_gen, "hole": p_hole, "preset": p_preset}[command]
+        registry, _, fields, *_ = target
         names = list(fields[1:])
         for info in registry.values():
             for name, (kind, nargs) in info.kinds.items():
@@ -342,18 +377,30 @@ def _field(obj: dict, key: str):
         raise ParameterError(f"manifest is missing field '{key}'") from None
 
 
-# command: (registry, its lookup, the spec fields beside `params` (the one
-# naming the target, which is also its positional argument, then any parameter
-# recorded on its own), the default file stem, and the call that builds the
-# target and checks its parameters, looking up `generate` and `make_preset` as
-# it runs)
+# command: (the module that registers its targets, the names there of its
+# registry and of that registry's lookup, the spec fields beside `params` (the
+# one naming the target, which is also its positional argument, then any
+# parameter recorded on its own), the default file stem, and the call that
+# builds the target from that module and checks its parameters, reading
+# `generate` and `make_preset` from it as it runs)
 _TARGETS = {
-    "generate": (SHAPES, shape_info, ("kind", "n"), "{}", lambda kind, **params: generate(kind, **params)),
-    "hole": (HOLES, hole_info, ("kind",), "{}hole", lambda kind, **params: HOLES[kind].func(**params)),
-    "preset": (PRESETS, preset_info, ("name",), "{}", lambda name, **params: make_preset(name, **params)),
+    "generate": ("shapes", "SHAPES", "shape_info", ("kind", "n"), "{}",
+                 lambda shapes, kind, **params: shapes.generate(kind, **params)),
+    "hole": ("topology", "HOLES", "hole_info", ("kind",), "{}hole",
+             lambda topology, kind, **params: topology.HOLES[kind].func(**params)),
+    "preset": ("composer", "PRESETS", "preset_info", ("name",), "{}",
+               lambda composer, name, **params: composer.make_preset(name, **params)),
 }
 
-_SPEC_KEYS = {command: (*fields, "params") for command, (_, _, fields, *_) in _TARGETS.items()}
+
+def _target(command: str) -> tuple:
+    """`command`'s (registry, lookup, spec fields, file stem, build call), its module imported now."""
+    name, registry, lookup, fields, stem, build = _TARGETS[command]
+    module = _load(name)
+    return getattr(module, registry), getattr(module, lookup), fields, stem, partial(build, module)
+
+
+_SPEC_KEYS = {command: (*fields, "params") for command, (*_, fields, _, _) in _TARGETS.items()}
 _SPEC_KEYS["multicluster"] = ("config", "shuffle")
 
 
@@ -372,12 +419,13 @@ def _build(command: str, spec, seed):
             f"(accepts: {', '.join(_SPEC_KEYS[command])})"
         )
     if command == "multicluster":
-        config = MultiClusterSpec.from_dict(_field(spec, "config"))
-        return gen_multicluster(config, seed=seed, shuffle=spec.get("shuffle", True))
+        composer = _load("composer")
+        config = composer.MultiClusterSpec.from_dict(_field(spec, "config"))
+        return composer.gen_multicluster(config, seed=seed, shuffle=spec.get("shuffle", True))
     params = _field(spec, "params")
     if not isinstance(params, dict):
         raise ParameterError("manifest field 'spec.params' must be a JSON object")
-    _, lookup, fields, _, build = _TARGETS[command]
+    _, lookup, fields, _, build = _target(command)
     name = _field(spec, fields[0])
     info = lookup(name)
     for key in ("seed", *fields):
@@ -428,6 +476,8 @@ def _run(args, command: str, spec: dict, stem: str) -> int:
 
 
 def _load_json(path: str, what: str):
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -462,7 +512,7 @@ def cmd_target(args) -> int:
             return _emit(_replay(args), args.out)
         if not args.kind:
             raise ParameterError("generate needs a shape kind (or --from-manifest)")
-    _, lookup, fields, stem, _ = _TARGETS[args.command]
+    _, lookup, fields, stem, _ = _target(args.command)
     name = getattr(args, fields[0])
     info = lookup(name)
     given = {key: getattr(args, key) for key in args.param_flags if getattr(args, key) is not None}
@@ -485,14 +535,17 @@ def cmd_multicluster(args) -> int:
 
 
 def cmd_list(args) -> int:
-    for name, info in (PRESETS if args.presets else SHAPES).items():
+    for name, info in (_load("composer").PRESETS if args.presets else SHAPES).items():
         note = f"  # {info.description}" if args.presets else ""
         print(f"{name}: {', '.join(('n',) + info.params)}{note}")
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The command is the first argument that is not an option: the top-level
+    # parser's options (--help, --version) take no value.
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
@@ -508,8 +561,10 @@ def run() -> int:
     """`main()` on the command line, as a process of its own: the entry of
     the `hdshapes` script and of `python -m hdshapes`.
 
-    Start-up's imports are done by now (only writing imports `_shortest`,
-    later). `gc.freeze()` first moves the objects they made (~2e4 that the
+    Start-up's imports are done by now: numpy, core, shapes and this
+    module. The modules a command runs (composer, topology, `_shortest`,
+    the writers' standard modules) load later, as `main` runs it.
+    `gc.freeze()` first moves the objects start-up made (~2e4 that the
     collector tracks, nearly all of them the interpreter's and numpy's) to
     the permanent generation, so no collection during the run, and none at
     exit, walks them again; the writers' forked children inherit that.

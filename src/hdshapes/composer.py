@@ -36,6 +36,7 @@ from .core import (
     _check_n,
     _column_mean_sd,
     _cpu_count,
+    _double,
     _holding,
     _is_kind,
     _number,
@@ -233,7 +234,7 @@ class MultiClusterSpec:
         put("n", tuple(_check_n(v) for v in _entries(self.n, "n", self.k)))
         put("scale", _entries(self.scale, "scale", self.k))
         put("shape", _entries(self.shape, "shape", self.k))
-        if not all(_is_kind(v, float) and 0 < v < np.inf for v in self.scale):
+        if not all(_is_kind(v, float) and 0 < _double(v) < np.inf for v in self.scale):
             raise ParameterError(f"every scale must be positive and finite, got {self.scale!r}")
         if not _is_kind(self.is_bkg, bool):
             raise ParameterError(f"is_bkg must be true or false, got {self.is_bkg!r}")

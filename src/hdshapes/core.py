@@ -14,7 +14,6 @@ import contextvars
 import math
 import numbers
 import os
-import secrets
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,6 +39,9 @@ __all__ = [
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# The largest count numpy can size an array axis by.
+_MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
 class ParameterError(ValueError):
@@ -76,14 +78,17 @@ def _holding(events: list):
 
 def _check_n(value, name: str = "n") -> int:
     """`value` as an int; rejects a fractional, non-finite, non-numeric,
-    bool or non-positive value instead of truncating it. Integral floats
-    such as 3.0 and numpy integers pass."""
+    bool or non-positive value instead of truncating it, and one above
+    `_MAX_COUNT`, which no array can hold. Integral floats such as 3.0 and
+    numpy integers pass."""
     try:
         count = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
     if count is None or count != value or count < 1:
         raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    if count > _MAX_COUNT:
+        raise ParameterError(f"{name} must be at most {_MAX_COUNT}, got {value!r}")
     return count
 
 
@@ -103,13 +108,23 @@ def _is_kind(value, kind) -> bool:
     return kind is float or isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
+def _double(value) -> float:
+    """The real number `value` as a double. An integer beyond the largest
+    double is the infinity it rounds to, as a float literal that large is,
+    so a check for finite values refuses it by name."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _number(value, name: str):
     """`value` if it is a finite real number; a ParameterError naming `name`
     if it is anything else (a bool or a numeric string included) or if it is
-    NaN or infinite."""
+    NaN or infinite as a double."""
     if not _is_kind(value, float):
         raise ParameterError(f"{name} must be a number, got {value!r}")
-    if not -math.inf < value < math.inf:
+    if not math.isfinite(_double(value)):
         raise ParameterError(f"{name} must be finite, got {value!r}")
     return value
 
@@ -126,10 +141,11 @@ def _reals(value, what: str, name: str | None = None) -> np.ndarray:
     """`value`, a number, a nested list of numbers or a numeric array, as a
     float64 array. A bool, string or None entry, or a ragged nesting, is
     refused with "<what>, got <value>" instead of converted; given `name`,
-    a NaN or infinite entry is refused as "<name> must be finite"."""
+    a NaN or infinite entry (as a double, `_double`) is refused as "<name>
+    must be finite"."""
     arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
     if arr.dtype == object and all(_is_kind(v, float) for v in arr.flat):
-        arr = arr.astype(np.float64)
+        arr = np.array([_double(v) for v in arr.flat]).reshape(arr.shape)
     if arr.dtype.kind not in "iuf":
         raise ParameterError(f"{what}, got {value!r}")
     arr = np.asarray(arr, dtype=np.float64)
@@ -213,6 +229,8 @@ def as_stream(seed=None) -> RandomStream:
     if isinstance(seed, RandomStream):
         return seed
     if seed is None:
+        import secrets  # only an unseeded call needs it; start-up does not pay for it
+
         return RandomStream(secrets.randbits(64))
     if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
         return RandomStream(int(seed))
@@ -393,7 +411,7 @@ class RotationPlan:
             if not (isinstance(step, (list, tuple, np.ndarray)) and len(step) == 3
                     and all(map(_is_kind, step, (int, int, float)))):
                 raise ParameterError(f"rotation step must be (i, j, angle) of integer axes and a number, got {step!r}")
-            i, j, angle = int(step[0]), int(step[1]), float(step[2])
+            i, j, angle = int(step[0]), int(step[1]), _double(step[2])
             if i == j:
                 raise ParameterError(f"rotation plane axes must differ, got i=j={i}")
             if not (1 <= i < j <= self.dim):

@@ -31,6 +31,7 @@ from .core import (
     _adopt,
     _check_n,
     _check_span,
+    _double,
     _is_kind,
     _reals,
     _row_norms,
@@ -218,7 +219,7 @@ def check_params(info: ShapeInfo, params: dict) -> dict:
                     pair = f"a list of {nargs} {'integers' if kind is int else 'numbers'}"
                     must = pair if nargs else "true or false" if kind is bool else "a number"
                     raise ParameterError(f"{name} must be {must}, got {value!r}")
-                finite = all(-math.inf < v < math.inf for v in values)
+                finite = all(math.isfinite(_double(v)) for v in values)
             if not finite:
                 raise ParameterError(f"parameter {name} of {info.what} must be finite, got {value!r}")
         checked[name] = value

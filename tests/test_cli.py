@@ -323,8 +323,9 @@ def test_bad_values_exit_2_and_name_the_value(argv, named, tmp_path, capsys):
 
 
 def _options(command):
-    """Option string -> argparse action, for the options of one subcommand."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    """Option string -> argparse action, for the options of one subcommand,
+    in the parser `main` builds for it."""
+    sub = next(a for a in build_parser(command)._actions if isinstance(a, argparse._SubParsersAction))
     return {a.option_strings[0]: a for a in sub.choices[command]._actions if a.option_strings}
 
 
@@ -673,3 +674,47 @@ def test_the_console_script_is_the_same_entry():
     pyproject = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8"))
     module, _, name = pyproject["project"]["scripts"]["hdshapes"].partition(":")
     assert getattr(importlib.import_module(module), name) is cli.run
+
+
+# ---------------------------------------------------------------------------
+# Import on demand: a process loads only the modules its command runs
+
+
+def _loaded(*args: str) -> set[str]:
+    """The hdshapes modules that `python *args` imports, read from `-X importtime`."""
+    run = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True, check=True)
+    names = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines() if line.startswith("import time:")}
+    return {name for name in names if name.split(".")[0] == "hdshapes"}
+
+
+@pytest.mark.parametrize("argv", [["list"], ["--help"]])
+def test_list_and_help_load_no_command_module(argv):
+    assert _loaded("-m", "hdshapes", *argv) == {"hdshapes", "hdshapes.core", "hdshapes.shapes", "hdshapes.cli"}
+
+
+def test_generate_loads_no_scene_module_and_hole_no_composer(tmp_path):
+    generated = _loaded("-m", "hdshapes", "generate", "cone", "--n", "50", "--seed", "1", "--out", str(tmp_path / "c.csv"))
+    assert "hdshapes._shortest" in generated  # it wrote a file
+    assert not generated & {"hdshapes.composer", "hdshapes.topology", "hdshapes.noise"}
+    holed = _loaded("-m", "hdshapes", "hole", "scurve", "--n", "50", "--seed", "1", "--out", str(tmp_path / "h.csv"))
+    assert "hdshapes.topology" in holed and "hdshapes.composer" not in holed
+    assert (tmp_path / "c.csv").is_file() and (tmp_path / "h.csv").is_file()
+
+
+def test_the_package_loads_a_submodule_when_one_of_its_names_is_read():
+    assert _loaded("-c", "import hdshapes") == {"hdshapes"}
+    # dir() lists every public name before any submodule is loaded.
+    listed = "import hdshapes; assert set(hdshapes.__all__) <= set(dir(hdshapes))"
+    assert _loaded("-c", listed) == {"hdshapes"}
+    assert _loaded("-c", "import hdshapes; hdshapes.gen_gaussian") == {"hdshapes", "hdshapes.core", "hdshapes.shapes"}
+    assert _loaded("-c", "from hdshapes import *") >= {f"hdshapes.{name}" for name in ("core", "shapes", "topology", "noise", "composer")}
+
+
+def test_names_the_cli_loads_on_use_still_resolve_on_it():
+    from hdshapes import composer, shapes
+
+    assert cli.gen_multicluster is composer.gen_multicluster
+    assert cli.make_preset is composer.make_preset
+    assert cli.generate is shapes.generate
+    with pytest.raises(AttributeError, match="has no attribute 'PRESETS'"):
+        cli.PRESETS

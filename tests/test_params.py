@@ -35,13 +35,15 @@ from hdshapes import (
 )
 from hdshapes.cli import _build, main
 from hdshapes.composer import apply_transform
-from hdshapes.core import RotationPlan, relocate_clusters
+from hdshapes.core import RotationPlan, _check_n, relocate_clusters
 from hdshapes.noise import gen_wavydims1, gen_wavydims2, gen_wavydims3
 from hdshapes.shapes import gen_clusteredspheres, gen_cubic, gen_nonlinear, gen_pyrrect, gen_quadratic, gen_swissroll
 from hdshapes.topology import gen_hole, gen_scurvehole, gen_unifcubehole
 
 NAN = float("nan")
 INF = float("inf")
+WIDE = 10**400  # an integer of 401 digits, beyond the largest double
+MAX_COUNT = np.iinfo(np.intp).max  # the largest count an array axis can hold
 
 BAD = {"string": "x", "bool": True, "list": [1, 2], "fraction": 2.5, "zero": 0, "negative": -1, "nan": NAN}
 COUNTS = {"n", "k", "p"}  # every other parameter used below is a float
@@ -566,6 +568,36 @@ DOMAIN_REFUSALS = {
     "spec-loc-1d": (
         lambda: MultiClusterSpec(n=(20, 20), k=2, loc=[0.0, 5.0], scale=(1, 1), shape=("gaussian", "gaussian")),
         "loc must be a 2 x p matrix, got shape (2,)"),
+    # A count no array can hold ended in numpy's ValueError.
+    "generate-manifest-n-1e308": (
+        lambda: _build("generate", {"kind": "cone", "n": 1e308, "params": {}}, 1),
+        f"n must be at most {MAX_COUNT}, got 1e+308"),
+    "multicluster-config-n-1e308": (
+        lambda: _build("multicluster", {"config": {**CONFIG, "n": [1e308, 20]}}, 1),
+        f"n must be at most {MAX_COUNT}, got 1e+308"),
+    "hole-manifest-n-2**64": (
+        lambda: _build("hole", {"kind": "scurve", "params": {"n": 2**64}}, 1),
+        f"n must be at most {MAX_COUNT}, got {2**64}"),
+    # An integer beyond the largest double ended in an OverflowError.
+    "swissroll-w-wide-integer": (
+        lambda: gen_swissroll(20, w=(-WIDE, 0), seed=1),
+        f"parameter w of shape 'swissroll' must be finite, got {(-WIDE, 0)!r}"),
+    "cone-h-wide-integer": (
+        lambda: generate("cone", 20, h=WIDE, seed=1), f"parameter h of shape 'cone' must be finite, got {WIDE}"),
+    "multicluster-config-swissroll-w-wide-integer": (
+        lambda: _build("multicluster", {"config": {
+            **CONFIG, "loc": [[0, 0, 0], [5, 5, 5]], "shape": ["swissroll", "gaussian"], "extras": {"w": [-WIDE, 0]},
+        }}, 1),
+        f"parameter w of shape 'swissroll' must be finite, got {[-WIDE, 0]!r}"),
+    "spec-scale-wide-integer": (
+        lambda: MultiClusterSpec.from_dict({**CONFIG, "scale": [WIDE, 1]}),
+        f"every scale must be positive and finite, got {(WIDE, 1)!r}"),
+    "wavydims1-sigma-wide-integer": (
+        lambda: gen_wavydims1(3, 2, [0.0, 1.0, 2.0], sigma=WIDE, seed=1), f"sigma must be finite, got {WIDE}"),
+    "rotation-angle-wide-integer": (lambda: RotationPlan(3, [(1, 2, WIDE)]), "rotation angle must be finite"),
+    "gaussian-s-wide-integer": (
+        lambda: generate("gaussian", 20, p=2, s=[[WIDE, 0], [0, 1]], seed=1),
+        f"parameter s of shape 'gaussian' must be finite, got {np.array([[INF, 0], [0, 1]])!r}"),
 }
 
 
@@ -573,3 +605,22 @@ DOMAIN_REFUSALS = {
 def test_a_value_outside_its_domain_is_refused_with_its_message(call, message):
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_a_replayed_count_no_array_can_hold_exits_2_and_writes_nothing(tmp_path, capsys):
+    assert main(["generate", "cone", "--n", "20", "--seed", "1", "--out", str(tmp_path / "c.csv")]) == 0
+    manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+    manifest["spec"]["n"] = 1e308
+    replay, out = tmp_path / "big.json", tmp_path / "big.csv"
+    replay.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["generate", "--from-manifest", str(replay), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: n must be at most {MAX_COUNT}, got 1e+308\n"
+    assert not out.exists() and not (tmp_path / "big.csv.manifest.json").exists()
+
+
+def test_a_count_is_checked_against_the_largest_array_index():
+    assert _check_n(MAX_COUNT) == MAX_COUNT
+    assert _check_n(float(2**62)) == 2**62
+    with pytest.raises(ParameterError, match=f"^k must be at most {MAX_COUNT}, got {MAX_COUNT + 1}$"):
+        _check_n(MAX_COUNT + 1, "k")
