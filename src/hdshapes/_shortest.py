@@ -4,14 +4,28 @@
 bytes whose non-NUL bytes are exactly ``repr(float(v)).encode()``.
 
 Values that repr writes without an exponent (zero, and 1e-4 <= |v| < 1e16)
-are laid out here. Their shortest decimal digits come from Schubfach (R.
-Giulietti, "The Schubfach way to render doubles", 2020), which like Ryū (U.
-Adams, "Ryū: fast float-to-string conversion", PLDI 2018) picks the digits
-with 64- and 128-bit integer arithmetic alone, so numpy can run it over a
-whole block. Like repr, it picks the shortest decimal that reads back as the
-same double and, among those, the one closest to it. Every other value
-(subnormals, the magnitudes written with an exponent, non-finite values) is
-formatted by repr itself.
+are laid out here. Like repr, the kernel picks the shortest decimal that
+reads back as the same double and, among those, the one closest to it. It
+follows Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+2020): the value and the two ends of its rounding interval, scaled by
+4 / 10**k and rounded to odd, decide between the candidates. Every other
+value (subnormals, the magnitudes written with an exponent, non-finite
+values) is formatted by repr itself.
+
+It gets all three scaled numbers from one product per value, as Dragonbox
+does (J. Jeon, "Dragonbox: A New Floating-Point Binary-to-Decimal
+Conversion Algorithm", 2020): the interval's half-width is a shift of the
+same table entry, added to and taken from the value. In the kernel's range
+this is exact, so Dragonbox's corrections (its parity and divisibility
+products) have nothing to correct. There 10**-k·2**-r is a multiple of
+2**63, so Schubfach's g = floor(10**-k·2**-r) + 1 is g1·2**63 + 1. Its rop
+of g and cp, which adds the high word of 1·cp (zero, as cp < 2**64) to the
+two words of g1·cp, is then the 128-bit product g1·cp, rounded to odd at
+2**64: linear in cp, and the ends' products are the value's plus or minus
+g1·2**(h + 1). tests/test_shortest.py checks g's low word for every
+exponent in range, and the kernel against Schubfach's three products.
+numpy runs the product with 32-bit limbs, so no step needs more than
+64-bit integer arithmetic.
 
 Schubfach's exponent tables come from the paper's closed forms:
 floor(q·log10(2)) = q·661971961083 >> 41 (flog10pow2) for |q| <= 6432162, and
@@ -42,9 +56,9 @@ _Q_LOW = int(np.frexp(_LOW)[1]) - 53
 _Q_HIGH = int(np.frexp(_HIGH)[1]) - 53
 
 _DOT, _ZERO, _MINUS = ord("."), ord("0"), ord("-")
-# The digit places of a laid-out value: up to 3 zeros after "0.", then up to
-# 17 significant digits.
-_PLACES = 20
+# The significant digits of a laid-out value, scaled to 17.
+_DIGITS = 17
+_TENS = np.array([1, 10], dtype=np.uint64)
 
 
 def _tables() -> tuple[np.ndarray, np.ndarray]:
@@ -72,122 +86,152 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
 _LIMBS, _SHIFTS = _tables()
 
 
+def _product_table() -> np.ndarray:
+    """Row q - _Q_LOW: g1's 32-bit halves; the half-width g1·2**(h + 1) of
+    the rounding interval (in the kernel's 4 / 10**k scale, times 2**64) as
+    its high and low words; h + 2, the shift that puts a significand c in
+    place (g1·(c << (h + 2)) is the value, times 2**64); and k, as the
+    uint64 of the same bits. A row per exponent, so that one take gathers
+    every constant of a value."""
+    g1 = (_LIMBS[0] << np.uint64(32)) | _LIMBS[1]
+    h = _SHIFTS[1].astype(np.uint64)
+    wide, low = g1 >> (np.uint64(63) - h), g1 << (h + np.uint64(1))
+    return np.stack([_LIMBS[0], _LIMBS[1], wide, low, h + np.uint64(2), _SHIFTS[0].view(np.uint64)], axis=1)
+
+
+_PRODUCT = _product_table()
+
+
 def _mul(ah, al, bh, bl):
     """The high and low 64-bit words of (ah·2**32 + al)·(bh·2**32 + bl), for
-    32-bit limbs held in uint64 arrays."""
-    ll, lh, hl = al * bl, al * bh, ah * bl
-    mid = (ll >> 32) + (lh & _M32) + (hl & _M32)
-    return ah * bh + (lh >> 32) + (hl >> 32) + (mid >> 32), (mid << 32) | (ll & _M32)
-
-
-def _rop(g1h, g1l, g0h, g0l, cp):
-    """Schubfach's rop: g·cp / 2**127, rounded to odd, for g = g1·2**63 + g0.
-    It takes the same words as the paper's code: the high word x1 of g0·cp,
-    and the words y1, y0 of g1·cp."""
-    ch, cl = cp >> 32, cp & _M32
-    x1, _ = _mul(g0h, g0l, ch, cl)
-    y1, y0 = _mul(g1h, g1l, ch, cl)
-    z = (y0 >> 1) + x1
-    return (y1 + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+    32-bit limbs held in uint64 arrays, with ah·bl + al·bh < 2**64."""
+    ll, cross = al * bl, ah * bl + al * bh
+    lo = ll + (cross << 32)
+    return ah * bh + (cross >> 32) + (lo < ll), lo
 
 
 def _shortest(c, e):
     """Shortest decimal digits f and exponent k, f·10**k, of c·2**(e - 53),
-    for 53-bit significands c (uint64) and exponents in range."""
-    column = e - (53 + _Q_LOW)
-    g1h, g1l, g0h, g0l = np.take(_LIMBS, column, axis=1)
-    k, h = np.take(_SHIFTS, column, axis=1)
-    out = c & 1  # 1 where the interval's ends read back as a neighbour (c odd)
-    cb = c << 2
-    h = h.astype(np.uint64)
-    # The value and the bounds of its rounding interval, scaled by 4 / 10**k.
+    for 53-bit significands c (uint64) and exponents in range. f has 16 or
+    17 digits, trailing zeros included."""
+    g1h, g1l, wide, low, shift, k = np.take(_PRODUCT, e - (53 + _Q_LOW), axis=0).T
+    # The value scaled by 4 / 10**k, times 2**64: its integer part is the
+    # high word, its fraction the low word. g1 < 2**63 and cp < 2**60, so
+    # the limbs' cross products sum below 2**64. Adding or taking the
+    # half-width gives the interval's ends, which are in it where c is even.
+    # Each is then rounded to odd: its integer part, with the last bit set
+    # if its fraction is not zero.
+    cp = c << shift
+    hi, lo = _mul(g1h, g1l, cp >> 32, cp & _M32)
+    vb = hi | (lo != 0)
+    odd = c & 1  # 1 where the interval's ends read back as a neighbour
+    right, left = lo + low, lo - low
+    upper = ((hi + wide + (right < lo)) | (right != 0)) - odd
+    lower = ((hi - wide - (lo < low)) | (left != 0)) + odd
     # Schubfach narrows the interval below a power of two (c = 2**52); for
     # the powers of two in range the regular interval gives the same digits,
     # as tests/test_shortest.py checks for every one of them.
-    vbl = _rop(g1h, g1l, g0h, g0l, (cb - 2) << h)
-    vb = _rop(g1h, g1l, g0h, g0l, cb << h)
-    vbr = _rop(g1h, g1l, g0h, g0l, (cb + 2) << h)
+    #
+    # Of s·10**k and s + 1, one or both lie in the interval, whose width is
+    # at least 4 in this scale: take the one alone in it, or else the
+    # nearer, s on a tie with s even (vb's last two bits are the fraction).
     s = vb >> 2
-    # Of s·10**k and t·10**k, t = s + 1, take the one alone in the rounding
-    # interval, or else the nearer (s on a tie with s even).
-    t = s + 1
-    uin = vbl + out <= s << 2
-    win = (t << 2) + out <= vbr
-    mid = (s + t) << 1
-    nearer_s = (vb < mid) | ((vb == mid) & ((s & 1) == 0))
-    alone = uin ^ win
-    f = s + ((alone & win) | (~alone & ~nearer_s))
-    # But one digit fewer wins: of s'·10**(k+1) and t' = s' + 1, with
-    # s' = s // 10, the one alone in the interval. Schubfach tries them only
-    # where s >= 100, which always holds for a normal double.
+    s4 = s << 2
+    up = ((vb & 2) != 0) & ((vb & 5) != 0)
+    f = s + ((s4 + 4 <= upper) & ((s4 < lower) | up))
+    # But one digit fewer wins: of s'·10**(k+1) and s' + 1, with s' = s // 10,
+    # the one alone in the interval. Schubfach tries them only where s >= 100,
+    # which always holds for a normal double.
     sp10 = s // 10 * 10
-    upin = vbl + out <= sp10 << 2
-    wpin = ((sp10 + 10) << 2) + out <= vbr
-    fewer = upin ^ wpin
-    return f + (sp10 + wpin.astype(np.uint64) * 10 - f) * fewer, k
+    upin = lower <= sp10 << 2
+    wpin = (sp10 + 10) << 2 <= upper
+    return np.where(upin ^ wpin, sp10 + wpin * np.uint64(10), f), k.view(np.int64)
 
 
-def fields(x) -> np.ndarray:
-    """An (x.size, WIDTH) uint8 array: row i holds ``repr(float(x.flat[i]))``
-    as ASCII, padded with NUL bytes (before the first character, after the
-    last, or both). No character of a repr is NUL.
+def fields(x, out=None) -> np.ndarray:
+    """``repr(float(v))`` of each value v of `x` as WIDTH ASCII bytes from
+    the first, padded after the last with NUL bytes. No character of a repr
+    is NUL.
 
-    The array is built a column at a time, so it is the transpose of a
-    C-contiguous one.
+    Without `out`, an (x.size, WIDTH) uint8 array, row i for ``x.flat[i]``;
+    it is the transpose of a C-contiguous array, built a place at a time.
+    With `out`, a uint8 array of shape ``x.shape + (WIDTH,)`` and any
+    strides, such as a view of the line a writer lays out, the fields are
+    written there, and `out` is returned.
     """
     x = np.ravel(np.asarray(x, dtype=np.float64))
+    n = x.size
     ax = np.abs(x)
     zero = ax == 0
     laid = (ax >= _LOW) & (ax < _HIGH)
-    m, e = np.frexp(np.where(laid, ax, 1.0))  # others get 1.0's digits, replaced below
+    np.copyto(ax, 1.0, where=~laid)  # others get 1.0's digits, replaced below
+    m, e = np.frexp(ax)
     f, k = _shortest(np.ldexp(m, 53).astype(np.uint64), e)
 
-    # f has 16 or 17 digits; scaled to 17, the value is 0.<f> * 10**point
-    # (repr's decpt). Zero is written as 0.0: f = 0, point = 1.
-    short = f < 10**16
-    f += f * short * 9
-    point = k + 17 - short
+    # Scaled to 17 digits, f is 0.<f> * 10**point (repr's decpt), and point
+    # lies in [-3, 16]. Zero is written as 0.0: f = 0, point = 1.
+    short = (f < 10**16).view(np.uint8)
+    f *= np.take(_TENS, short)
+    point = k.astype(np.int8) + 17 - short.view(np.int8)
     f[zero] = 0
     point[zero] = 1
-    # A point at or before the first digit is written "0." and -point zeros:
-    # the digit places then start with `shift` zeros.
-    shift = np.clip(-point, 0, 3).astype(np.uint64)
-    before = np.maximum(point, 0)  # digit places before the "."
-    # The 20 places as two 10-digit numbers.
-    split = 10 ** (7 + shift)
-    high = f // split
-    part = (f - high * split) * 10 ** (3 - shift)
+    before = np.maximum(point, 0).view(np.uint8)  # digits before the "."
+    lead = np.maximum(-point, 0).view(np.uint8)  # zeros after "0." and before the digits
 
-    # Digits from the last place to the first. A place is written when a
-    # nonzero digit is at or after it, or it is before the "." or just
-    # after it ("12.0", not "12.").
-    digit = np.empty((_PLACES, x.size), dtype=np.uint8)
-    written = np.empty((_PLACES, x.size), dtype=bool)
-    seen = np.zeros(x.size, dtype=bool)
-    for place in reversed(range(_PLACES)):
-        if place == 9:
-            part = high
-        quotient = part // 10
-        digit[place] = part - quotient * 10
-        part = quotient
-        seen |= digit[place] != 0
-        written[place] = seen
-    places = np.arange(_PLACES)[:, None]
-    written |= places <= before
+    # The first digit, then the other 16 in four pieces of 4 that each fit a
+    # uint16, each piece taken apart from its last digit to its first. Digit
+    # i is written when a nonzero digit is at or after it, or it is before
+    # the "." or just after it ("12.0", not "12.").
+    digit = np.empty((_DIGITS, n), dtype=np.uint8)
+    digit[0] = first = f // 10**16
+    f -= first * 10**16
+    halves = np.empty((2, n), dtype=np.uint32)
+    halves[0] = high = f // 10**8
+    halves[1] = f - high * 10**8
+    quarters = halves // 10**4
+    pieces = np.empty((4, n), dtype=np.uint16)
+    pieces[0::2] = quarters
+    pieces[1::2] = halves - quarters * 10**4
+    columns = digit[1:].reshape(4, 4, n)
+    for place in range(3, -1, -1):
+        quotient = pieces // 10
+        columns[:, place] = pieces - quotient * 10
+        pieces = quotient
+    places = np.arange(_DIGITS + 1, dtype=np.uint8)[:, None]
+    written = digit != 0
+    for i in range(_DIGITS - 2, -1, -1):
+        written[i] |= written[i + 1]
+    written |= places[:_DIGITS] <= before
     digit += _ZERO
     digit *= written.view(np.uint8)
 
-    # The "." goes after `before` places: text place j holds digit j before
-    # it and digit j - 1 after it.
-    out = np.zeros((WIDTH, x.size), dtype=np.uint8)
-    out[0] = _MINUS * np.signbit(x)
-    out[1] = _ZERO * (point <= 0)
-    text = out[2:3 + _PLACES]
-    text[:-1] = digit * (places < before).view(np.uint8)
-    text[1:] += digit * (places >= before).view(np.uint8)
-    text[before, np.arange(x.size)] = _DOT
+    # The text of |v| from its first place: digit i goes to place i before
+    # the ".", which is at place `before`, and to place i + gap after it. The
+    # gap is 1, or 2 + lead after "0." and the lead zeros. A negative value's
+    # text then moves one place on for its "-", so each field's bytes run
+    # from its first place, with no NUL between them.
+    point0 = (point <= 0).view(np.uint8)
+    gap = point0 + lead + 1
+    ahead = (places[:_DIGITS] < before).view(np.uint8)
+    text = np.zeros((WIDTH, n), dtype=np.uint8)
+    text[:_DIGITS] = digit * ahead
+    digit -= digit * ahead
+    for shift in range(1, 6):
+        moved = gap == shift
+        if shift == 1 or moved.any():
+            text[shift : shift + _DIGITS] += digit * moved.view(np.uint8)
+    text[0] += _ZERO * point0
+    text[2:5] += _ZERO * (places[1:4] <= lead).view(np.uint8)
+    text[: _DIGITS + 1] += _DOT * (places == before + point0).view(np.uint8)
+    negative = np.signbit(x).view(np.uint8)
+    work = text * (1 - negative)
+    work[1:] += text[:-1] * negative
+    work[0] += _MINUS * negative
     rest = np.flatnonzero(~(laid | zero))
     if rest.size:
         reprs = "".join([repr(v).ljust(WIDTH, "\0") for v in x[rest].tolist()])
-        out[:, rest] = np.frombuffer(reprs.encode("ascii"), dtype=np.uint8).reshape(-1, WIDTH).T
-    return out.T
+        work[:, rest] = np.frombuffer(reprs.encode("ascii"), dtype=np.uint8).reshape(-1, WIDTH).T
+    if out is None:
+        return work.T
+    out[...] = work.T.reshape(out.shape)
+    return out

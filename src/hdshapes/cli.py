@@ -81,12 +81,13 @@ def _shares(n: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _padded(texts) -> tuple[np.ndarray, np.ndarray]:
-    """`texts` as UTF-8 bytes, one row each, NUL-padded to the longest, and
-    a mask of the bytes that are theirs."""
+def _padded(texts, before: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """`texts` as UTF-8 bytes, one row each, NUL-padded to the longest (after
+    each, or `before` it), and a mask of the bytes that are theirs."""
     encoded = [text.encode() for text in texts]
     width = max(map(len, encoded), default=0)
-    padded = np.frombuffer(b"".join(b.ljust(width, b"\0") for b in encoded), dtype=np.uint8)
+    pad = bytes.rjust if before else bytes.ljust
+    padded = np.frombuffer(b"".join(pad(b, width, b"\0") for b in encoded), dtype=np.uint8)
     lengths = np.array([len(b) for b in encoded])
     return padded.reshape(len(encoded), width), np.arange(width) < lengths[:, None]
 
@@ -103,27 +104,33 @@ def _format_rows(fh, ds, heads: tuple[str, ...], tails: tuple[str, ...], rows: r
     Heads, values and tails are laid side by side in one NUL-padded array
     per block, and the padding is dropped. Heads hold no NUL byte (a comma,
     or a column name through `json.dumps`, which escapes it), so their
-    padding goes with the values'. A tail's padding is found by its length
-    instead, so a NUL byte in a label is written as it is.
+    padding goes with the values'. They are padded before their text, and
+    a value's field after its text, so the bytes kept of a head and its
+    value are one run. A tail's padding is found by its length instead, so
+    a NUL byte in a label is written as it is. The array is reused from
+    block to block, so the heads are laid in it once, and `fields` writes
+    the values straight into it.
     """
     from ._shortest import WIDTH, fields  # only writing needs it; start-up does not pay for it
 
-    head, _ = _padded(heads)
+    head, _ = _padded(heads, before=True)
     tail, tail_kept = _padded(tails)
     cell = head.shape[1] + WIDTH
     width = ds.p * cell + tail.shape[1]
-    block = max(1, _BLOCK_BYTES // width)
+    block = max(1, min(_BLOCK_BYTES // width, len(rows)))
+    whole = np.empty((block, width), dtype=np.uint8)
+    whole_kept = np.empty((block, width), dtype=bool)
+    whole[:, : ds.p * cell].reshape(block, ds.p, cell)[:, :, : head.shape[1]] = head
     for start in range(rows.start, rows.stop, block):
         stop = min(start + block, rows.stop)
-        line = np.empty((stop - start, width), dtype=np.uint8)
+        line, kept = whole[: stop - start], whole_kept[: stop - start]
         cells = line[:, : ds.p * cell].reshape(stop - start, ds.p, cell)
-        cells[:, :, : head.shape[1]] = head
-        cells[:, :, head.shape[1] :] = fields(ds.points[start:stop]).reshape(stop - start, ds.p, WIDTH)
+        fields(ds.points[start:stop], out=cells[:, :, head.shape[1] :])
+        np.not_equal(line[:, : ds.p * cell], 0, out=kept[:, : ds.p * cell])
         codes = 0 if ds.codes is None else ds.codes[start:stop]
-        line[:, ds.p * cell :] = tail[codes]
-        kept = line != 0
-        kept[:, ds.p * cell :] = tail_kept[codes]
-        fh.write(line[kept].tobytes())
+        line[:, ds.p * cell :] = np.take(tail, codes, axis=0)
+        kept[:, ds.p * cell :] = np.take(tail_kept, codes, axis=0)
+        fh.write(line[kept])
 
 
 def _format_in_child(tmp, ds, heads, tails, rows: range) -> typing.NoReturn:
@@ -437,6 +444,16 @@ def _build(command: str, spec, seed):
     return build(name, seed=seed, **params)
 
 
+def _request(command: str, spec: dict) -> str:
+    """The run `_build` was asked for, in words: "generate cone with n = 200"."""
+    if command == "multicluster":
+        what, n = command, spec["config"].get("n") if isinstance(spec["config"], dict) else None
+    else:
+        fields = _TARGETS[command][3]
+        what, n = f"{command} {spec[fields[0]]}", spec.get("n", spec["params"].get("n"))
+    return what if n is None else f"{what} with n = {n}"
+
+
 def _emit(man: dict, out: str | None) -> int:
     """Build, write and record the run `man` describes, a replayed manifest
     or a fresh run's; `out`, from --out, replaces its output path."""
@@ -457,7 +474,15 @@ def _emit(man: dict, out: str | None) -> int:
     command, spec = _field(man, "command"), _field(man, "spec")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ds = _build(command, spec, seed)
+        try:
+            ds = _build(command, spec, seed)
+        except (MemoryError, ValueError) as exc:
+            # A count can be a valid index and still too large to allocate:
+            # numpy refuses it with a MemoryError, or with this ValueError
+            # where the bytes overflow its size type. Any other is a fault.
+            if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+                raise
+            raise ParameterError(f"{_request(command, spec)} needs more memory than can be allocated: {exc}") from None
     warned = [str(w.message) for w in caught]
     for message in warned:
         print(f"warning: {message}", file=sys.stderr)
@@ -557,7 +582,7 @@ def main(argv=None) -> int:
         return 3
 
 
-def run() -> int:
+def run() -> typing.NoReturn:
     """`main()` on the command line, as a process of its own: the entry of
     the `hdshapes` script and of `python -m hdshapes`.
 
@@ -566,13 +591,51 @@ def run() -> int:
     the writers' standard modules) load later, as `main` runs it.
     `gc.freeze()` first moves the objects start-up made (~2e4 that the
     collector tracks, nearly all of them the interpreter's and numpy's) to
-    the permanent generation, so no collection during the run, and none at
-    exit, walks them again; the writers' forked children inherit that.
-    `main` itself does not freeze, so a caller in process keeps its later
-    garbage collectable.
+    the permanent generation, so no collection during the run walks them
+    again; the writers' forked children inherit that. `main` itself does
+    not freeze, so a caller in process keeps its later garbage collectable.
+
+    The process then ends through `_end`, with the exit status `main` gave
+    or argparse exited with, and without the interpreter's teardown. Any
+    other exception (an interrupt, a fault) ends it as usual, traceback
+    included.
     """
     gc.freeze()
-    return main()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help and --version, and its usage errors
+        code = exc.code
+    _end(code)
+
+
+def _end(code: int | None) -> typing.NoReturn:
+    """End this process with exit status `code` (None is 0), the way the
+    interpreter would, but without freeing every object it made: on a
+    2-vCPU host that teardown took ~14 ms after a data file was written,
+    longer than writing a small one. Nothing is lost by skipping it: every
+    file a command writes is closed by the time `main` returns. stdout and
+    stderr are flushed, the `atexit` handlers run (they may write too), the
+    streams are flushed again, and `os._exit` ends the process. As in the
+    interpreter, a stream that cannot be flushed (a closed pipe) makes the
+    status 120; the interpreter also prints the error, this does not."""
+    import atexit
+
+    flushed = _flush()
+    atexit._run_exitfuncs()
+    flushed = _flush() and flushed
+    os._exit((code or 0) if flushed else 120)
+
+
+def _flush() -> bool:
+    """Flush stdout and stderr; False if either could not be flushed."""
+    flushed = True
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except (OSError, ValueError):
+            flushed = False
+    return flushed
 
 
 if __name__ == "__main__":

@@ -614,7 +614,12 @@ def _gaussian_cols(n: int, p: int, m, s, seed) -> np.ndarray:
             raise ParameterError(f"{name} must be a number or a vector of length {p}, got shape {vec.shape}")
     if not (sd > 0).all():
         raise ParameterError("standard deviations must be strictly positive")
-    return as_stream(seed).rng.normal(np.broadcast_to(mean, (p,)), np.broadcast_to(sd, (p,)), size=(n, p))
+    # The bits of Generator.normal(mean, sd, (n, p)), which draws the same
+    # standard normals and returns mean + sd * z, without its broadcasting.
+    z = as_stream(seed).rng.standard_normal((n, p))
+    z *= sd
+    z += mean
+    return z
 
 
 def gen_bkgnoise(n: int, p: int, m=0.0, s=1.0, seed=None) -> Dataset:

@@ -672,9 +672,10 @@ def gen_pyrstar(n: int, p: int = 4, h: float = 1.0, rb: float = 1.0, seed=None) 
     rng = as_stream(seed).rng
     z = rng.uniform(0.0, h, n)
     r = rb * (1.0 - z / h)
-    theta = rng.integers(0, 6, n) * (np.pi / 3.0)
+    spoke = rng.integers(0, 6, n)
+    angles = np.arange(6) * (np.pi / 3.0)  # the six angles, each taken once
     rp = np.sqrt(rng.random(n))
-    return _pyramid(rng, p, [r * rp * np.cos(theta), r * rp * np.sin(theta)], z)
+    return _pyramid(rng, p, [r * rp * np.cos(angles)[spoke], r * rp * np.sin(angles)[spoke]], z)
 
 
 @_shape(None, 2)
@@ -907,16 +908,8 @@ def gen_hemisphere(n: int, p: int = 4, seed=None) -> Dataset:
     t1 = rng.uniform(0.0, np.pi, n)
     t2 = rng.uniform(0.0, np.pi, n)
     t3 = rng.uniform(0.0, np.pi / 2.0, n)
-    return _adopt(
-        np.column_stack(
-            [
-                np.sin(t1) * np.cos(t2),
-                np.sin(t1) * np.sin(t2),
-                np.cos(t1) * np.cos(t3),
-                np.cos(t1) * np.sin(t3),
-            ]
-        )
-    )
+    s1, c1 = np.sin(t1), np.cos(t1)
+    return _adopt(np.column_stack([s1 * np.cos(t2), s1 * np.sin(t2), c1 * np.cos(t3), c1 * np.sin(t3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -958,18 +951,13 @@ def gen_trefoil4d(n: int, steps: int = 8, seed=None) -> Dataset:
         thetas = np.linspace(np.pi / 4.0 - _TREFOIL_BAND, np.pi / 4.0 + _TREFOIL_BAND, steps)
     m = -(-n // steps)
     phis = np.linspace(0.0, 4.0 * np.pi, m, endpoint=False)
-    tt = np.repeat(thetas, m)[:n]
-    pp = np.tile(phis, steps)[:n]
-    return _adopt(
-        np.column_stack(
-            [
-                np.cos(tt) * np.cos(pp),
-                np.cos(tt) * np.sin(pp),
-                np.sin(tt) * np.cos(1.5 * pp),
-                np.sin(tt) * np.sin(1.5 * pp),
-            ]
-        )
-    )
+    # Row i has band angle i // m and knot angle i % m: each cos and sin is
+    # taken once per angle, and each column is an outer product of them.
+    ct, st = np.cos(thetas), np.sin(thetas)
+    cp, sp, c15, s15 = np.cos(phis), np.sin(phis), np.cos(1.5 * phis), np.sin(1.5 * phis)
+    outer = np.multiply.outer
+    grid = np.stack([outer(ct, cp), outer(ct, sp), outer(st, c15), outer(st, s15)], axis=-1)
+    return _adopt(grid.reshape(steps * m, 4)[:n])
 
 
 @_shape(3)
@@ -1027,16 +1015,8 @@ def gen_sphericalspiral(n: int, spins: int = 3, p: int = 4, seed=None) -> Datase
     theta = np.linspace(0.0, top, n)
     phi = np.linspace(0.0, np.pi, n)
     eps = as_stream(seed).rng.uniform(-0.5, 0.5, n)
-    return _adopt(
-        np.column_stack(
-            [
-                np.sin(phi) * np.cos(theta),
-                np.sin(phi) * np.sin(theta),
-                np.cos(phi) + eps,
-                theta / top,
-            ]
-        )
-    )
+    sphi = np.sin(phi)
+    return _adopt(np.column_stack([sphi * np.cos(theta), sphi * np.sin(theta), np.cos(phi) + eps, theta / top]))
 
 
 @_shape(4)
@@ -1048,9 +1028,8 @@ def gen_helicalspiral(n: int, p: int = 4, seed=None) -> Dataset:
     """
     theta = np.linspace(0.0, 5.0 * np.pi / 4.0, n)
     eps = as_stream(seed).rng.uniform(-0.5, 0.5, n)
-    return _adopt(
-        np.column_stack([np.cos(theta), np.sin(theta), 0.05 * theta + eps, 0.1 * np.sin(theta)])
-    )
+    stheta = np.sin(theta)
+    return _adopt(np.column_stack([np.cos(theta), stheta, 0.05 * theta + eps, 0.1 * stheta]))
 
 
 @_shape(4)

@@ -2,6 +2,7 @@ import argparse
 import gc
 import importlib
 import json
+import os
 import runpy
 import subprocess
 import sys
@@ -649,9 +650,10 @@ def test_the_process_entry_freezes_once_before_parsing(monkeypatch, capsys):
     parse_args = argparse.ArgumentParser.parse_args
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
                         lambda self, *a, **kw: calls.append("parse") or parse_args(self, *a, **kw))
+    monkeypatch.setattr(cli, "_end", lambda code: calls.append(("end", code)))  # this process goes on
     monkeypatch.setattr(sys, "argv", ["hdshapes", "list"])
-    assert cli.run() == 0
-    assert calls == ["freeze", "parse"]
+    cli.run()
+    assert calls == ["freeze", "parse", ("end", 0)]
     assert "cone: n, p, h, ratio" in capsys.readouterr().out.splitlines()
 
 
@@ -718,3 +720,97 @@ def test_names_the_cli_loads_on_use_still_resolve_on_it():
     assert cli.generate is shapes.generate
     with pytest.raises(AttributeError, match="has no attribute 'PRESETS'"):
         cli.PRESETS
+
+
+# ---------------------------------------------------------------------------
+# The process entry ends without the interpreter's teardown
+
+
+# An atexit handler registered before the entry runs, as a plugin's would be.
+ENTRY = ("import atexit, sys; atexit.register(lambda: print('atexit handler ran', file=sys.stderr)); "
+         "from hdshapes.cli import run; run()")
+
+
+def _entry(*argv):
+    return subprocess.run([sys.executable, "-c", ENTRY, *argv], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["generate", "cone", "--n", "50", "--seed", "1", "--out", "{tmp}/c.csv"], 0),
+        (["generate", "cone", "--n", "50", "--h", "-1", "--seed", "1", "--out", "{tmp}/c.csv"], 2),
+        (["generate", "cone", "--n", "50", "--seed", "1", "--out", "{tmp}/missing/c.csv"], 3),
+        (["--help"], 0),
+        (["generate", "cone", "--no-such-flag", "1"], 2),
+        (["list"], 0),
+    ],
+    ids=["written", "bad-value", "io-error", "help", "bad-flag", "list"],
+)
+def test_the_entry_keeps_exit_codes_and_runs_atexit_handlers(argv, code, tmp_path):
+    res = _entry(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert res.returncode == code, res.stderr
+    assert res.stderr.endswith("atexit handler ran\n")
+    if argv == ["list"]:
+        assert "cone: n, p, h, ratio" in res.stdout.splitlines()  # stdout was flushed, all of it
+    assert (tmp_path / "c.csv").is_file() == (code == 0 and argv[0] == "generate")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+def test_the_entry_writes_the_bytes_main_writes(fmt, tmp_path):
+    argv = ["preset", "gaucircles", "--n", "3000", "--seed", "4", "--format", fmt]
+    res = _entry(*argv, "--out", str(tmp_path / "entry.out"))
+    assert res.returncode == 0, res.stderr
+    assert f"wrote {tmp_path / 'entry.out'}" in res.stdout
+    assert main([*argv, "--out", str(tmp_path / "main.out")]) == 0
+    assert (tmp_path / "entry.out").read_bytes() == (tmp_path / "main.out").read_bytes()
+    assert (tmp_path / "entry.out.manifest.json").is_file()
+
+
+def test_a_stdout_that_cannot_be_flushed_ends_with_status_120():
+    # As the interpreter ends: stdout is buffered, and its reader has gone.
+    read, write = os.pipe()
+    os.close(read)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        res = subprocess.run([sys.executable, "-c", ENTRY, "list"], stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert res.returncode == 120
+    assert res.stderr.endswith(b"atexit handler ran\n")
+
+
+# ---------------------------------------------------------------------------
+# Counts that index but cannot be allocated
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # n * p * 8 bytes overflow numpy's size type: numpy's ValueError.
+        (["generate", "cone", "--n", str(2**62), "--seed", "1"], f"generate cone with n = {2**62} needs more memory"),
+        # 256 PiB: more than even a 57-bit address space holds, so the
+        # allocation fails at once, whatever the kernel's overcommit policy.
+        (["generate", "gaussian", "--n", str(2**53), "--p", "4", "--seed", "1"],
+         f"generate gaussian with n = {2**53} needs more memory"),
+        (["hole", "scurve", "--n", str(2**62), "--seed", "1"], f"hole scurve with n = {2**62} needs more memory"),
+    ],
+    ids=["cone-size-overflow", "gaussian-unallocatable", "hole-size-overflow"],
+)
+def test_a_count_too_large_to_allocate_exits_2(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_other_value_errors_from_a_build_are_not_masked(monkeypatch, tmp_path):
+    from hdshapes import shapes
+
+    def broken(*args, **kwargs):
+        raise ValueError("a fault, not a size")
+
+    monkeypatch.setattr(shapes, "generate", broken)
+    with pytest.raises(ValueError, match="a fault, not a size"):
+        main(["generate", "cone", "--n", "5", "--seed", "1", "--out", str(tmp_path / "c.csv")])

@@ -113,6 +113,51 @@ def test_tables_match_an_exact_derivation():
     assert _shortest._LIMBS.shape == (4, _shortest._Q_HIGH - _shortest._Q_LOW + 1)
 
 
+def test_every_g_is_g1_times_2_63_plus_1():
+    """The kernel's single product rests on g0 = 1 in every column."""
+    assert _shortest._LIMBS[2].tolist() == [0] * _shortest._LIMBS.shape[1]
+    assert _shortest._LIMBS[3].tolist() == [1] * _shortest._LIMBS.shape[1]
+
+
+def _schubfach(c: int, q: int) -> tuple[int, int]:
+    """Schubfach's digits f and exponent k of c·2**q, in Python integers:
+    three rop products, as in the paper, then its choice among s, s + 1
+    and the candidates with one digit fewer."""
+    i = q - _shortest._Q_LOW
+    g1h, g1l, g0h, g0l = (int(v) for v in _shortest._LIMBS[:, i])
+    k, h = (int(v) for v in _shortest._SHIFTS[:, i])
+    g1, g0 = g1h << 32 | g1l, g0h << 32 | g0l
+
+    def rop(cp):
+        x1 = (g0 * cp) >> 64
+        y = g1 * cp
+        z = ((y & (2**64 - 1)) >> 1) + x1
+        return ((y >> 64) + (z >> 63)) | (z & (2**63 - 1) != 0)
+
+    out = c & 1
+    vbl, vb, vbr = (rop((4 * c + d) << h) for d in (-2, 0, 2))
+    s = vb >> 2
+    uin, win = vbl + out <= 4 * s, 4 * s + 4 + out <= vbr
+    nearer_s = vb < 4 * s + 2 or (vb == 4 * s + 2 and s % 2 == 0)
+    f = s + (win if uin != win else not nearer_s)
+    sp10 = s // 10 * 10
+    upin, wpin = vbl + out <= 4 * sp10, 4 * sp10 + 40 + out <= vbr
+    return (sp10 + 10 * wpin if upin != wpin else f), k
+
+
+def test_the_single_product_matches_schubfachs_three():
+    """Random significands at every exponent in range, and the ends of the
+    significand range at each of them."""
+    rng = np.random.default_rng(29)
+    qs = np.arange(_shortest._Q_LOW, _shortest._Q_HIGH + 1)
+    ends = np.array([2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    cs = np.concatenate([rng.integers(2**52, 2**53, 20000, dtype=np.uint64), np.repeat(ends, qs.size)])
+    es = np.concatenate([np.resize(qs, 20000), np.tile(qs, ends.size)]) + 53
+    f, k = _shortest._shortest(cs, es)
+    want = [_schubfach(c, e - 53) for c, e in zip(cs.tolist(), es.tolist())]
+    assert list(zip(f.tolist(), k.tolist())) == want
+
+
 # Bit patterns from each finite class: subnormal, the kernel's range, and
 # normal magnitudes below and above it.
 _EXPONENTS = st.one_of(
