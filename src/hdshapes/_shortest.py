@@ -148,16 +148,13 @@ def _shortest(c, e):
     return np.where(upin ^ wpin, sp10 + wpin * np.uint64(10), f), k.view(np.int64)
 
 
-def fields(x, out=None) -> np.ndarray:
+def fields(x) -> np.ndarray:
     """``repr(float(v))`` of each value v of `x` as WIDTH ASCII bytes from
     the first, padded after the last with NUL bytes. No character of a repr
     is NUL.
 
-    Without `out`, an (x.size, WIDTH) uint8 array, row i for ``x.flat[i]``;
-    it is the transpose of a C-contiguous array, built a place at a time.
-    With `out`, a uint8 array of shape ``x.shape + (WIDTH,)`` and any
-    strides, such as a view of the line a writer lays out, the fields are
-    written there, and `out` is returned.
+    An (x.size, WIDTH) uint8 array, row i for ``x.flat[i]``; it is the
+    transpose of a C-contiguous array, built a place at a time.
     """
     x = np.ravel(np.asarray(x, dtype=np.float64))
     n = x.size
@@ -231,7 +228,4 @@ def fields(x, out=None) -> np.ndarray:
     if rest.size:
         reprs = "".join([repr(v).ljust(WIDTH, "\0") for v in x[rest].tolist()])
         work[:, rest] = np.frombuffer(reprs.encode("ascii"), dtype=np.uint8).reshape(-1, WIDTH).T
-    if out is None:
-        return work.T
-    out[...] = work.T.reshape(out.shape)
-    return out
+    return work.T

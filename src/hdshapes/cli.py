@@ -108,8 +108,8 @@ def _format_rows(fh, ds, heads: tuple[str, ...], tails: tuple[str, ...], rows: r
     a value's field after its text, so the bytes kept of a head and its
     value are one run. A tail's padding is found by its length instead, so
     a NUL byte in a label is written as it is. The array is reused from
-    block to block, so the heads are laid in it once, and `fields` writes
-    the values straight into it.
+    block to block, so the heads are laid in it once; each block's fields
+    are copied into it from the array `fields` returns.
     """
     from ._shortest import WIDTH, fields  # only writing needs it; start-up does not pay for it
 
@@ -125,7 +125,7 @@ def _format_rows(fh, ds, heads: tuple[str, ...], tails: tuple[str, ...], rows: r
         stop = min(start + block, rows.stop)
         line, kept = whole[: stop - start], whole_kept[: stop - start]
         cells = line[:, : ds.p * cell].reshape(stop - start, ds.p, cell)
-        fields(ds.points[start:stop], out=cells[:, :, head.shape[1] :])
+        cells[:, :, head.shape[1] :] = fields(ds.points[start:stop]).reshape(stop - start, ds.p, WIDTH)
         np.not_equal(line[:, : ds.p * cell], 0, out=kept[:, : ds.p * cell])
         codes = 0 if ds.codes is None else ds.codes[start:stop]
         line[:, ds.p * cell :] = np.take(tail, codes, axis=0)
@@ -428,30 +428,33 @@ def _build(command: str, spec, seed):
     if command == "multicluster":
         composer = _load("composer")
         config = composer.MultiClusterSpec.from_dict(_field(spec, "config"))
-        return composer.gen_multicluster(config, seed=seed, shuffle=spec.get("shuffle", True))
-    params = _field(spec, "params")
-    if not isinstance(params, dict):
-        raise ParameterError("manifest field 'spec.params' must be a JSON object")
-    _, lookup, fields, _, build = _target(command)
-    name = _field(spec, fields[0])
-    info = lookup(name)
-    for key in ("seed", *fields):
-        if key in params:  # a manifest field of its own
-            raise ParameterError(f"manifest spec.params has {key}, not accepted by {command}")
-    params = {**{key: _field(spec, key) for key in fields[1:]}, **params}
-    for required in info.kinds.keys() - info.defaults.keys():  # a hole's n
-        _field(params, required)
-    return build(name, seed=seed, **params)
-
-
-def _request(command: str, spec: dict) -> str:
-    """The run `_build` was asked for, in words: "generate cone with n = 200"."""
-    if command == "multicluster":
-        what, n = command, spec["config"].get("n") if isinstance(spec["config"], dict) else None
+        what, n = command, config.n
+        call = partial(composer.gen_multicluster, config, seed=seed, shuffle=spec.get("shuffle", True))
     else:
-        fields = _TARGETS[command][3]
-        what, n = f"{command} {spec[fields[0]]}", spec.get("n", spec["params"].get("n"))
-    return what if n is None else f"{what} with n = {n}"
+        params = _field(spec, "params")
+        if not isinstance(params, dict):
+            raise ParameterError("manifest field 'spec.params' must be a JSON object")
+        _, lookup, fields, _, build = _target(command)
+        name = _field(spec, fields[0])
+        info = lookup(name)
+        for key in ("seed", *fields):
+            if key in params:  # a manifest field of its own
+                raise ParameterError(f"manifest spec.params has {key}, not accepted by {command}")
+        params = {**{key: _field(spec, key) for key in fields[1:]}, **params}
+        for required in info.kinds.keys() - info.defaults.keys():  # a hole's n
+            _field(params, required)
+        what, n = f"{command} {name}", params.get("n")
+        call = partial(build, name, seed=seed, **params)
+    try:
+        return call()
+    except (MemoryError, ValueError) as exc:
+        # A count can be a valid index and still too large to allocate:
+        # numpy refuses it with a MemoryError, or with this ValueError
+        # where the bytes overflow its size type. Any other is a fault.
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise
+        what = what if n is None else f"{what} with n = {n}"
+        raise ParameterError(f"{what} needs more memory than can be allocated: {exc}") from None
 
 
 def _emit(man: dict, out: str | None) -> int:
@@ -474,15 +477,7 @@ def _emit(man: dict, out: str | None) -> int:
     command, spec = _field(man, "command"), _field(man, "spec")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            ds = _build(command, spec, seed)
-        except (MemoryError, ValueError) as exc:
-            # A count can be a valid index and still too large to allocate:
-            # numpy refuses it with a MemoryError, or with this ValueError
-            # where the bytes overflow its size type. Any other is a fault.
-            if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
-                raise
-            raise ParameterError(f"{_request(command, spec)} needs more memory than can be allocated: {exc}") from None
+        ds = _build(command, spec, seed)
     warned = [str(w.message) for w in caught]
     for message in warned:
         print(f"warning: {message}", file=sys.stderr)
@@ -613,17 +608,15 @@ def _end(code: int | None) -> typing.NoReturn:
     interpreter would, but without freeing every object it made: on a
     2-vCPU host that teardown took ~14 ms after a data file was written,
     longer than writing a small one. Nothing is lost by skipping it: every
-    file a command writes is closed by the time `main` returns. stdout and
-    stderr are flushed, the `atexit` handlers run (they may write too), the
-    streams are flushed again, and `os._exit` ends the process. As in the
-    interpreter, a stream that cannot be flushed (a closed pipe) makes the
-    status 120; the interpreter also prints the error, this does not."""
+    file a command writes is closed by the time `main` returns. As in the
+    interpreter, the `atexit` handlers run, then stdout and stderr are
+    flushed, and a stream that cannot be flushed (a closed pipe) makes the
+    status 120; the interpreter also prints the error, this does not.
+    `os._exit` then ends the process."""
     import atexit
 
-    flushed = _flush()
     atexit._run_exitfuncs()
-    flushed = _flush() and flushed
-    os._exit((code or 0) if flushed else 120)
+    os._exit((code or 0) if _flush() else 120)
 
 
 def _flush() -> bool:
