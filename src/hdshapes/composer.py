@@ -10,6 +10,10 @@ out, and each samples a cluster and writes it straight into its block of the
 scene array. Each cluster draws from its own substream, so the bytes do not
 depend on the number of threads or on which thread took which cluster. Each
 cluster's warnings are held, and the calling thread issues them in cluster order.
+The background's and the shuffle's draws have substreams of their own too, so
+they run beside the clusters' mean and sd, and every CPU gathers a share of
+the shuffled rows. Products run in row blocks on the calling thread
+(`core._matmul_t`), so OpenBLAS starts no worker thread of its own.
 """
 
 from __future__ import annotations
@@ -39,16 +43,16 @@ from .core import (
     _double,
     _holding,
     _is_kind,
+    _matmul_t,
     _number,
     _reals,
+    _to_normal,
     _warn,
     as_dataset,
     as_stream,
-    gen_bkgnoise,
     gen_nproduct,
     gen_nsum,
     gen_rotation,
-    randomize_rows,
 )
 from .shapes import RejectedParameterError, ShapeInfo, _registrar, check_params, generate, shape_info
 
@@ -154,13 +158,13 @@ def _place(out: np.ndarray, points: np.ndarray, scale=1.0, rotation=None, pad=No
     if scale != 1:  # x * 1.0 is x exactly for finite x, so a unit scale skips the multiply
         points = np.multiply(points, float(scale), out=out if w == p and before is None else None)
     if before is not None:
-        points = np.matmul(points, before.T, out=out if w == p else None)
+        points = _matmul_t(points, before, out=out if w == p else None)
     if w < p:
         out[:, w:] = pad.rng.normal(float(points.mean()), PAD_SD, (out.shape[0], p - w))
     if points is not out:
         out[:, :w] = points
     if rotation is not None and before is None:
-        out[:] = out @ rotation.T
+        _matmul_t(out, rotation, out=out)
     if center is not None:
         out += center - out.mean(axis=0)
 
@@ -305,10 +309,14 @@ class MultiClusterSpec:
         return cls(**cfg)
 
 
-def _each_cluster(k: int, job) -> list:
+def _each_cluster(k: int, job, lead=None) -> list:
     """[job(0), ..., job(k - 1)], run by the calling thread and one helper
     thread per further CPU in the affinity mask, at most one thread per
-    cluster. Every helper has ended when this returns or raises.
+    cluster. Every helper has ended when this returns or raises. Given
+    `lead`, up to k helpers start, and the calling thread first runs lead()
+    as a plain call (its warnings and errors are its own, as if no job ran
+    beside it) and then takes any job left; if lead() raises, its error is
+    raised once the helpers have ended.
 
     Threads take clusters in increasing order, and none is taken after one
     fails, so every cluster before the first failed one has run: its
@@ -345,9 +353,11 @@ def _each_cluster(k: int, job) -> list:
 
     helpers = []
     try:
-        for _ in range(min(k, _cpu_count()) - 1):
+        for _ in range(min(k - (lead is None), _cpu_count() - 1)):
             helpers.append(threading.Thread(target=contextvars.copy_context().run, args=(work,)))
             helpers[-1].start()
+        if lead is not None:
+            lead()
         work()
     finally:
         failed.set()  # if the calling thread was interrupted, helpers take no more clusters
@@ -432,17 +442,62 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
     n_rows = sum(counts)
     names = _cluster_labels(spec.shape)
     if spec.is_bkg:
+        counts.append(n_bkg)
+        names.append("background")
+    codes = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    if spec.is_bkg or shuffle:
+        scene, codes = _tail(scene, codes, n_rows, stream, spec.k, spec.is_bkg, shuffle)
+    # Each block and the background were checked as they were placed.
+    return Dataset._checked(scene, codes, tuple(names))
+
+
+def _tail(scene, codes, n_rows, stream, k, is_bkg, shuffle):
+    """The scene's background and shuffle, the same bits as gen_bkgnoise
+    (N(mean, sd^2) from `stream.derive(k)`, mean and sd those of the
+    clusters' rows, an sd of 0 as 1e-9) into `scene[n_rows:]` and then
+    randomize_rows (a permutation from `stream.derive(k + 1)`).
+
+    Both draws have streams of their own, so a helper draws the background's
+    standard normals straight into `scene[n_rows:]` and the permutation
+    while the calling thread takes the clusters' mean and sd. Then the
+    normals are scaled and shifted in place, and the rows are gathered by
+    every CPU, each into a contiguous range of a new array (`_each_cluster`
+    runs all of it on the calling thread at one CPU).
+    """
+    n = len(codes)
+
+    def draw(_):
+        if is_bkg:
+            stream.derive(k).rng.standard_normal(out=scene[n_rows:])
+        return stream.derive(k + 1).rng.permutation(n) if shuffle else None
+
+    def spread():
         mean, sd = _column_mean_sd(scene[:n_rows])
         if not np.isfinite(sd).all():
             raise ParameterError(f"background sd (the clusters' spread) must be finite, got {sd!r}")
         sd[sd == 0] = 1e-9
-        bkg = gen_bkgnoise(n_bkg, p, mean, sd, seed=stream.derive(spec.k))
-        scene[n_rows:] = bkg.points
-        counts.append(n_bkg)
-        names.append("background")
-    # Each block and the background were checked as they were placed.
-    out = Dataset._checked(scene, np.repeat(np.arange(len(counts), dtype=np.intp), counts), tuple(names))
-    return randomize_rows(out, seed=stream.derive(spec.k + 1)) if shuffle else out
+        stats.extend((mean, sd))
+
+    if is_bkg:
+        stats = []
+        [perm] = _each_cluster(1, draw, lead=spread)
+        _check_finite(_to_normal(scene[n_rows:], *stats))
+    else:
+        perm = draw(0)
+    if not shuffle:
+        return scene, codes
+    parts = _cpu_count()
+    edges = [n * i // parts for i in range(parts + 1)]
+    points, shuffled = np.empty_like(scene), np.empty_like(codes)
+
+    def gather(i: int) -> None:
+        # mode="clip" writes straight into `out`; the default "raise" buffers it.
+        rows = slice(edges[i], edges[i + 1])
+        np.take(scene, perm[rows], axis=0, out=points[rows], mode="clip")
+        np.take(codes, perm[rows], out=shuffled[rows], mode="clip")
+
+    _each_cluster(parts, gather)
+    return points, shuffled
 
 
 # ---------------------------------------------------------------------------

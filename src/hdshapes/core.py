@@ -514,42 +514,80 @@ def _column_mean_sd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column means and sample (ddof=1) standard deviations of the n x p
     matrix `x`.
 
-    The same bits as ``x.mean(axis=0)`` and ``x.std(axis=0, ddof=1)``, in
-    two blocked passes over `x` (the sums, then the squared deviations from
-    the mean) and one scratch buffer of `_BLOCK_ROWS` + 1 rows, instead of a
-    temporary the size of `x` and a third pass. numpy sums the rows of a
-    C-contiguous matrix with p >= 2 one after another, so each block is
-    summed with the running sum carried in the buffer's row 0, and the
-    order of additions is numpy's. A single column is summed pairwise
-    instead, which blocks would change, and fewer than 2 rows leave no
-    degree of freedom: in both cases numpy's own calls give the result (and
-    its warnings), and a single column holds no large temporary.
+    The same bits as ``x.mean(axis=0)`` and ``x.std(axis=0, ddof=1)``. The
+    mean is numpy's own, which needs no temporary. The squared deviations
+    from it are summed in one blocked pass through a scratch buffer of
+    `_BLOCK_ROWS` + 1 rows, instead of a temporary the size of `x`. numpy
+    sums the rows of a C-contiguous matrix with p >= 2 one after another, so
+    each block is summed with the running sum carried in the buffer's row 0,
+    and the order of additions is numpy's. A single column is summed
+    pairwise instead, which blocks would change, and fewer than 2 rows leave
+    no degree of freedom: in both cases numpy's own calls give the result
+    (and its warnings), and a single column holds no large temporary.
     """
     n, p = x.shape
     if p == 1 or n < 2:
         return x.mean(axis=0), x.std(axis=0, ddof=1)
+    mean = x.mean(axis=0)
     buf = np.empty((min(n, _BLOCK_ROWS) + 1, p))
-
-    def column_sum(center):
-        # numpy starts a sum from +0.0, so a running sum that does too adds
-        # nothing new: 0.0 + 0.0 + x is 0.0 + x, for x = -0.0 as well.
-        total = np.zeros(p)
-        for lo in range(0, n, _BLOCK_ROWS):
-            rows = x[lo : lo + _BLOCK_ROWS]
-            block = buf[1 : 1 + len(rows)]
-            if center is None:
-                block[...] = rows
-            else:
-                np.square(np.subtract(rows, center, out=block), out=block)
-            buf[0] = total
-            np.add.reduce(buf[: 1 + len(rows)], axis=0, out=total)
-        return total
-
-    mean = column_sum(None)
-    mean /= n
-    sd = column_sum(mean)
+    # numpy starts a sum from +0.0, so a running sum that does too adds
+    # nothing new: 0.0 + 0.0 + x is 0.0 + x, for x = -0.0 as well.
+    sd = np.zeros(p)
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = x[lo : lo + _BLOCK_ROWS]
+        block = buf[1 : 1 + len(rows)]
+        np.square(np.subtract(rows, mean, out=block), out=block)
+        buf[0] = sd
+        np.add.reduce(buf[: 1 + len(rows)], axis=0, out=sd)
     sd /= n - 1
     return mean, np.sqrt(sd, out=sd)
+
+
+# OpenBLAS multiplies on the calling thread while m * n * k <= 2**19, and a
+# larger product starts worker threads that spin on the CPUs for ~135 ms
+# after it returns (a 40000 x 20 by 20 x 20 product on 2 CPUs). Under its
+# AVX2 kernels a threaded product also has other bits than a one-thread one.
+_BLAS_ONE_THREAD = 1 << 19
+# Under OpenBLAS's AVX-512 kernels a product of at most this many output
+# entries (with k >= 32) runs a small-matrix kernel, and numpy hands a
+# one-row product to gemv: both give other bits than the rows of a larger
+# product.
+_BLAS_SMALL = 1200
+
+
+def _matmul_t(x: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ m.T`` for an n x k C-contiguous `x` and a c x k C-contiguous `m`,
+    one block of rows at a time, into `out` (a new n x c array when None;
+    `x` itself is allowed when k == c).
+
+    Each block has a multiple of 256 rows, the most for which the block and
+    a last block of at most `_BLAS_SMALL` entries joined to it stay within
+    `_BLAS_ONE_THREAD`, so OpenBLAS runs every block on the calling thread
+    and starts no worker. Such blocks give the bits of the single-threaded
+    one-call product under OpenBLAS's Haswell, Zen, Sandybridge, SkylakeX,
+    Cooperlake and SapphireRapids kernels: each block starts at a multiple
+    of the kernels' row tiles, and the last block is never a small one
+    unless the whole product is. Where no block size fits (a square `m`
+    wider than 43 x 43) or `x` or `m` has another layout, one call computes
+    the product, as numpy's ``@`` does. A product into `x` itself goes
+    through one block-sized scratch array.
+    """
+    n, (c, k) = x.shape[0], m.shape
+    if out is None:
+        out = np.empty((n, c))
+    rows = (_BLAS_ONE_THREAD // (k * c) - _BLAS_SMALL // c) // 256 * 256
+    blocked = rows > 0 and x.flags.c_contiguous and m.flags.c_contiguous
+    edges = [0, *range(rows, n, rows)] if blocked else [0]
+    if len(edges) > 1 and (n - edges[-1]) * c <= _BLAS_SMALL:
+        del edges[-1]
+    edges.append(n)
+    scratch = np.empty((max(np.diff(edges)), c)) if np.may_share_memory(x, out) else None
+    for lo, hi in zip(edges, edges[1:]):
+        if scratch is None:
+            np.matmul(x[lo:hi], m.T, out=out[lo:hi])
+        else:
+            out[lo:hi] = np.matmul(x[lo:hi], m.T, out=scratch[: hi - lo])
+    return out
 
 
 def normalize_data(ds) -> Dataset:
@@ -604,6 +642,15 @@ def relocate_clusters(ds, loc) -> Dataset:
     return _adopt(pts, ds.codes, ds.categories)
 
 
+def _to_normal(z: np.ndarray, mean, sd) -> np.ndarray:
+    """Standard normals `z` turned in place into Normal(mean, sd^2) draws:
+    the bits of Generator.normal(mean, sd, z.shape), which draws the same
+    standard normals and returns mean + sd * z, without its broadcasting."""
+    z *= sd
+    z += mean
+    return z
+
+
 def _gaussian_cols(n: int, p: int, m, s, seed) -> np.ndarray:
     """n x p draws, column j from Normal(m_j, s_j^2); `m` and `s` are each a
     number or a length-p vector, every s_j positive."""
@@ -614,12 +661,7 @@ def _gaussian_cols(n: int, p: int, m, s, seed) -> np.ndarray:
             raise ParameterError(f"{name} must be a number or a vector of length {p}, got shape {vec.shape}")
     if not (sd > 0).all():
         raise ParameterError("standard deviations must be strictly positive")
-    # The bits of Generator.normal(mean, sd, (n, p)), which draws the same
-    # standard normals and returns mean + sd * z, without its broadcasting.
-    z = as_stream(seed).rng.standard_normal((n, p))
-    z *= sd
-    z += mean
-    return z
+    return _to_normal(as_stream(seed).rng.standard_normal((n, p)), mean, sd)
 
 
 def gen_bkgnoise(n: int, p: int, m=0.0, s=1.0, seed=None) -> Dataset:

@@ -33,6 +33,7 @@ from .core import (
     _check_span,
     _double,
     _is_kind,
+    _matmul_t,
     _reals,
     _row_norms,
     _warn,
@@ -520,7 +521,7 @@ def gen_gaussian(n: int, p: int = 4, s=None, seed=None) -> Dataset:
     except np.linalg.LinAlgError:
         raise ParameterError("covariance must be positive-definite") from None
     z = as_stream(seed).rng.standard_normal((n, p))
-    return _adopt(z @ chol.T)
+    return _adopt(_matmul_t(z, chol))
 
 
 # ---------------------------------------------------------------------------

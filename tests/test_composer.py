@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import pairwise_distances
+from helpers import openblas_kernels_runnable, pairwise_distances, run_python
 
 from hdshapes.core import (
     DimensionError,
@@ -653,7 +653,7 @@ def _count_helpers(monkeypatch) -> list:
 
 def test_scene_bytes_do_not_depend_on_the_thread_count(monkeypatch):
     helpers = _count_helpers(monkeypatch)
-    sizes = [PRESETS[name].func().k for name in list_presets()] + [_rotated_scene_with_background().k]
+    specs = [PRESETS[name].func() for name in list_presets()] + [_rotated_scene_with_background()]
     scenes = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LatticeSizeWarning)  # the grid presets overshoot n
@@ -662,8 +662,12 @@ def test_scene_bytes_do_not_depend_on_the_thread_count(monkeypatch):
             helpers.clear()
             scenes[count] = _scenes()
             # One helper per CPU past the first, at most one thread per cluster,
-            # serving both the sampling and the placing of a scene.
-            assert len(helpers) == sum(min(k, count or 1) - 1 for k in sizes), count
+            # serving both the sampling and the placing of a scene; then, for a
+            # background, one helper drawing beside the calling thread's mean
+            # and sd, and one helper per CPU past the first for the shuffle.
+            cpus = count or 1
+            expected = sum(min(s.k, cpus) - 1 + min(s.is_bkg, cpus - 1) + cpus - 1 for s in specs)
+            assert len(helpers) == expected, count
     assert all(scenes[count] == scenes[1] for count in scenes)
     for name in list_presets():
         ds = make_preset(name, seed=9)
@@ -922,3 +926,67 @@ def test_every_cluster_is_sampled_once_under_frequent_thread_switches(monkeypatc
         sys.setswitchinterval(interval)
     assert calls == {c: 5 for c in range(k)}
     assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# BLAS products on the calling thread
+
+_DENSE_PRODUCTS = """
+import hashlib
+import numpy as np
+from hdshapes.composer import MultiClusterSpec, gen_multicluster
+from hdshapes.shapes import gen_gaussian
+
+rng = np.random.default_rng(3)
+rotation = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+spec = MultiClusterSpec(
+    n=(2001, 300), k=2, loc=np.zeros((2, 20)), scale=(1.0, 2.0),
+    shape=("gaussian", "cone"), rotation=(rotation, None), is_bkg=True,
+)
+root = rng.standard_normal((20, 20))
+cov = root @ root.T + 20 * np.eye(20)
+scene = gen_multicluster(spec, seed=1)
+cluster = gen_gaussian(n=2001, p=20, s=cov, seed=2)
+for data in (scene.points, scene.codes, cluster.points):
+    print(hashlib.sha256(data.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("coretype", openblas_kernels_runnable("Haswell"))
+def test_rotated_and_covariance_bytes_do_not_depend_on_openblas_threads(coretype):
+    """A dense 20 x 20 rotation of a 2001-row cluster and a covariance
+    gaussian of 2001 rows: one call is a product OpenBLAS would share out,
+    and its AVX2 kernels then give other bits than on one thread. In row
+    blocks it never shares one out, so the affinity mask cannot change the
+    bytes."""
+    one = run_python(_DENSE_PRODUCTS, OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1")
+    two = run_python(_DENSE_PRODUCTS, OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="2")
+    assert one == two
+
+
+_SPIN = """
+import time
+import numpy as np
+from hdshapes.composer import MultiClusterSpec, gen_multicluster
+from hdshapes.core import RotationPlan
+from hdshapes.shapes import gen_gaussian
+
+spec = MultiClusterSpec(
+    n=(40000, 20000), k=2, loc=np.zeros((2, 20)), scale=(1.0, 1.0), shape=("gaussian", "cone"),
+    rotation=(RotationPlan(20, ((1, 2, 0.5), (3, 9, 1.1))), None), is_bkg=True,
+)
+gen_multicluster(spec, seed=1)
+gen_gaussian(n=40000, p=20, s=np.eye(20) + 0.5, seed=2)
+others = time.process_time() - time.thread_time()
+time.sleep(0.3)
+print(time.process_time() - time.thread_time() - others)
+"""
+
+
+def test_no_blas_worker_spins_after_the_products():
+    """A product OpenBLAS shares out leaves its worker threads spinning for
+    ~135 ms of CPU after it returns (a 40000 x 20 by 20 x 20 product on 2
+    CPUs), CPU the scene's other jobs could use. Every product now runs on
+    the calling thread, so the process's other threads use next to no CPU
+    while it sleeps."""
+    assert float(run_python(_SPIN)) < 0.02

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import openblas_kernels_runnable, run_python
+
 from hdshapes import core
 from hdshapes.core import (
     Dataset,
@@ -593,3 +595,43 @@ def test_column_mean_sd_match_numpy_bit_for_bit(p, scale):
         mean, sd = core._column_mean_sd(x)
         assert mean.tobytes() == x.mean(axis=0).tobytes(), n
         assert sd.tobytes() == x.std(axis=0, ddof=1).tobytes(), n
+
+
+# ---------------------------------------------------------------------------
+# Products in row blocks: the bits of the single-threaded one-call product
+
+_BLOCKED_PRODUCTS = """
+import numpy as np
+from hdshapes import core
+
+rng = np.random.default_rng(5)
+bad = []
+for w in (2, 3, 5, 10, 20, 33, 45):
+    m = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((w, w)))[0])
+    rows = max(0, (core._BLAS_ONE_THREAD // (w * w) - core._BLAS_SMALL // w) // 256 * 256)
+    small = core._BLAS_SMALL // w
+    counts = {j * rows + t for j in (0, 1, 2) for t in (1, 2, 3, small, small + 1, small + 2, 255)}
+    for n in sorted(counts | {40001}):
+        x = rng.standard_normal((n, w))
+        want = (x @ m.T).tobytes()
+        if core._matmul_t(x, m).tobytes() != want:
+            bad.append((w, n))
+        core._matmul_t(x, m, out=x)
+        if x.tobytes() != want:
+            bad.append((w, n, "in place"))
+print(bad)
+"""
+
+
+@pytest.mark.parametrize(
+    "coretype", openblas_kernels_runnable("Haswell", "Zen", "Sandybridge", "SkylakeX", "Cooperlake", "SapphireRapids")
+)
+def test_blocked_product_matches_the_one_call_product_bit_for_bit(coretype):
+    """Each block starts at a multiple of 256 rows and the last is never a
+    small one (one row goes to gemv, a few rows at k >= 32 to the AVX-512
+    kernels' small-matrix path), so every row has the bits it has in one
+    call. Rotation widths from 2 to 45 (one call from 44 up), odd and even
+    counts either side of each block edge and of the small-block limit, and
+    a product into its own input."""
+    out = run_python(_BLOCKED_PRODUCTS, OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1")
+    assert out.strip() == "[]"
