@@ -11,18 +11,14 @@ scene array. Each cluster draws from its own substream, so the bytes do not
 depend on the number of threads or on which thread took which cluster. Each
 cluster's warnings are held, and the calling thread issues them in cluster order.
 The background's and the shuffle's draws have substreams of their own too, so
-they run beside the clusters' mean and sd, and every CPU gathers a share of
-the shuffled rows. Products run in row blocks on the calling thread
+they run beside the clusters' mean and sd, and `Dataset.take` gathers the
+shuffled rows on every CPU. Products run in row blocks on the calling thread
 (`core._matmul_t`), so OpenBLAS starts no worker thread of its own.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import copy
-import itertools
-import threading
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
@@ -39,15 +35,13 @@ from .core import (
     _check_finite,
     _check_n,
     _column_mean_sd,
-    _cpu_count,
     _double,
-    _holding,
+    _each_cluster,
     _is_kind,
     _matmul_t,
     _number,
     _reals,
     _to_normal,
-    _warn,
     as_dataset,
     as_stream,
     gen_nproduct,
@@ -309,71 +303,6 @@ class MultiClusterSpec:
         return cls(**cfg)
 
 
-def _each_cluster(k: int, job, lead=None) -> list:
-    """[job(0), ..., job(k - 1)], run by the calling thread and one helper
-    thread per further CPU in the affinity mask, at most one thread per
-    cluster. Every helper has ended when this returns or raises. Given
-    `lead`, up to k helpers start, and the calling thread first runs lead()
-    as a plain call (its warnings and errors are its own, as if no job ran
-    beside it) and then takes any job left; if lead() raises, its error is
-    raised once the helpers have ended.
-
-    Threads take clusters in increasing order, and none is taken after one
-    fails, so every cluster before the first failed one has run: its
-    exception is raised, as a loop over the clusters would raise it. An
-    interrupt (an exception that is not an `Exception`) is raised first.
-    Helpers run in copies of the caller's context, so `np.errstate` holds
-    in them too.
-
-    Each job holds its warnings in a list of its own (`core._holding`), and
-    numpy's floating-point errors too ("overflow encountered in cluster c")
-    for each kind whose mode is "warn" while no `np.seterrcall` callback is
-    set. After the join, the calling thread issues them cluster by cluster
-    up to the first failed cluster, so warning filters decide in one thread.
-    """
-    results, errors, held = [None] * k, [None] * k, [[] for _ in range(k)]
-    taken = itertools.count()  # next() on it is one call under the interpreter lock
-    failed = threading.Event()
-    fp_held = {kind: "call" for kind, mode in np.geterr().items() if mode == "warn" and np.geterrcall() is None}
-
-    def run(c: int):
-        def hold_fp(err: str, flag: int) -> None:
-            held[c].append((f"{err} encountered in cluster {c}", RuntimeWarning))
-
-        with _holding(held[c]), np.errstate(call=hold_fp, **fp_held) if fp_held else contextlib.nullcontext():
-            return job(c)
-
-    def work() -> None:
-        while not failed.is_set() and (c := next(taken)) < k:
-            try:
-                results[c] = run(c)
-            except BaseException as exc:
-                errors[c] = exc
-                failed.set()
-
-    helpers = []
-    try:
-        for _ in range(min(k - (lead is None), _cpu_count() - 1)):
-            helpers.append(threading.Thread(target=contextvars.copy_context().run, args=(work,)))
-            helpers[-1].start()
-        if lead is not None:
-            lead()
-        work()
-    finally:
-        failed.set()  # if the calling thread was interrupted, helpers take no more clusters
-        for thread in helpers:
-            thread.join()
-    for exc in errors:
-        if exc is not None and not isinstance(exc, Exception):
-            raise exc
-    last = next((c for c, exc in enumerate(errors) if exc is not None), k - 1)
-    for message, category in itertools.chain.from_iterable(held[: last + 1]):
-        _warn(message, category, 3)  # the caller of gen_multicluster
-    if errors[last] is not None:
-        raise errors[last]
-    return results
-
-
 def _cluster_labels(shapes: tuple[str, ...]) -> list[str]:
     """Each cluster's shape name, numbered (`gaussian_1`) where it repeats."""
     counts, seen, out = Counter(shapes), Counter(), []
@@ -445,31 +374,25 @@ def gen_multicluster(spec: MultiClusterSpec, seed=None, shuffle: bool = True) ->
         counts.append(n_bkg)
         names.append("background")
     codes = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
-    if spec.is_bkg or shuffle:
-        scene, codes = _tail(scene, codes, n_rows, stream, spec.k, spec.is_bkg, shuffle)
+    perm = _tail(scene, n_rows, stream, spec.k, spec.is_bkg, shuffle)
     # Each block and the background were checked as they were placed.
-    return Dataset._checked(scene, codes, tuple(names))
+    ds = Dataset._checked(scene, codes, tuple(names))
+    return ds if perm is None else ds.take(perm)
 
 
-def _tail(scene, codes, n_rows, stream, k, is_bkg, shuffle):
-    """The scene's background and shuffle, the same bits as gen_bkgnoise
-    (N(mean, sd^2) from `stream.derive(k)`, mean and sd those of the
-    clusters' rows, an sd of 0 as 1e-9) into `scene[n_rows:]` and then
-    randomize_rows (a permutation from `stream.derive(k + 1)`).
-
-    Both draws have streams of their own, so a helper draws the background's
-    standard normals straight into `scene[n_rows:]` and the permutation
-    while the calling thread takes the clusters' mean and sd. Then the
-    normals are scaled and shifted in place, and the rows are gathered by
-    every CPU, each into a contiguous range of a new array (`_each_cluster`
-    runs all of it on the calling thread at one CPU).
-    """
-    n = len(codes)
+def _tail(scene, n_rows, stream, k, is_bkg, shuffle):
+    """The scene's background (the bits of gen_bkgnoise: N(mean, sd^2) from
+    `stream.derive(k)`, mean and sd those of the clusters' rows, an sd of 0
+    as 1e-9) into `scene[n_rows:]`, and the shuffle's permutation (None
+    without shuffle) from `stream.derive(k + 1)`, as randomize_rows draws it.
+    A helper draws both, each from its own stream, while the calling thread
+    takes the clusters' mean and sd; then the normals are scaled and shifted
+    in place."""
 
     def draw(_):
         if is_bkg:
             stream.derive(k).rng.standard_normal(out=scene[n_rows:])
-        return stream.derive(k + 1).rng.permutation(n) if shuffle else None
+        return stream.derive(k + 1).rng.permutation(len(scene)) if shuffle else None
 
     def spread():
         mean, sd = _column_mean_sd(scene[:n_rows])
@@ -478,26 +401,12 @@ def _tail(scene, codes, n_rows, stream, k, is_bkg, shuffle):
         sd[sd == 0] = 1e-9
         stats.extend((mean, sd))
 
-    if is_bkg:
-        stats = []
-        [perm] = _each_cluster(1, draw, lead=spread)
-        _check_finite(_to_normal(scene[n_rows:], *stats))
-    else:
-        perm = draw(0)
-    if not shuffle:
-        return scene, codes
-    parts = _cpu_count()
-    edges = [n * i // parts for i in range(parts + 1)]
-    points, shuffled = np.empty_like(scene), np.empty_like(codes)
-
-    def gather(i: int) -> None:
-        # mode="clip" writes straight into `out`; the default "raise" buffers it.
-        rows = slice(edges[i], edges[i + 1])
-        np.take(scene, perm[rows], axis=0, out=points[rows], mode="clip")
-        np.take(codes, perm[rows], out=shuffled[rows], mode="clip")
-
-    _each_cluster(parts, gather)
-    return points, shuffled
+    if not is_bkg:
+        return draw(0)
+    stats = []
+    [perm] = _each_cluster(1, draw, lead=spread)
+    _check_finite(_to_normal(scene[n_rows:], *stats))
+    return perm
 
 
 # ---------------------------------------------------------------------------

@@ -139,4 +139,4 @@ def append_dims(ds, extra) -> Dataset:
     extra = as_dataset(extra)
     if ds.n != extra.n:
         raise ParameterError(f"row counts differ: {ds.n} vs {extra.n}")
-    return _adopt(np.hstack([ds.points, extra.points]), ds.codes, ds.categories)
+    return Dataset._checked(np.hstack([ds.points, extra.points]), ds.codes, ds.categories)

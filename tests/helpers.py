@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +31,27 @@ def trunc_exp_cdf(rate: float, high: float):
 def pairwise_distances(a, b=None) -> np.ndarray:
     b = a if b is None else b
     return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+
+
+def set_cpus(monkeypatch, count) -> None:
+    """Make hdshapes see `count` CPUs in this process's affinity mask, or,
+    for None, run where `os.sched_getaffinity` is missing."""
+    if count is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def started_threads(monkeypatch) -> list:
+    """A list to which every thread started from now on is appended."""
+    started, real_start = [], threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
 def run_python(code: str, **env) -> str:

@@ -1,9 +1,11 @@
 import collections
 import copy
 import dataclasses
+import json
 import os
 import pickle
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -11,15 +13,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import openblas_kernels_runnable, pairwise_distances, run_python
+from helpers import openblas_kernels_runnable, pairwise_distances, run_python, set_cpus, started_threads
 
+from hdshapes import core
+from hdshapes.cli import main
 from hdshapes.core import (
     DimensionError,
     ParameterError,
     RotationPlan,
     gen_nproduct,
     gen_rotation,
+    randomize_rows,
 )
 from hdshapes.composer import (
     PRESETS,
@@ -32,6 +39,7 @@ from hdshapes.composer import (
     simplex_vertices,
 )
 from hdshapes.shapes import (
+    SHAPES,
     LatticeSizeWarning,
     RejectedParameterError,
     UnknownShapeError,
@@ -611,15 +619,6 @@ def test_multicluster_peak_memory_is_bounded():
 # Clusters composed on every CPU
 
 
-def _cpus(monkeypatch, count) -> None:
-    """Make the composer see `count` CPUs in the affinity mask, or, for None,
-    run where `os.sched_getaffinity` is missing."""
-    if count is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 def _rotated_scene_with_background():
     p = 6
     return MultiClusterSpec(
@@ -639,26 +638,15 @@ def _scenes() -> dict:
     return {name: (ds.points.tobytes(), ds.codes.tobytes(), ds.categories) for name, ds in scenes.items()}
 
 
-def _count_helpers(monkeypatch) -> list:
-    started = []
-    real_start = threading.Thread.start
-
-    def start(thread):
-        started.append(thread)
-        real_start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    return started
-
-
 def test_scene_bytes_do_not_depend_on_the_thread_count(monkeypatch):
-    helpers = _count_helpers(monkeypatch)
+    helpers = started_threads(monkeypatch)
+    monkeypatch.setattr(core, "_SHARE_ROWS", 1)  # these scenes' shuffles, smaller than a share, are shared too
     specs = [PRESETS[name].func() for name in list_presets()] + [_rotated_scene_with_background()]
     scenes = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LatticeSizeWarning)  # the grid presets overshoot n
         for count in (1, 2, 3, 8, None):
-            _cpus(monkeypatch, count)
+            set_cpus(monkeypatch, count)
             helpers.clear()
             scenes[count] = _scenes()
             # One helper per CPU past the first, at most one thread per cluster,
@@ -675,7 +663,7 @@ def test_scene_bytes_do_not_depend_on_the_thread_count(monkeypatch):
 
 
 def test_every_helper_thread_has_ended_when_gen_multicluster_returns_or_raises(monkeypatch):
-    _cpus(monkeypatch, 8)
+    set_cpus(monkeypatch, 8)
     before = threading.active_count()
     gen_multicluster(_rotated_scene_with_background(), seed=2)
     assert threading.active_count() == before
@@ -688,7 +676,7 @@ def test_every_helper_thread_has_ended_when_gen_multicluster_returns_or_raises(m
 def test_a_generator_error_in_a_cluster_is_raised_unchanged(monkeypatch, cpus):
     with pytest.raises(ParameterError) as direct:
         generate("cone", n=300, p=4, h=-1, seed=1)
-    _cpus(monkeypatch, cpus)
+    set_cpus(monkeypatch, cpus)
     with pytest.raises(ParameterError) as raised:
         gen_multicluster(usage_spec(extras=({}, {"h": -1}, {})), seed=3)
     assert type(raised.value) is type(direct.value) and str(raised.value) == str(direct.value) == "h must be positive"
@@ -697,7 +685,7 @@ def test_a_generator_error_in_a_cluster_is_raised_unchanged(monkeypatch, cpus):
 def test_when_two_clusters_fail_the_lower_index_wins(monkeypatch):
     from hdshapes import composer
 
-    _cpus(monkeypatch, 8)
+    set_cpus(monkeypatch, 8)
     real = composer.generate
 
     def generate_or_fail(kind, n, seed, **params):
@@ -722,7 +710,7 @@ def test_when_two_clusters_fail_the_lower_index_wins(monkeypatch):
 def test_an_interrupt_in_any_cluster_wins_over_an_error(monkeypatch):
     from hdshapes import composer
 
-    _cpus(monkeypatch, 8)
+    set_cpus(monkeypatch, 8)
 
     def fail(kind, n, seed, **params):
         if seed.path[0] == 2:
@@ -742,7 +730,7 @@ def test_a_lattice_error_is_raised_before_a_later_clusters_error(monkeypatch, cp
     """Cluster 0 is a lattice with more rows than n whose scaled points
     overflow; cluster 1's generator fails too. The lattice is placed and
     checked in its own job, so its error is the one a loop meets first."""
-    _cpus(monkeypatch, cpus)
+    set_cpus(monkeypatch, cpus)
     spec = MultiClusterSpec(
         n=(10, 50), k=2, loc=np.full((2, 3), np.nan), scale=(1e308, 1.0), shape=("gridcube", "cone"),
         extras=({"p": 2}, {"h": -1.0}),
@@ -770,7 +758,7 @@ GRID_WARNINGS = [
 def test_warnings_are_shown_in_cluster_order(monkeypatch, cpus):
     from hdshapes import composer
 
-    _cpus(monkeypatch, cpus)
+    set_cpus(monkeypatch, cpus)
     real = composer.generate
 
     def late_first_cluster(kind, n, seed, **params):
@@ -790,7 +778,7 @@ def test_warnings_are_shown_in_cluster_order(monkeypatch, cpus):
 
 @pytest.mark.parametrize("cpus", [1, 8])
 def test_a_warning_filter_still_decides_in_every_thread(monkeypatch, cpus):
-    _cpus(monkeypatch, cpus)
+    set_cpus(monkeypatch, cpus)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("ignore")
         gen_multicluster(_two_grids(), seed=5)
@@ -805,7 +793,7 @@ def test_a_warning_filter_still_decides_in_every_thread(monkeypatch, cpus):
 def test_errstate_holds_in_every_thread(monkeypatch, cpus):
     from hdshapes import composer
 
-    _cpus(monkeypatch, cpus)
+    set_cpus(monkeypatch, cpus)
     real, seen = composer.generate, []
 
     def recording(kind, n, seed, **params):
@@ -835,7 +823,7 @@ def test_errstate_holds_in_every_thread(monkeypatch, cpus):
 def test_a_callers_floating_point_handler_gets_every_clusters_errors(monkeypatch, cpus):
     """Only the "warn" mode is held for the calling thread; a "call" or
     "log" handler the caller set gets the overflow from any thread."""
-    _cpus(monkeypatch, cpus)
+    set_cpus(monkeypatch, cpus)
     huge = usage_spec(scale=(1.0, 1.0, 1e308))
     called = []
     with np.errstate(over="call", call=lambda err, flag: called.append(err)):
@@ -864,7 +852,7 @@ def test_each_cluster_block_equals_the_staged_pipeline(monkeypatch, cpus):
     the middle returns more rows than asked, which moves the later blocks."""
     from hdshapes.core import as_stream
 
-    _cpus(monkeypatch, cpus)
+    set_cpus(monkeypatch, cpus)
     p = 5
     spec = MultiClusterSpec(
         n=(300, 10, 250, 200), k=4,
@@ -904,7 +892,7 @@ def test_every_cluster_is_sampled_once_under_frequent_thread_switches(monkeypatc
         n=tuple(range(40, 40 + k)), k=k, loc=np.arange(k * 3, dtype=float).reshape(k, 3),
         scale=(1.0,) * k, shape=("gaussian", "scurve", "cone") * (k // 3), is_bkg=True,
     )
-    _cpus(monkeypatch, 1)
+    set_cpus(monkeypatch, 1)
     reference = gen_multicluster(spec, seed=10)
     real, calls, lock = composer.generate, collections.Counter(), threading.Lock()
 
@@ -914,7 +902,7 @@ def test_every_cluster_is_sampled_once_under_frequent_thread_switches(monkeypatc
         return real(kind, n=n, seed=seed, **params)
 
     monkeypatch.setattr(composer, "generate", counted)
-    _cpus(monkeypatch, 16)
+    set_cpus(monkeypatch, 16)
     before, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -926,6 +914,86 @@ def test_every_cluster_is_sampled_once_under_frequent_thread_switches(monkeypatc
         sys.setswitchinterval(interval)
     assert calls == {c: 5 for c in range(k)}
     assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# Property: a scene's bytes are a function of (spec, seed) alone
+
+
+@st.composite
+def _small_scenes(draw):
+    """A small scene config (registered shapes, at most 300 rows a cluster,
+    p from 2 to 8, optional rotations, background and shuffle), a seed and
+    the shuffle flag."""
+    p = draw(st.integers(2, 8))
+    kinds = [kind for kind, info in SHAPES.items() if info.min_p <= p and (info.dim or p) <= p]
+    k = draw(st.integers(1, 4))
+    shape = draw(st.lists(st.sampled_from(kinds), min_size=k, max_size=k))
+    coords = st.lists(st.floats(-10, 10), min_size=p, max_size=p)
+    loc = [draw(coords | st.just([float("nan")] * p)) for _ in range(k)]
+
+    def plan(dim):
+        axes = st.tuples(st.integers(1, dim - 1), st.integers(1, dim - 1)).map(lambda ij: (min(ij), max(ij) + 1))
+        steps = draw(st.lists(st.tuples(axes, st.floats(-3.2, 3.2)), max_size=3))
+        return {"dim": dim, "steps": [[i, j, angle] for (i, j), angle in steps]}
+
+    rotation = None
+    if draw(st.booleans()):
+        dims = [draw(st.sampled_from([SHAPES[kind].dim or p, p])) for kind in shape]
+        rotation = [plan(dim) if draw(st.booleans()) else None for dim in dims]
+    config = {
+        "n": draw(st.lists(st.integers(5, 300), min_size=k, max_size=k)), "k": k, "loc": loc,
+        "scale": draw(st.lists(st.floats(0.1, 5), min_size=k, max_size=k)), "shape": shape,
+        "rotation": rotation, "is_bkg": draw(st.booleans()),
+    }
+    return config, draw(st.integers(0, 2**64 - 1)), draw(st.booleans())
+
+
+def _scene_at(cpus, spec, seed, shuffle):
+    """The scene's points, codes, categories and warnings, built where
+    hdshapes sees `cpus` CPUs and a take's share may be a single row."""
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        set_cpus(patch, cpus)
+        patch.setattr(core, "_SHARE_ROWS", 1)
+        ds = gen_multicluster(spec, seed=seed, shuffle=shuffle)
+    return ds.points.tobytes(), ds.codes.tobytes(), ds.categories, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_small_scenes())
+def test_scene_bytes_are_a_function_of_spec_and_seed_alone(scene):
+    config, seed, shuffle = scene
+    spec = MultiClusterSpec.from_dict(config)
+    one = _scene_at(1, spec, seed, shuffle)
+    assert _scene_at(8, spec, seed, shuffle) == one
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LatticeSizeWarning)
+        other = gen_multicluster(spec, seed=seed ^ 1)
+        randomize_rows(other, seed=seed ^ 2)
+    assert _scene_at(8, spec, seed, shuffle) == one
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_small_scenes())
+def test_cli_scene_bytes_do_not_depend_on_the_cpu_count(scene):
+    config, seed, shuffle = scene
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scene.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        for fmt in ("csv", "ndjson"):
+            files = {}
+            for cpus in (1, "all"):
+                files[cpus] = os.path.join(tmp, f"{cpus}.{fmt}")
+                argv = ["multicluster", path, "--seed", str(seed), "--format", fmt, "--out", files[cpus]]
+                with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+                    warnings.simplefilter("ignore", LatticeSizeWarning)
+                    if cpus == 1:
+                        set_cpus(patch, 1)
+                    assert main(argv + ([] if shuffle else ["--no-shuffle"])) == 0
+            with open(files[1], "rb") as one, open(files["all"], "rb") as every:
+                assert one.read() == every.read(), fmt
 
 
 # ---------------------------------------------------------------------------

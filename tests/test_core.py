@@ -1,7 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from helpers import openblas_kernels_runnable, run_python
+from helpers import openblas_kernels_runnable, run_python, set_cpus, started_threads
 
 from hdshapes import core
 from hdshapes.core import (
@@ -216,6 +219,85 @@ def test_take_returns_its_own_read_only_arrays():
         for got, src in ((sub.points, ds.points), (sub.codes, ds.codes)):
             assert not got.flags.writeable
             assert not np.shares_memory(got, src)
+
+
+_ROWS = 37
+_TAKE_INDICES = {
+    "ints-with-negatives": np.random.default_rng(5).integers(-_ROWS, _ROWS, 50),
+    "uint": np.arange(_ROWS, dtype=np.uint16)[::-3],
+    "uint64": np.array([36, 0, 5, 5], dtype=np.uint64),
+    "one-row": np.array([-2]),
+    "mask": np.arange(_ROWS) % 3 != 1,
+    "list": [3, -1, 0, 20, 3],
+    "empty-list": [],
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+@pytest.mark.parametrize("indices", _TAKE_INDICES.values(), ids=_TAKE_INDICES)
+def test_take_equals_numpys_take_at_any_cpu_count(monkeypatch, cpus, indices):
+    """Every CPU gathers one contiguous share of the rows, each share (here)
+    at least 4 rows; the rows and codes are numpy's, bit for bit."""
+    pts = np.random.default_rng(4).standard_normal((_ROWS, 3))
+    ds = Dataset(pts, np.arange(_ROWS) % 4, ["a", "b", "c", "d"])
+    rows = np.flatnonzero(indices) if np.asarray(indices).dtype == bool else indices
+    set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(core, "_SHARE_ROWS", 4)
+    started = started_threads(monkeypatch)
+    out = ds.take(indices)
+    assert out.points.tobytes() == np.take(pts, rows, axis=0).tobytes()
+    assert out.codes.tobytes() == np.take(ds.codes, rows).tobytes()
+    assert out.points.flags.c_contiguous and out.categories == ds.categories
+    assert len(started) == max(min(cpus, -(-out.n // 4)) - 1, 0)
+
+
+@pytest.mark.parametrize("rows, helpers", [(core._SHARE_ROWS, 0), (2 * core._SHARE_ROWS + 1, 2)])
+def test_a_take_starts_one_helper_per_share_past_the_first(monkeypatch, rows, helpers):
+    """A helper thread costs about what gathering a share of rows does, so
+    a take of at most one share runs on the calling thread alone."""
+    ds = Dataset(np.arange(3.0 * rows).reshape(rows, 3))
+    perm = np.random.default_rng(6).permutation(rows)
+    set_cpus(monkeypatch, 8)
+    started = started_threads(monkeypatch)
+    assert ds.take(perm).points.tobytes() == ds.points[perm].tobytes()
+    assert len(started) == helpers
+
+
+def test_take_is_numpys_under_frequent_thread_switches(monkeypatch):
+    """More helpers than cores write their shares of one output array while
+    the interpreter switches threads every microsecond."""
+    ds = Dataset(np.random.default_rng(7).standard_normal((3000, 4)), np.arange(3000) % 5, list("abcde"))
+    perm = np.random.default_rng(8).permutation(3000)
+    set_cpus(monkeypatch, 16)
+    monkeypatch.setattr(core, "_SHARE_ROWS", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outs = [ds.take(perm) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for out in outs:
+        assert out.points.tobytes() == np.take(ds.points, perm, axis=0).tobytes()
+        assert out.codes.tobytes() == np.take(ds.codes, perm).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_take_refuses_a_bad_index_before_any_thread_starts(monkeypatch, cpus):
+    ds = Dataset(np.zeros((_ROWS, 2)), np.zeros(_ROWS, dtype=int), ["a"])
+    set_cpus(monkeypatch, cpus)
+    started, before = started_threads(monkeypatch), threading.active_count()
+    for bad in ([0, _ROWS, -_ROWS - 1], [-_ROWS - 1, 0]):
+        with pytest.raises(IndexError) as ours:
+            ds.take(bad)
+        with pytest.raises(IndexError) as numpys:
+            np.take(ds.points, bad, axis=0)
+        assert str(ours.value) == str(numpys.value)
+    # numpy reads this uint64 index as -1; it is refused as out of range.
+    with pytest.raises(IndexError, match="index 18446744073709551615 is out of bounds for axis 0 with size 37"):
+        ds.take(np.array([2**64 - 1], dtype=np.uint64))
+    with pytest.raises(IndexError, match="boolean mask has 36 entries for 37 rows"):
+        ds.take(np.ones(_ROWS - 1, dtype=bool))
+    assert started == [] and threading.active_count() == before
 
 
 def test_constructor_and_with_points_copy_caller_arrays():

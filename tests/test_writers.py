@@ -15,6 +15,8 @@ import os
 import numpy as np
 import pytest
 
+from helpers import set_cpus
+
 from hdshapes import Dataset, cli
 from hdshapes.cli import _CHUNK_ROWS, _shares, main, write_csv, write_ndjson
 
@@ -115,11 +117,6 @@ def test_ndjson_escapes_non_ascii(tmp_path):
 # Formatting shared among processes
 
 
-def _cpus(monkeypatch, count: int) -> None:
-    """Make the writers see `count` CPUs in this process's affinity mask."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 def _count_forks(monkeypatch) -> list:
     forks = []
     real_fork = os.fork
@@ -142,7 +139,7 @@ SHARED_SIZES = (1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3, 7 * _CHUNK
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 def test_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch, cpus, n, labeled):
     ds = _dataset(n, 3, labeled)
-    _cpus(monkeypatch, cpus)
+    set_cpus(monkeypatch, cpus)
     forks = _count_forks(monkeypatch)
     for fmt, (write, reference) in WRITERS.items():
         write(ds, tmp_path / f"new.{fmt}")
@@ -156,7 +153,7 @@ def test_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch, cpus, n, labele
 @pytest.mark.parametrize("n", (0, 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 5 * _CHUNK_ROWS, 7 * _CHUNK_ROWS + 5))
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 def test_shares_are_contiguous_chunk_aligned_and_bounded(monkeypatch, cpus, n):
-    _cpus(monkeypatch, cpus)
+    set_cpus(monkeypatch, cpus)
     shares = _shares(n)
     assert len(shares) == max(1, min(cpus, -(-n // _CHUNK_ROWS)))
     assert shares[0].start == 0 and shares[-1].stop == n
@@ -165,7 +162,7 @@ def test_shares_are_contiguous_chunk_aligned_and_bounded(monkeypatch, cpus, n):
 
 
 def test_without_fork_the_writers_run_in_one_process(tmp_path, monkeypatch):
-    _cpus(monkeypatch, 8)
+    set_cpus(monkeypatch, 8)
     monkeypatch.delattr(os, "fork")
     ds = _dataset(7 * _CHUNK_ROWS + 5, 3, labeled=True)
     assert len(_shares(ds.n)) == 1
@@ -196,7 +193,7 @@ def _no_children_left() -> bool:
 
 
 def test_a_failing_child_makes_the_cli_exit_3(tmp_path, monkeypatch, capfd):
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     _fail_in_rows(monkeypatch, lambda rows: rows.start > 0)
     out = tmp_path / "scene.csv"
     argv = ["preset", "gaucircles", "--n", str(3 * _CHUNK_ROWS), "--seed", "1", "--out", str(out)]
@@ -211,7 +208,7 @@ def test_a_failing_child_makes_the_cli_exit_3(tmp_path, monkeypatch, capfd):
 
 
 def test_a_failing_parent_kills_and_reaps_its_children(tmp_path, monkeypatch, capfd):
-    _cpus(monkeypatch, 4)
+    set_cpus(monkeypatch, 4)
     _fail_in_rows(monkeypatch, lambda rows: rows.start == 0)
     out = tmp_path / "scene.ndjson"
     argv = ["preset", "gaucircles", "--n", str(8 * _CHUNK_ROWS), "--seed", "1", "--format", "ndjson",
@@ -239,7 +236,7 @@ def test_a_failed_write_names_the_users_file(tmp_path, monkeypatch, capfd, targe
 @pytest.mark.parametrize("how", ["fails", "interrupted"])
 @pytest.mark.parametrize("fmt", sorted(WRITERS))
 def test_a_failed_rewrite_leaves_the_old_file_and_manifest(tmp_path, monkeypatch, capfd, fmt, how):
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     out = tmp_path / f"scene.{fmt}"
     man = tmp_path / f"scene.{fmt}.manifest.json"
     argv = ["preset", "gaucircles", "--n", str(3 * _CHUNK_ROWS), "--format", fmt, "--out", str(out)]
